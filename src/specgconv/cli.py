@@ -158,9 +158,12 @@ def _train_config(cfg: dict, args) -> TrainConfig:
         if val is not None:
             t[key] = val
     try:
-        return TrainConfig(**t)
+        tconfig = TrainConfig(**t)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad train config: {exc}") from None
+    if tconfig.epochs < 1:
+        raise ConfigError(f"bad train config: epochs must be >= 1, got {tconfig.epochs}")
+    return tconfig
 
 
 def _experiment_parts(cfg: dict, base_dir: str):
@@ -223,10 +226,12 @@ def _write_metrics_csv(path, metrics):
 
 
 def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
+    sweep = cfg.get("sweep_eta")
+    if sweep and not dataset.masks["val"].any():
+        raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")
     basis = decompose(build_laplacian(dataset.graph, lap), lap, cache_dir=_cache_dir())
     cov = _coverage_warning(designs, basis)
 
-    sweep = cfg.get("sweep_eta")
     if sweep:
         return _run_eta_sweep(cfg, spec, designs, dataset, basis, tconfig, out_dir, sweep, cov)
     kernels = design_kernelset(basis, designs)

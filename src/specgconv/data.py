@@ -137,6 +137,9 @@ def load_single_graph(directory) -> SingleGraphDataset:
         assigned = np.zeros(n, dtype=bool)
         for lineno, row in enumerate(_read_rows(split_path), start=2):
             node, role = int(row[0]), row[1].strip()
+            if not 0 <= node < n:
+                raise ValueError(
+                    f"split.csv line {lineno}: node index {node} out of range 0..{n - 1}")
             if role not in masks:
                 raise ValueError(f"split.csv line {lineno}: unknown role {role!r}")
             if assigned[node]:

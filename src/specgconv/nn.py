@@ -298,6 +298,21 @@ class _TrainCtx:
         ]
 
 
+def _narrowing(layer, Hin) -> bool:
+    """Whether a conv layer applies its n x n supports to the f_out-wide
+    side: C_s (Hin A_s) costs n^2 f_out per support instead of the n^2 f_in
+    of (C_s Hin) A_s, so it is chosen exactly when f_in > f_out."""
+    return Hin.shape[1] > layer.out
+
+
+def _mixing(layer, lp) -> list:
+    """Per-support f_in x f_out matrices A_s of a conv layer, so that its
+    pre-activation is sum_s C_s Hin A_s: diag(w_s) W for DSG, W_s otherwise."""
+    if isinstance(layer, DepthwiseSeparableConv):
+        return [w[:, None] * lp.weights[0] for w in lp.depthwise]
+    return lp.weights
+
+
 def _layer_forward(layer, lp, H, supports, ctx):
     if isinstance(layer, ReadoutMeanMax):
         arg = np.argmax(H, axis=0)
@@ -310,17 +325,20 @@ def _layer_forward(layer, lp, H, supports, ctx):
 
     if isinstance(layer, Dense):
         Z = Hin @ lp.weights[0]
-    elif isinstance(layer, MultiSupportConv):
+    elif isinstance(layer, _CONV):
         Cs = ctx.kernel_masked(supports) if ctx is not None else list(supports)
-        PS = [C @ Hin for C in Cs]
-        Z = sum(P @ W for P, W in zip(PS, lp.weights))
-        cache.update(Cs=Cs, PS=PS)
-    elif isinstance(layer, DepthwiseSeparableConv):
-        Cs = ctx.kernel_masked(supports) if ctx is not None else list(supports)
-        PS = [C @ Hin for C in Cs]
-        M = sum(w[None, :] * P for w, P in zip(lp.depthwise, PS))
-        Z = M @ lp.weights[0]
-        cache.update(Cs=Cs, PS=PS, M=M)
+        cache["Cs"] = Cs
+        if _narrowing(layer, Hin):
+            Z = sum(C @ (Hin @ A) for C, A in zip(Cs, _mixing(layer, lp)))
+        else:
+            PS = [C @ Hin for C in Cs]
+            cache["PS"] = PS
+            if isinstance(layer, DepthwiseSeparableConv):
+                M = sum(w[None, :] * P for w, P in zip(lp.depthwise, PS))
+                Z = M @ lp.weights[0]
+                cache["M"] = M
+            else:
+                Z = sum(P @ W for P, W in zip(PS, lp.weights))
     else:
         raise TypeError(f"not a LayerSpec: {layer!r}")
     if lp.bias is not None:
@@ -329,8 +347,12 @@ def _layer_forward(layer, lp, H, supports, ctx):
     return _act(Z, layer.activation), cache
 
 
-def _layer_backward(layer, lp, cache, dout):
+def _layer_backward(layer, lp, cache, dout, input_grad=True):
+    """Parameter gradients of one layer, and the gradient with respect to its
+    input (None when input_grad is false)."""
     if isinstance(layer, ReadoutMeanMax):
+        if not input_grad:
+            return None, LayerParams()
         n, arg = cache["n"], cache["argmax"]
         f = arg.shape[0]
         dH = np.tile(dout[0, :f] / n, (n, 1))
@@ -342,22 +364,36 @@ def _layer_backward(layer, lp, cache, dout):
     if lp.bias is not None:
         grads.bias = dZ.sum(axis=0)
 
+    Hin, Cs = cache["Hin"], cache.get("Cs")
+    dHin = None
     if isinstance(layer, Dense):
-        grads.weights = [cache["Hin"].T @ dZ]
-        dHin = dZ @ lp.weights[0].T
+        grads.weights = [Hin.T @ dZ]
+        if input_grad:
+            dHin = dZ @ lp.weights[0].T
+    elif _narrowing(layer, Hin):
+        # every gradient of Z = sum_s C_s Hin A_s follows from G_s = C_s^T dZ,
+        # which is f_out wide; R_s = Hin^T G_s is the gradient for A_s
+        GS = [C.T @ dZ for C in Cs]
+        RS = [Hin.T @ G for G in GS]
+        if isinstance(layer, MultiSupportConv):
+            grads.weights = RS
+        else:
+            W = lp.weights[0]
+            grads.weights = [sum(w[:, None] * R for w, R in zip(lp.depthwise, RS))]
+            grads.depthwise = np.stack([(R * W).sum(axis=1) for R in RS])
+        if input_grad:
+            dHin = sum(G @ A.T for G, A in zip(GS, _mixing(layer, lp)))
     elif isinstance(layer, MultiSupportConv):
         grads.weights = [P.T @ dZ for P in cache["PS"]]
-        dHin = np.zeros_like(cache["Hin"])
-        for C, W in zip(cache["Cs"], lp.weights):
-            dHin += C.T @ (dZ @ W.T)
+        if input_grad:
+            dHin = sum(C.T @ (dZ @ W.T) for C, W in zip(Cs, lp.weights))
     else:  # DepthwiseSeparableConv
         grads.weights = [cache["M"].T @ dZ]
         dM = dZ @ lp.weights[0].T
         grads.depthwise = np.stack([(dM * P).sum(axis=0) for P in cache["PS"]])
-        dHin = np.zeros_like(cache["Hin"])
-        for w, C in zip(lp.depthwise, cache["Cs"]):
-            dHin += C.T @ (dM * w[None, :])
-    if cache["mask"] is not None:
+        if input_grad:
+            dHin = sum(C.T @ (dM * w[None, :]) for w, C in zip(lp.depthwise, Cs))
+    if dHin is not None and cache["mask"] is not None:
         dHin = dHin * cache["mask"]
     return dHin, grads
 
@@ -384,10 +420,12 @@ def model_forward(
 
 
 def model_backward(spec, params, caches, dout):
-    """Reverse pass; returns per-layer gradients mirroring the parameters."""
+    """Reverse pass; returns per-layer gradients mirroring the parameters.
+    The gradient with respect to the model input is never formed."""
     grads = [None] * len(params)
     for i in range(len(params) - 1, -1, -1):
-        dout, grads[i] = _layer_backward(spec.layers[i], params[i], caches[i], dout)
+        dout, grads[i] = _layer_backward(spec.layers[i], params[i], caches[i], dout,
+                                         input_grad=i > 0)
     return grads
 
 

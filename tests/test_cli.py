@@ -168,6 +168,37 @@ def test_train_eta_sweep(tmp_path):
     assert len(doc["sweep"]) == 2
 
 
+def test_train_eta_sweep_without_val_nodes(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path, sweep_eta=[1, 3], output_dir="sweep")
+    split = tmp_path / "toyds" / "split.csv"
+    split.write_text(split.read_text().replace(",val", ",test"))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "sweep_eta" in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("where", ["config", "cli"])
+def test_train_zero_epochs_is_config_error(tmp_path, capsys, where):
+    if where == "config":
+        cfg = write_toy_config(tmp_path, train={"learning_rate": 0.02, "epochs": 0})
+        argv = ["train", "--config", str(cfg)]
+    else:
+        argv = ["train", "--config", str(write_toy_config(tmp_path)), "--epochs", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "epochs" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("node", [-1, 24])
+def test_train_split_node_out_of_range(tmp_path, capsys, node):
+    cfg = write_toy_config(tmp_path)
+    split = tmp_path / "toyds" / "split.csv"
+    # the last row names node 23; -1 must not silently stand for it
+    split.write_text(split.read_text().replace("\n23,test\n", f"\n{node},test\n"))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "split.csv line 25" in capsys.readouterr().err
+
+
 def test_train_architecture_class_mismatch(tmp_path):
     cfg = write_toy_config(tmp_path, architecture="DSG8-DSG5")
     assert main(["train", "--config", str(cfg)]) == 2

@@ -75,6 +75,15 @@ def test_overlapping_roles_rejected(tmp_path):
         load_single_graph(tmp_path)
 
 
+@pytest.mark.parametrize("node", [-1, 3])
+def test_split_node_out_of_range_rejected(tmp_path, node):
+    # -1 must not wrap to the last node; 3 is one past the end (n=3)
+    write_single_graph(tmp_path)
+    (tmp_path / "split.csv").write_text(f"node,role\n0,train\n{node},test\n")
+    with pytest.raises(ValueError, match=r"split.csv line 3: node index .* out of range"):
+        load_single_graph(tmp_path)
+
+
 def test_unlabeled_train_node_rejected(tmp_path):
     write_single_graph(tmp_path)
     (tmp_path / "split.csv").write_text("node,role\n2,train\n")

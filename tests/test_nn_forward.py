@@ -16,6 +16,7 @@ from specgconv.nn import (
     forward_multisupport,
     init_parameters,
     micro_f1,
+    model_backward,
     model_forward,
     param_count,
     parse_architecture,
@@ -94,6 +95,88 @@ def test_depthwise_matches_naive_loop():
     want = np.tanh(mixed @ W + bias)
     got = forward_depthwise(H, supports, dw, W, bias=bias, activation="tanh")
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _reference_pass(kind, params, H0, supports, dout, rng, dropout):
+    """Two-layer conv model (relu, then linear) with the supports applied to
+    the layer input first, P_s = C_s Hin, and the mixing after. Dropout masks
+    are drawn per layer in the library's order: input mask, then one kernel
+    mask per support. Returns (output, per-layer parameter gradients)."""
+    H, caches = H0, []
+    for i, lp in enumerate(params):
+        mask, Cs = 1.0, list(supports)
+        if rng is not None:
+            keep = 1.0 - dropout
+            mask = (rng.random(H.shape) < keep) / keep
+            Cs = [C * ((rng.random(C.shape) < keep) / keep) for C in supports]
+        Hin = H * mask
+        PS = [C @ Hin for C in Cs]
+        if kind == "dsg":
+            M = sum(w * P for w, P in zip(lp.depthwise, PS))
+            Z = M @ lp.weights[0] + lp.bias
+        else:
+            M = None
+            Z = sum(P @ W for P, W in zip(PS, lp.weights)) + lp.bias
+        caches.append((mask, Cs, PS, M, Z))
+        H = np.maximum(Z, 0.0) if i == 0 else Z
+    out, grads, d = H, [None, None], dout
+    for i in (1, 0):
+        mask, Cs, PS, M, Z = caches[i]
+        lp = params[i]
+        dZ = d * (Z > 0) if i == 0 else d
+        g = {"bias": dZ.sum(axis=0)}
+        if kind == "dsg":
+            g["weights"] = [M.T @ dZ]
+            dM = dZ @ lp.weights[0].T
+            g["depthwise"] = np.stack([(dM * P).sum(axis=0) for P in PS])
+            dHin = sum(C.T @ (dM * w) for w, C in zip(lp.depthwise, Cs))
+        else:
+            g["weights"] = [P.T @ dZ for P in PS]
+            dHin = sum(C.T @ (dZ @ W.T) for C, W in zip(Cs, lp.weights))
+        grads[i] = g
+        d = dHin * mask
+    return out, grads
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+@pytest.mark.parametrize("widths", [(9, 6, 2), (2, 5, 8)], ids=["narrowing", "widening"])
+@pytest.mark.parametrize("kind", ["dsg", "multisupport"])
+def test_conv_layers_match_input_first_reference(kind, widths, dropout):
+    rng = np.random.default_rng(6)
+    n, S = 11, 3
+    f0, f1, f2 = widths
+    H0 = rng.standard_normal((n, f0))
+    supports = [rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(S)]
+    dout = rng.standard_normal((n, f2))
+    cls = DepthwiseSeparableConv if kind == "dsg" else MultiSupportConv
+    spec = ModelSpec((cls(out=f1, use_bias=True, activation="relu"),
+                      cls(out=f2, use_bias=True, activation="linear")))
+    params = init_parameters(spec, f0, S, np.random.default_rng(7))
+    for lp in params:
+        lp.bias += rng.standard_normal(lp.bias.shape)
+        if lp.depthwise is not None:
+            lp.depthwise += rng.standard_normal(lp.depthwise.shape)
+
+    seed = 8
+    out, caches = model_forward(spec, params, H0, supports, train=dropout > 0,
+                                rng=np.random.default_rng(seed),
+                                input_dropout=dropout, kernel_dropout=dropout)
+    grads = model_backward(spec, params, caches, dout)
+    want_out, want_grads = _reference_pass(
+        kind, params, H0, supports, dout,
+        np.random.default_rng(seed) if dropout > 0 else None, dropout)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert rel(out, want_out) < 1e-12
+    for g, want in zip(grads, want_grads):
+        assert rel(g.bias, want["bias"]) < 1e-12
+        assert len(g.weights) == len(want["weights"])
+        for gw, ww in zip(g.weights, want["weights"]):
+            assert rel(gw, ww) < 1e-12
+        if kind == "dsg":
+            assert rel(g.depthwise, want["depthwise"]) < 1e-12
 
 
 def test_param_count_cora_table_model():
