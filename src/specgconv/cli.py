@@ -31,6 +31,7 @@ from .kernels import (
     gcn_kernel,
 )
 from .nn import (
+    Adam,
     TrainConfig,
     TrainingDiverged,
     crossvalidate,
@@ -200,16 +201,19 @@ def _coverage_warning(designs, basis):
     return cov
 
 
-def _provenance(out_dir, cfg, tconfig, extra):
-    from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-
+def _write_run(out_dir, cfg, tconfig, extra, result=None):
+    """Write result.json (when a result is given) and provenance.json; both
+    record the optimizer's name and constants as the optimizer reports them."""
+    optimizer = Adam(tconfig.learning_rate).metadata()
+    if result is not None:
+        with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
+            json.dump({**result, "optimizer": optimizer}, fh, indent=2)
     doc = {
         "config": cfg,
         "resolved_seed": tconfig.seed,
         "version": __version__,
         "numpy": np.__version__,
-        "optimizer": {"name": "adam", "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
-                      "eps": ADAM_EPS},
+        "optimizer": optimizer,
         **extra,
     }
     with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
@@ -246,13 +250,11 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
         "test_accuracy_at_best_val": best_val.get("test_acc"),
         "best_val_epoch": best_val["epoch"],
         "final": last,
-        "optimizer": result.optimizer,
         "coverage": cov,
     }
-    with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump(final, fh, indent=2)
-    _provenance(out_dir, cfg, tconfig,
-                {"lambda_max": basis.lambda_max, "average_degree": average_degree(dataset.graph)})
+    _write_run(out_dir, cfg, tconfig,
+               {"lambda_max": basis.lambda_max, "average_degree": average_degree(dataset.graph)},
+               result=final)
     print(f"train: test accuracy {last.get('test_acc')}")
     return EXIT_OK
 
@@ -272,7 +274,7 @@ def _run_eta_sweep(cfg, spec, designs, dataset, basis, tconfig, out_dir, sweep, 
     doc = {"sweep": rows, "selected_eta": best["eta"], "criterion": "min_val_loss"}
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
-    _provenance(out_dir, cfg, tconfig, {"lambda_max": basis.lambda_max, "coverage": cov})
+    _write_run(out_dir, cfg, tconfig, {"lambda_max": basis.lambda_max, "coverage": cov})
     print(f"sweep: selected eta={best['eta']}")
     return EXIT_OK
 
@@ -301,13 +303,11 @@ def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
         "best_epochs": result.best_epochs,
         "coverage": cov,
     }
-    with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump(final, fh, indent=2)
-    _provenance(out_dir, cfg, tconfig, {
+    _write_run(out_dir, cfg, tconfig, {
         "n_graphs": len(dataset),
         "lambda_max": lambda_maxes,
         "average_degree": degrees,
-    })
+    }, result=final)
     print(f"train: CV accuracy {result.mean:.4f} +/- {result.std:.4f}")
     return EXIT_OK
 
@@ -396,19 +396,71 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limit_blas_threads() -> None:
+# (setter, getter) symbol pairs of OpenBLAS builds: the plain library, and the
+# scipy-openblas build bundled with numpy wheels (64-bit integer interface)
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+)
+
+
+def _openblas_libraries() -> list:
+    """Paths of the OpenBLAS libraries loaded into this process, read from
+    its memory map (Linux); empty where there is none or no map to read."""
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8") as fh:
+            paths = [line.split()[-1] for line in fh if "openblas" in line.lower()]
+    except OSError:
+        paths = []
+    return list(dict.fromkeys(p for p in paths if os.path.isfile(p)))
+
+
+def _openblas_thread_functions():
+    """(set_num_threads, get_num_threads) of the OpenBLAS numpy has loaded,
+    as ctypes functions, or None."""
+    import ctypes
+
+    for path in _openblas_libraries():
+        lib = ctypes.CDLL(path)
+        for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+def _limit_blas_threads():
+    """Pin BLAS to one thread; returns a callable that restores the old count.
+    Uses threadpoolctl when installed, else the thread setter of the OpenBLAS
+    numpy has loaded; warns when neither is there."""
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(1)
     except ImportError:
-        warnings.warn("threadpoolctl unavailable; cannot pin BLAS threads for strict repro")
+        functions = _openblas_thread_functions()
+        if functions is None:
+            warnings.warn("neither threadpoolctl nor an OpenBLAS thread setter is "
+                          "available; cannot pin BLAS threads for strict repro")
+            return lambda: None
+        set_threads, get_threads = functions
+        old = get_threads()
+        set_threads(1)
+        return lambda: set_threads(old)
+    return threadpoolctl.threadpool_limits(1).restore_original_limits
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.strict_repro:
-        _limit_blas_threads()
+    restore_blas = _limit_blas_threads() if args.strict_repro else None
+    try:
+        return _run(args)
+    finally:
+        if restore_blas is not None:
+            restore_blas()
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,9 @@ def _cache_paths(cache_dir, key: str):
 
 
 def _cache_load(cache_dir, L, kind):
+    """The cached basis of L, or None. An entry that fails the basis
+    invariants is removed; files another process removed first (while
+    discarding the same entry) count as a miss, not an error."""
     lam_path, u_path = _cache_paths(cache_dir, _cache_key(L, kind))
     if not (os.path.exists(lam_path) and os.path.exists(u_path)):
         return None
@@ -138,14 +142,28 @@ def _cache_load(cache_dir, L, kind):
         basis = SpectralBasis(eigenvalues=lam, eigenvectors=U, kind=kind)
         _validate(basis, L)
         return basis
+    except FileNotFoundError:
+        return None
     except (ValueError, ArithmeticError):
-        os.remove(lam_path)
-        os.remove(u_path)
+        for path in (lam_path, u_path):
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
         return None
 
 
 def _cache_store(cache_dir, L, kind, basis) -> None:
+    """Write each file under a temporary name in the cache directory, then
+    rename it into place, so no reader ever sees a half-written entry."""
     os.makedirs(cache_dir, exist_ok=True)
     lam_path, u_path = _cache_paths(cache_dir, _cache_key(L, kind))
-    save_matrix_csv(lam_path, basis.eigenvalues)
-    save_matrix_csv(u_path, basis.eigenvectors)
+    for path, values in ((u_path, basis.eigenvectors), (lam_path, basis.eigenvalues)):
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            save_matrix_csv(tmp, values)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise

@@ -1,0 +1,151 @@
+"""Stacked multi-graph batches against separate per-graph passes."""
+import numpy as np
+import pytest
+
+from specgconv import nn
+from specgconv.data import MultiGraphDataset
+from specgconv.graphs import random_graph
+from specgconv.nn import (
+    Dense,
+    DepthwiseSeparableConv,
+    ModelSpec,
+    MultiSupportConv,
+    ReadoutMeanMax,
+    TrainConfig,
+    flatten_params,
+    init_parameters,
+    model_backward,
+    model_forward,
+    softmax_cross_entropy,
+    stack_graphs,
+)
+
+SIZES = (7, 12, 5, 9)
+S = 3
+CONFIG = TrainConfig(input_dropout=0.3, kernel_dropout=0.4)
+# widening multi-support 4 -> 6, equal-width DSG 6 -> 6 (supports on the output
+# side), narrowing DSG 6 -> 3, readout, dense head
+SPEC = ModelSpec((
+    MultiSupportConv(out=6, use_bias=True, activation="relu"),
+    DepthwiseSeparableConv(out=6, use_bias=True, activation="tanh"),
+    DepthwiseSeparableConv(out=3, use_bias=False, activation="relu"),
+    ReadoutMeanMax(),
+    Dense(out=3, use_bias=True, activation="linear"),
+))
+
+
+def dataset_and_kernels():
+    rng = np.random.default_rng(11)
+    graphs, kernelsets = [], []
+    for i, n in enumerate(SIZES):
+        graphs.append(random_graph(n, 0.4, seed=i).with_features(rng.standard_normal((n, 4))))
+        kernelsets.append([rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(S)])
+    ds = MultiGraphDataset(graphs=tuple(graphs), labels=np.array([0, 2, 1, 2]), n_classes=3)
+    return ds, kernelsets
+
+
+def parameters():
+    params = init_parameters(SPEC, 4, S, np.random.default_rng(12))
+    rng = np.random.default_rng(13)
+    for lp in params:
+        if lp.depthwise is not None:
+            lp.depthwise += rng.standard_normal(lp.depthwise.shape)
+        if lp.bias is not None:
+            lp.bias += 0.1 * rng.standard_normal(lp.bias.shape)
+    return params
+
+
+def per_graph_gradients(ds, kernelsets, params, ids, rng):
+    """Mean over the graphs of separate batch-of-one gradients, in order."""
+    total = None
+    for i in ids:
+        out, caches = model_forward(SPEC, params, ds.graphs[i].features, kernelsets[i],
+                                    train=True, rng=rng, input_dropout=CONFIG.input_dropout,
+                                    kernel_dropout=CONFIG.kernel_dropout)
+        _, dout = softmax_cross_entropy(out, ds.labels[i : i + 1])
+        grads = model_backward(SPEC, params, caches, dout / len(ids))
+        total = grads if total is None else [
+            nn.LayerParams(weights=[a + b for a, b in zip(t.weights, g.weights)],
+                           depthwise=None if t.depthwise is None else t.depthwise + g.depthwise,
+                           bias=None if t.bias is None else t.bias + g.bias)
+            for t, g in zip(total, grads)]
+    return total
+
+
+def batch_gradients(ds, kernelsets, params, ids, rng):
+    return nn._batch_gradients(SPEC, params, kernelsets, ds, nn._graph_sizes(ds),
+                               np.asarray(ids), CONFIG, rng, 0)
+
+
+def max_relative_difference(a, b):
+    worst = 0.0
+    for x, y in zip(flatten_params(a), flatten_params(b)):
+        worst = max(worst, float(np.max(np.abs(x - y)) / np.max(np.abs(y))))
+    return worst
+
+
+def test_batch_gradient_is_mean_of_per_graph_gradients():
+    ds, kernelsets = dataset_and_kernels()
+    params, ids = parameters(), [2, 0, 3, 1]
+    want = per_graph_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
+    got = batch_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
+    assert len(list(nn._chunks(ids, nn._graph_sizes(ds)))) == 1
+    assert max_relative_difference(got, want) < 1e-12
+
+
+def test_batch_leaves_generator_where_per_graph_passes_do():
+    ds, kernelsets = dataset_and_kernels()
+    params, ids = parameters(), [1, 3, 0, 2]
+    rng_graphs, rng_batch = np.random.default_rng(21), np.random.default_rng(21)
+    per_graph_gradients(ds, kernelsets, params, ids, rng_graphs)
+    batch_gradients(ds, kernelsets, params, ids, rng_batch)
+    assert rng_batch.random() == rng_graphs.random()
+
+
+def test_batch_split_into_chunks_matches_one_chunk(monkeypatch):
+    ds, kernelsets = dataset_and_kernels()
+    params, ids = parameters(), [0, 1, 2, 3]
+    one_rng, split_rng = np.random.default_rng(8), np.random.default_rng(8)
+    one = batch_gradients(ds, kernelsets, params, ids, one_rng)
+    monkeypatch.setattr(nn, "_CHUNK_ROWS", 20)   # 7 + 12 rows, then 5 + 9
+    assert [len(c) for c in nn._chunks(ids, nn._graph_sizes(ds))] == [2, 2]
+    split = batch_gradients(ds, kernelsets, params, ids, split_rng)
+    assert max_relative_difference(split, one) < 1e-12
+    assert split_rng.random() == one_rng.random()
+
+
+def test_chunks_bound_rows_and_keep_order():
+    sizes = np.array([5, 30, 4, 4, 300, 2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_CHUNK_ROWS", 10)
+        assert list(nn._chunks([0, 1, 2, 3, 4, 5], sizes)) == [[0], [1], [2, 3], [4], [5]]
+
+
+def test_stacked_eval_forward_matches_per_graph_rows():
+    ds, kernelsets = dataset_and_kernels()
+    params = parameters()
+    H0, batch = stack_graphs([g.features for g in ds.graphs], kernelsets)
+    out, _ = model_forward(SPEC, params, H0, batch)
+    for i, g in enumerate(ds.graphs):
+        row, _ = model_forward(SPEC, params, g.features, kernelsets[i])
+        assert np.max(np.abs(out[i] - row[0])) < 1e-12
+
+
+def test_evaluate_graphs_matches_per_graph_means():
+    ds, kernelsets = dataset_and_kernels()
+    params = parameters()
+    losses, hits = [], []
+    for i, g in enumerate(ds.graphs):
+        out, _ = model_forward(SPEC, params, g.features, kernelsets[i])
+        losses.append(softmax_cross_entropy(out, ds.labels[i : i + 1])[0])
+        hits.append(float(np.argmax(out[0]) == ds.labels[i]))
+    loss, acc = nn.evaluate_graphs(SPEC, params, kernelsets, ds, [0, 1, 2, 3], "softmax_ce")
+    assert abs(loss - np.mean(losses)) < 1e-12 * max(1.0, abs(loss))
+    assert acc == np.mean(hits)
+
+
+def test_graph_label_outside_output_classes_is_named():
+    ds, kernelsets = dataset_and_kernels()
+    ds = MultiGraphDataset(graphs=ds.graphs, labels=np.array([0, 2, 5, 2]), n_classes=3)
+    with pytest.raises(ValueError, match="graph 2 has label 5"):
+        nn.evaluate_graphs(SPEC, parameters(), kernelsets, ds, [0, 1, 2, 3], "softmax_ce")

@@ -199,6 +199,17 @@ def test_train_split_node_out_of_range(tmp_path, capsys, node):
     assert "split.csv line 25" in capsys.readouterr().err
 
 
+def test_train_unlabelled_val_node_is_config_error(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path)
+    labels = tmp_path / "toyds" / "labels.csv"
+    rows = labels.read_text().splitlines()
+    rows[2] = "-1"   # node 1, a val node
+    labels.write_text("\n".join(rows) + "\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "node 1 has label -1" in err and len(err.strip().splitlines()) == 1
+
+
 def test_train_architecture_class_mismatch(tmp_path):
     cfg = write_toy_config(tmp_path, architecture="DSG8-DSG5")
     assert main(["train", "--config", str(cfg)]) == 2
@@ -315,3 +326,39 @@ def test_gradcheck_failure_exits_4(monkeypatch, capsys):
 def test_strict_repro_flag_accepted(tmp_path):
     assert main(["--strict-repro", "analyze", "--graph", "ring8",
                  "--kernel", "gcn", "--out", str(tmp_path / "s")]) == 0
+
+
+def test_strict_repro_pins_openblas_without_threadpoolctl(tmp_path, monkeypatch):
+    import sys
+
+    from specgconv import cli
+
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import fails
+    functions = cli._openblas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy has no OpenBLAS loaded in this process")
+    set_threads, get_threads = functions
+    old = get_threads()
+    try:
+        restore = cli._limit_blas_threads()
+        assert get_threads() == 1
+        restore()
+        assert get_threads() == old
+
+        seen = []
+        real = cli.cmd_analyze
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(get_threads()) or real(args))
+        assert main(["--strict-repro", "analyze", "--graph", "ring8", "--kernel", "gcn",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert seen == [1] and get_threads() == old
+    finally:
+        set_threads(old)
+
+
+def test_result_and_provenance_name_the_same_optimizer(tmp_path):
+    cfg = write_toy_config(tmp_path, train={"learning_rate": 0.02, "epochs": 2, "seed": 1})
+    assert main(["train", "--config", str(cfg)]) == 0
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    prov = json.loads((tmp_path / "run" / "provenance.json").read_text())
+    assert result["optimizer"] == prov["optimizer"] == {
+        "name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}

@@ -6,6 +6,7 @@ from specgconv.graphs import LaplacianKind, build_laplacian, random_graph
 from specgconv.kernels import design_kernel
 from specgconv.nn import (
     Dense,
+    accuracy_multiclass,
     DepthwiseSeparableConv,
     ModelSpec,
     MultiSupportConv,
@@ -299,3 +300,19 @@ def test_model_spec_validation():
         ModelSpec((MultiSupportConv(out=3, activation="softmax"),))
     with pytest.raises(ValueError):
         ModelSpec(())
+
+
+def test_unlabelled_scored_node_is_refused():
+    # a -1 label used to be scored as the last class (loss 0.013 here)
+    with pytest.raises(ValueError, match="node 0 has label -1"):
+        softmax_cross_entropy(np.array([[0.0, 0.0, 5.0]]), np.array([-1]))
+    outputs = np.zeros((4, 3))
+    labels = np.array([0, 2, -1, 3])
+    with pytest.raises(ValueError, match="node 2 has label -1"):
+        accuracy_multiclass(outputs, labels, np.array([False, True, True, False]))
+    with pytest.raises(ValueError, match="node 3 has label 3, outside the classes 0..2"):
+        softmax_cross_entropy(outputs, labels, np.array([True, False, False, True]))
+    # unscored nodes may stay unlabelled
+    loss, _ = softmax_cross_entropy(outputs, labels, np.array([True, True, False, False]))
+    assert abs(loss - np.log(3.0)) < 1e-12
+    assert accuracy_multiclass(outputs, labels, np.array([True, False, False, False])) == 1.0

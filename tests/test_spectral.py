@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,61 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     u_file.write_text("\n".join(lines) + "\n")
     again = decompose(L, SYM, cache_dir=tmp_path)
     assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
+
+
+def _cache_files(cache_dir, L):
+    from specgconv.spectral import _cache_key, _cache_paths
+
+    return _cache_paths(str(cache_dir), _cache_key(L, SYM))
+
+
+def test_truncated_cache_entry_is_recomputed_and_rewritten(tmp_path):
+    L = build_laplacian(random_graph(15, 0.4, seed=4), SYM)
+    fresh = decompose(L, SYM, cache_dir=tmp_path)
+    _, u_path = _cache_files(tmp_path, L)
+    with open(u_path, "r", encoding="utf-8") as fh:
+        whole = fh.read()
+    with open(u_path, "w", encoding="utf-8") as fh:
+        fh.write(whole[: len(whole) // 2])   # a writer cut off mid-row
+    again = decompose(L, SYM, cache_dir=tmp_path)
+    assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
+    with open(u_path, "r", encoding="utf-8") as fh:
+        assert fh.read() == whole
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        os.path.basename(p) for p in _cache_files(tmp_path, L))
+
+
+def test_discarding_entry_tolerates_file_already_removed(tmp_path, monkeypatch):
+    from specgconv import spectral
+
+    L = build_laplacian(random_graph(10, 0.5, seed=5), SYM)
+    decompose(L, SYM, cache_dir=tmp_path)
+    lam_path, u_path = _cache_files(tmp_path, L)
+    with open(u_path, "a", encoding="utf-8") as fh:
+        fh.write("not,a,number\n")
+    real_load = spectral.load_matrix_csv
+
+    def lose_lambda_then_load(path):
+        if path == u_path:
+            os.remove(lam_path)   # another process discards the same entry first
+        return real_load(path)
+
+    monkeypatch.setattr(spectral, "load_matrix_csv", lose_lambda_then_load)
+    assert spectral._cache_load(str(tmp_path), L, SYM) is None
+    assert not os.path.exists(u_path) and not os.path.exists(lam_path)
+
+
+def test_interrupted_store_leaves_no_file_under_final_name(tmp_path, monkeypatch):
+    from specgconv import spectral
+
+    L = build_laplacian(random_graph(10, 0.5, seed=6), SYM)
+
+    def write_half_then_fail(path, m):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("c0,c1\n0.5,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(spectral, "save_matrix_csv", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        decompose(L, SYM, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
