@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import FLOAT_FMT, save_matrix_csv
 from .graphs import Graph, LaplacianKind, build_laplacian
-from .kernels import GatSample, gat_sample_kernel
+from .kernels import gat_sample_kernel
 from .spectral import SpectralBasis, decompose
 
 
@@ -30,22 +30,19 @@ class FrequencyProfile:
 
     lam: np.ndarray
     full: np.ndarray
-    kernel_tag: object = None
 
     @property
     def standard(self) -> np.ndarray:
         return np.diagonal(self.full).copy()
 
 
-def profile(C: np.ndarray, basis: SpectralBasis, kernel_tag=None) -> FrequencyProfile:
+def profile(C: np.ndarray, basis: SpectralBasis) -> FrequencyProfile:
     """Back-calculate the frequency profile of a support in the given basis."""
     C = np.asarray(C, dtype=np.float64)
     if C.shape != (basis.n, basis.n):
         raise ValueError(f"support shape {C.shape} does not match basis size {basis.n}")
     U = basis.eigenvectors
-    return FrequencyProfile(
-        lam=basis.eigenvalues.copy(), full=U.T @ C @ U, kernel_tag=kernel_tag
-    )
+    return FrequencyProfile(lam=basis.eigenvalues.copy(), full=U.T @ C @ U)
 
 
 def profile_deviation(p: FrequencyProfile, oracle: np.ndarray) -> dict:
@@ -84,7 +81,7 @@ def gat_profile_stats(
     sumsq_full = np.zeros((n, n))
     for t in range(trials):
         (kernel,) = gat_sample_kernel(g, heads=1, seed=seed + t, scale=scale, att_dim=att_dim)
-        full = profile(kernel, basis, kernel_tag=GatSample(seed + t)).full
+        full = profile(kernel, basis).full
         sum_full += full
         sumsq_full += full**2
     mean_full = sum_full / trials

@@ -23,6 +23,7 @@ from . import __version__
 from .analysis import export_profile, gat_profile_stats, profile
 from .data import load_single_graph, load_tu_dataset, save_matrix_csv
 from .filters import CayleyBasis, LowPass, coverage, format_design, gcn_cutoff, parse_design
+from .gradcheck import gradcheck_suite
 from .graphs import LaplacianKind, average_degree, build_laplacian, make_ring
 from .kernels import (
     cheb_kernels,
@@ -35,7 +36,6 @@ from .nn import (
     TrainConfig,
     TrainingDiverged,
     crossvalidate,
-    gradcheck_suite,
     parse_architecture,
     save_checkpoint,
     train,
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
     else:
         supports, names = _build_kernels(args.kernel, graph, basis)
         for i, (C, name) in enumerate(zip(supports, names), start=1):
-            p = profile(C, basis, kernel_tag=name)
+            p = profile(C, basis)
             export_profile(p, os.path.join(args.out, f"standard_{i}.csv"),
                            include_full=True, absolute=args.abs)
             if args.export_kernels:

@@ -150,7 +150,7 @@ def load_single_graph(directory) -> SingleGraphDataset:
         warnings.warn(f"{split_path} missing; defaulting every node to train")
         masks["train"][:] = True
 
-    graph = Graph(adjacency=adjacency, features=features, labels=labels, splits=masks)
+    graph = Graph(adjacency=adjacency, features=features)
     return SingleGraphDataset(graph=graph, labels=labels, masks=masks)
 
 

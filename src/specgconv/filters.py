@@ -4,90 +4,155 @@ A FilterDesign is a small frozen value describing how a response is computed
 from the eigenvalues of a graph Laplacian: closed low/high/band/all-pass
 families, the Chebyshev basis by recursion, the CayleyNet real-coefficient
 basis, or explicitly tabulated values. Designs have a canonical textual form
-(``lowpass(eta=5)``, ``cheb(k=3)``, ...) used in config files.
+(``lowpass(eta=5)``, ``cheb(k=3)``, ...) used in config files. A family is
+one FilterDesign subclass; parsing, formatting and evaluation are generic.
 """
 from __future__ import annotations
 
+import math
+import os
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence
 
 import numpy as np
 
+from .data import load_vector_csv
 from .spectral import SpectralBasis
 
 
+class FilterDesign:
+    """Base of the filter families: frozen dataclasses whose class line gives
+    the text key, the text arguments as (text name, field, converter) and
+    whether response(lam, lambda_max) needs lambda_max > 0; check() validates
+    the fields, and every float text argument must also be finite."""
+
+    key: ClassVar[str]
+    args: ClassVar[tuple]
+    needs_lambda_max: ClassVar[bool]
+
+    def __init_subclass__(cls, key: str, args: tuple = (), needs_lambda_max: bool = False):
+        cls.key, cls.args, cls.needs_lambda_max = key, args, needs_lambda_max
+
+    def __post_init__(self):
+        self.check()
+        if not all(math.isfinite(getattr(self, f)) for _, f, conv in self.args if conv is float):
+            raise ValueError(f"design {self.text()}: parameters must be finite")
+
+    def check(self) -> None:
+        """Raise ValueError on parameters outside the family's domain."""
+
+    def text(self) -> str:
+        parts = [f"{name}={format(getattr(self, field), 'g' if conv is float else '')}"
+                 for name, field, conv in self.args]
+        return f"{self.key}({','.join(parts)})" if parts else self.key
+
+    @classmethod
+    def from_text(cls, take, base_dir) -> "FilterDesign":
+        """Build from parsed text arguments; take(name, conv) pops one."""
+        return cls(**{field: take(name, conv) for name, field, conv in cls.args})
+
+
 @dataclass(frozen=True)
-class LowPass:
+class LowPass(FilterDesign, key="lowpass", args=(("eta", "eta", float),), needs_lambda_max=True):
     """(1 - lambda/lambda_max)^eta; eta moves the cut-off frequency."""
 
     eta: float
 
-    def __post_init__(self):
+    def check(self):
         if self.eta <= 0:
             raise ValueError(f"lowpass exponent must be positive, got {self.eta}")
 
+    def response(self, lam, lambda_max):
+        return (1.0 - lam / lambda_max) ** self.eta
+
 
 @dataclass(frozen=True)
-class HighPass:
+class HighPass(FilterDesign, key="highpass", needs_lambda_max=True):
     """lambda/lambda_max."""
 
+    def response(self, lam, lambda_max):
+        return lam / lambda_max
+
 
 @dataclass(frozen=True)
-class BandPass:
+class BandPass(FilterDesign, key="bandpass", needs_lambda_max=True,
+               args=(("c", "center", float), ("gamma", "gamma", float))):
     """exp(-gamma (c*lambda_max - lambda)^2), center c as a fraction of lambda_max."""
 
     center: float
     gamma: float
 
-    def __post_init__(self):
+    def check(self):
         if not 0 < self.center < 1:
             raise ValueError(f"band-pass center must be in (0,1), got {self.center}")
         if self.gamma <= 0:
             raise ValueError(f"band-pass width must be positive, got {self.gamma}")
 
+    def response(self, lam, lambda_max):
+        return np.exp(-self.gamma * (self.center * lambda_max - lam) ** 2)
+
 
 @dataclass(frozen=True)
-class AllPass:
+class AllPass(FilterDesign, key="allpass"):
     """Constant 1."""
 
+    def response(self, lam, lambda_max):
+        return np.ones_like(lam)
+
 
 @dataclass(frozen=True)
-class ExpLowPass:
+class ExpLowPass(FilterDesign, key="explowpass", args=(("tau", "tau", float),)):
     """exp(-lambda/tau)."""
 
     tau: float
 
-    def __post_init__(self):
+    def check(self):
         if self.tau <= 0:
             raise ValueError(f"exp low-pass scale must be positive, got {self.tau}")
 
+    def response(self, lam, lambda_max):
+        return np.exp(-lam / self.tau)
+
 
 @dataclass(frozen=True)
-class OneMinusRatio:
+class OneMinusRatio(FilterDesign, key="oneminus", needs_lambda_max=True):
     """1 - lambda/lambda_max."""
 
+    def response(self, lam, lambda_max):
+        return 1.0 - lam / lambda_max
+
 
 @dataclass(frozen=True)
-class ChebBasis:
+class ChebBasis(FilterDesign, key="cheb", args=(("k", "k", int),), needs_lambda_max=True):
     """k-th Chebyshev kernel profile, k >= 1 (F1 = 1, F2 = 2*lambda/lambda_max - 1)."""
 
     k: int
 
-    def __post_init__(self):
+    def check(self):
         if self.k < 1:
             raise ValueError(f"Chebyshev index must be >= 1, got {self.k}")
 
+    def response(self, lam, lambda_max):
+        f2 = 2.0 * lam / lambda_max - 1.0
+        if self.k == 1:
+            return np.ones_like(lam)
+        prev, cur = np.ones_like(lam), f2
+        for _ in range(self.k - 2):
+            prev, cur = cur, 2.0 * f2 * cur - prev
+        return cur
+
 
 @dataclass(frozen=True)
-class CayleyBasis:
+class CayleyBasis(FilterDesign, key="cayley",
+                  args=(("s", "s", int), ("h", "h", float), ("r", "r", int))):
     """Column s of the Cayley basis matrix with scale h and order r."""
 
     s: int
     h: float
     r: int
 
-    def __post_init__(self):
+    def check(self):
         if self.r < 1:
             raise ValueError(f"Cayley order must be >= 1, got {self.r}")
         if not 1 <= self.s <= 2 * self.r + 1:
@@ -95,9 +160,17 @@ class CayleyBasis:
         if self.h <= 0:
             raise ValueError(f"Cayley scale must be positive, got {self.h}")
 
+    def response(self, lam, lambda_max):
+        if self.s == 1:
+            return np.ones_like(lam)
+        t = cayley_theta(self.h * lam)
+        if self.s % 2 == 0:
+            return np.cos((self.s // 2) * t)
+        return -np.sin(((self.s - 1) // 2) * t)
+
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(FilterDesign, key="tabulated"):
     """Explicit response values aligned to the ascending eigenvalues."""
 
     values: np.ndarray
@@ -107,13 +180,25 @@ class Tabulated:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    def response(self, lam, lambda_max):
+        if self.values.shape[0] != lam.shape[0]:
+            raise ValueError(f"tabulated design has {self.values.shape[0]} values "
+                             f"for {lam.shape[0]} eigenvalues")
+        return self.values.copy()
 
-FilterDesign = Union[
-    LowPass, HighPass, BandPass, AllPass, ExpLowPass, OneMinusRatio,
-    ChebBasis, CayleyBasis, Tabulated,
-]
+    def text(self):
+        return f"tabulated(n={self.values.shape[0]})"
 
-_NEEDS_LAMBDA_MAX = (LowPass, HighPass, BandPass, OneMinusRatio, ChebBasis)
+    @classmethod
+    def from_text(cls, take, base_dir):
+        path = take("file", str)
+        if base_dir is not None:
+            path = os.path.join(base_dir, path)
+        return cls(values=load_vector_csv(path))
+
+
+# text key -> family
+FAMILIES = {cls.key: cls for cls in FilterDesign.__subclasses__()}
 
 
 def cayley_theta(x):
@@ -121,56 +206,15 @@ def cayley_theta(x):
     return np.arctan2(-1.0, x) - np.arctan2(1.0, x)
 
 
-def _cheb_values(k: int, lam: np.ndarray, lambda_max: float) -> np.ndarray:
-    f2 = 2.0 * lam / lambda_max - 1.0
-    if k == 1:
-        return np.ones_like(lam)
-    prev, cur = np.ones_like(lam), f2
-    for _ in range(k - 2):
-        prev, cur = cur, 2.0 * f2 * cur - prev
-    return cur
-
-
-def _cayley_column(s: int, h: float, lam: np.ndarray) -> np.ndarray:
-    if s == 1:
-        return np.ones_like(lam)
-    t = cayley_theta(h * lam)
-    if s % 2 == 0:
-        return np.cos((s // 2) * t)
-    return -np.sin(((s - 1) // 2) * t)
-
-
 def evaluate_on(design: FilterDesign, lam: np.ndarray, lambda_max: float) -> np.ndarray:
     """Evaluate a design elementwise on given eigenvalues."""
     lam = np.asarray(lam, dtype=np.float64)
-    if isinstance(design, _NEEDS_LAMBDA_MAX) and lambda_max <= 0:
-        raise ValueError(
-            f"{type(design).__name__} is undefined for lambda_max <= 0 (edgeless graph?)"
-        )
-    if isinstance(design, LowPass):
-        return (1.0 - lam / lambda_max) ** design.eta
-    if isinstance(design, HighPass):
-        return lam / lambda_max
-    if isinstance(design, BandPass):
-        return np.exp(-design.gamma * (design.center * lambda_max - lam) ** 2)
-    if isinstance(design, AllPass):
-        return np.ones_like(lam)
-    if isinstance(design, ExpLowPass):
-        return np.exp(-lam / design.tau)
-    if isinstance(design, OneMinusRatio):
-        return 1.0 - lam / lambda_max
-    if isinstance(design, ChebBasis):
-        return _cheb_values(design.k, lam, lambda_max)
-    if isinstance(design, CayleyBasis):
-        return _cayley_column(design.s, design.h, lam)
-    if isinstance(design, Tabulated):
-        if design.values.shape[0] != lam.shape[0]:
-            raise ValueError(
-                f"tabulated design has {design.values.shape[0]} values "
-                f"for {lam.shape[0]} eigenvalues"
-            )
-        return design.values.copy()
-    raise TypeError(f"not a FilterDesign: {design!r}")
+    if not isinstance(design, FilterDesign):
+        raise TypeError(f"not a FilterDesign: {design!r}")
+    if design.needs_lambda_max and lambda_max <= 0:
+        raise ValueError(f"{type(design).__name__} is undefined for lambda_max <= 0 "
+                         "(edgeless graph?)")
+    return design.response(lam, lambda_max)
 
 
 def evaluate(design: FilterDesign, basis: SpectralBasis) -> np.ndarray:
@@ -276,39 +320,15 @@ def parse_design(text: str, base_dir=None) -> FilterDesign:
         raise ValueError(f"cannot parse filter design {text!r}")
     name, body = m.group(1), m.group(2) or ""
     args = _parse_args(body)
+    if name not in FAMILIES:
+        raise ValueError(f"unknown filter design {name!r}")
 
     def take(key, conv):
         if key not in args:
             raise ValueError(f"design {name!r} is missing argument {key!r}")
         return conv(args.pop(key))
 
-    if name == "lowpass":
-        design = LowPass(eta=take("eta", float))
-    elif name == "highpass":
-        design = HighPass()
-    elif name == "bandpass":
-        design = BandPass(center=take("c", float), gamma=take("gamma", float))
-    elif name == "allpass":
-        design = AllPass()
-    elif name == "explowpass":
-        design = ExpLowPass(tau=take("tau", float))
-    elif name == "oneminus":
-        design = OneMinusRatio()
-    elif name == "cheb":
-        design = ChebBasis(k=take("k", int))
-    elif name == "cayley":
-        design = CayleyBasis(s=take("s", int), h=take("h", float), r=take("r", int))
-    elif name == "tabulated":
-        from .data import load_vector_csv
-
-        path = take("file", str)
-        if base_dir is not None:
-            import os
-
-            path = os.path.join(base_dir, path)
-        design = Tabulated(values=load_vector_csv(path))
-    else:
-        raise ValueError(f"unknown filter design {name!r}")
+    design = FAMILIES[name].from_text(take, base_dir)
     if args:
         raise ValueError(f"design {name!r} got unknown arguments {sorted(args)}")
     return design
@@ -316,22 +336,6 @@ def parse_design(text: str, base_dir=None) -> FilterDesign:
 
 def format_design(design: FilterDesign) -> str:
     """Canonical textual form (inverse of parse_design, except Tabulated)."""
-    if isinstance(design, LowPass):
-        return f"lowpass(eta={design.eta:g})"
-    if isinstance(design, HighPass):
-        return "highpass"
-    if isinstance(design, BandPass):
-        return f"bandpass(c={design.center:g},gamma={design.gamma:g})"
-    if isinstance(design, AllPass):
-        return "allpass"
-    if isinstance(design, ExpLowPass):
-        return f"explowpass(tau={design.tau:g})"
-    if isinstance(design, OneMinusRatio):
-        return "oneminus"
-    if isinstance(design, ChebBasis):
-        return f"cheb(k={design.k})"
-    if isinstance(design, CayleyBasis):
-        return f"cayley(s={design.s},h={design.h:g},r={design.r})"
-    if isinstance(design, Tabulated):
-        return f"tabulated(n={design.values.shape[0]})"
-    raise TypeError(f"not a FilterDesign: {design!r}")
+    if not isinstance(design, FilterDesign):
+        raise TypeError(f"not a FilterDesign: {design!r}")
+    return design.text()

@@ -34,14 +34,10 @@ class Graph:
         Self-loops are forbidden here; kernels that need them (GCN) add the
         identity internally.
     features : (n, f0) real node feature matrix.
-    labels : optional per-node class indices (n,) or a single per-graph class.
-    splits : optional named boolean node masks (e.g. train/val/test).
     """
 
     adjacency: np.ndarray
     features: np.ndarray
-    labels: Optional[np.ndarray] = None
-    splits: Optional[dict] = None
 
     def __post_init__(self):
         adj = _as_float_matrix(self.adjacency)
@@ -65,10 +61,6 @@ class Graph:
         feats.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "features", feats)
-        if self.labels is not None:
-            lab = np.asarray(self.labels)
-            lab.setflags(write=False)
-            object.__setattr__(self, "labels", lab)
 
     @property
     def n(self) -> int:

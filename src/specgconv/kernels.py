@@ -30,18 +30,8 @@ class Chebyshev:
 
 
 @dataclass(frozen=True)
-class GCN:
-    pass
-
-
-@dataclass(frozen=True)
-class GatSample:
-    seed: int
-
-
-@dataclass(frozen=True)
 class KernelSet:
-    """Ordered list of dense n x n supports with per-support provenance."""
+    """Ordered dense n x n supports with per-support provenance; a sequence of the supports."""
 
     supports: tuple
     provenance: tuple
@@ -60,6 +50,12 @@ class KernelSet:
                 raise ValueError("designed support is not symmetric within 1e-8")
         object.__setattr__(self, "supports", tuple(self.supports))
         object.__setattr__(self, "provenance", tuple(self.provenance))
+
+    def __len__(self) -> int:
+        return len(self.supports)
+
+    def __iter__(self):
+        return iter(self.supports)
 
     @property
     def n_kernels(self) -> int:

@@ -274,10 +274,6 @@ def _act_backward(dout: np.ndarray, state, kind: str) -> np.ndarray:
     return dout
 
 
-def _supports_of(kernels) -> Sequence[np.ndarray]:
-    return getattr(kernels, "supports", kernels)
-
-
 @dataclass(frozen=True)
 class GraphBatch:
     """Graphs stacked by node rows: graph g owns rows offsets[g]:offsets[g+1]
@@ -303,7 +299,7 @@ def stack_graphs(features: Sequence[np.ndarray], kernels: Sequence) -> tuple:
     model_forward. kernels holds one KernelSet (or support list) per graph."""
     sizes = [f.shape[0] for f in features]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    batch = GraphBatch(tuple(tuple(_supports_of(k)) for k in kernels), offsets)
+    batch = GraphBatch(tuple(tuple(k) for k in kernels), offsets)
     return np.concatenate(features, axis=0), batch
 
 
@@ -521,7 +517,7 @@ def model_forward(
     """
     H = np.asarray(H0, dtype=np.float64)
     batch = kernels if isinstance(kernels, GraphBatch) else \
-        GraphBatch.single(_supports_of(kernels), H.shape[0])
+        GraphBatch.single(kernels, H.shape[0])
     drop = None
     if train and (input_dropout > 0 or kernel_dropout > 0):
         drop = _Dropout(rng, input_dropout, kernel_dropout, spec, H.shape[1], batch)
@@ -562,7 +558,7 @@ def _add_grads(into: LayerParams, g: LayerParams) -> None:
 
 def _single_layer(layer, lp, H, kernels):
     H = np.asarray(H, dtype=np.float64)
-    out, _ = _layer_forward(layer, lp, H, GraphBatch.single(_supports_of(kernels), H.shape[0]))
+    out, _ = _layer_forward(layer, lp, H, GraphBatch.single(kernels, H.shape[0]))
     return out
 
 
@@ -811,11 +807,9 @@ def train(
 
 
 def _train_transductive(spec, kernels, data, config, targets, track_test):
-    if isinstance(kernels, (list, tuple)) and len(kernels) == 1 and hasattr(kernels[0], "supports"):
-        kernels = kernels[0]
     g = data.graph
     rng = np.random.default_rng(config.seed)
-    params = init_parameters(spec, g.features.shape[1], len(_supports_of(kernels)), rng)
+    params = init_parameters(spec, g.features.shape[1], len(kernels), rng)
     adam = Adam(config.learning_rate)
     if config.loss == "binary_ce":
         if targets is None:
@@ -823,6 +817,11 @@ def _train_transductive(spec, kernels, data, config, targets, track_test):
         y = targets
     else:
         y = data.labels
+        # refuse a scored label outside the output classes before any epoch runs
+        n_classes = spec.widths(g.features.shape[1])[-1]
+        for name in ("train", "val") + (("test",) if track_test else ()):
+            rows = np.flatnonzero(data.masks[name])
+            _check_labels(y[rows], n_classes, rows)
     loss_fn = LOSSES[config.loss]
 
     metrics = []
@@ -938,8 +937,7 @@ def _train_inductive(spec, kernelsets, data, config, train_idx, val_idx):
     val_idx = np.asarray(val_idx, dtype=int)
     rng = np.random.default_rng(config.seed)
     f0 = data.graphs[0].features.shape[1]
-    n_supports = len(_supports_of(kernelsets[0]))
-    params = init_parameters(spec, f0, n_supports, rng)
+    params = init_parameters(spec, f0, len(kernelsets[0]), rng)
     adam = Adam(config.learning_rate)
     sizes = _graph_sizes(data)
 
@@ -1046,180 +1044,3 @@ def crossvalidate(
         repeat_accuracies=accs,
         best_epochs=best_epochs,
     )
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def _checked_forward(spec, params, H0, kernels, config, rng_factory):
-    """Forward pass for gradient checking; with rng_factory, dropout is
-    applied from a freshly seeded generator so the objective stays
-    deterministic across repeated evaluations."""
-    if rng_factory is None:
-        return model_forward(spec, params, H0, kernels)
-    return model_forward(
-        spec, params, H0, kernels, train=True, rng=rng_factory(),
-        input_dropout=config.input_dropout, kernel_dropout=config.kernel_dropout,
-    )
-
-
-def analytic_gradients(spec, params, H0, kernels, y, mask, config: TrainConfig,
-                       rng_factory=None):
-    """Gradient of the full training objective (loss + decay) at params."""
-    out, caches = _checked_forward(spec, params, H0, kernels, config, rng_factory)
-    _, dout = LOSSES[config.loss](out, y, mask)
-    grads = model_backward(spec, params, caches, dout)
-    add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
-    return grads
-
-
-def objective_value(spec, params, H0, kernels, y, mask, config: TrainConfig,
-                    rng_factory=None) -> float:
-    out, _ = _checked_forward(spec, params, H0, kernels, config, rng_factory)
-    loss, _ = LOSSES[config.loss](out, y, mask)
-    return loss + decay_value(params, config.weight_decay, config.depthwise_decay)
-
-
-def finite_difference_gradients(spec, params, H0, kernels, y, mask, config,
-                                step=1e-6, rng_factory=None):
-    """Central-difference gradient of the same objective, one entry at a time."""
-    grads = zero_like_params(params)
-    for p, g in zip(flatten_params(params), flatten_params(grads)):
-        for i in range(p.size):
-            orig = p.flat[i]
-            p.flat[i] = orig + step
-            hi = objective_value(spec, params, H0, kernels, y, mask, config, rng_factory)
-            p.flat[i] = orig - step
-            lo = objective_value(spec, params, H0, kernels, y, mask, config, rng_factory)
-            p.flat[i] = orig
-            g.flat[i] = (hi - lo) / (2.0 * step)
-    return grads
-
-
-def max_relative_error(analytic, numeric) -> float:
-    worst = 0.0
-    for a, f in zip(flatten_params(analytic), flatten_params(numeric)):
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
-        worst = max(worst, float(np.max(np.abs(a - f) / denom)))
-    return worst
-
-
-@dataclass
-class GradCase:
-    name: str
-    spec: ModelSpec
-    params: list
-    H0: np.ndarray
-    supports: Union[list, GraphBatch]
-    y: np.ndarray
-    mask: Optional[np.ndarray]
-    config: TrainConfig
-    rng_factory: Optional[object] = None
-
-
-def _gradcheck_cases(seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    n, f0, hidden, n_classes = 7, 3, 5, 3
-    H0 = rng.standard_normal((n, f0))
-    # one symmetric and one deliberately asymmetric support, so the
-    # backward pass is exercised with C != C.T
-    sym = rng.standard_normal((n, n))
-    sym = 0.5 * (sym + sym.T) / np.sqrt(n)
-    asym = rng.standard_normal((n, n)) / np.sqrt(n)
-    supports = [sym, asym]
-    labels = rng.integers(0, n_classes, size=n)
-    binary = rng.integers(0, 2, size=(n, n_classes)).astype(np.float64)
-    mask = np.zeros(n, dtype=bool)
-    mask[rng.choice(n, size=4, replace=False)] = True
-
-    def body(kind, act):
-        mk = {"multisupport": MultiSupportConv, "dsg": DepthwiseSeparableConv,
-              "dense": Dense}[kind]
-        return [mk(out=hidden, use_bias=True, activation=act),
-                mk(out=n_classes, use_bias=True, activation="linear")]
-
-    cases = []
-    cfg = dict(learning_rate=0.01, epochs=1, weight_decay=3e-4, depthwise_decay=3e-3)
-    for kind in ("multisupport", "dsg", "dense"):
-        for act in ACTIVATIONS:
-            for loss in ("softmax_ce", "binary_ce"):
-                spec = ModelSpec(tuple(body(kind, act)))
-                params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 1))
-                if kind == "dsg":
-                    # move depthwise rows off their 1/0 initialization so
-                    # every support contributes to the objective
-                    for lp in params:
-                        if lp.depthwise is not None:
-                            lp.depthwise += 0.3 * np.random.default_rng(seed + 2).standard_normal(lp.depthwise.shape)
-                y = labels if loss == "softmax_ce" else binary
-                cases.append(GradCase(
-                    name=f"{kind}/{act}/{loss}", spec=spec, params=params, H0=H0,
-                    supports=supports, y=y, mask=mask,
-                    config=TrainConfig(loss=loss, **cfg),
-                ))
-    # graph-level pipeline through the mean+max readout
-    for loss in ("softmax_ce", "binary_ce"):
-        spec = ModelSpec((
-            MultiSupportConv(out=4, use_bias=True, activation="relu"),
-            ReadoutMeanMax(),
-            Dense(out=n_classes, use_bias=True, activation="linear"),
-        ))
-        params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 3))
-        y = np.array([1]) if loss == "softmax_ce" else np.array([[1.0, 0.0, 1.0]])
-        cases.append(GradCase(
-            name=f"readout/relu/{loss}", spec=spec, params=params, H0=H0,
-            supports=supports, y=y, mask=None, config=TrainConfig(loss=loss, **cfg),
-        ))
-    # dropout path with a frozen mask sequence (fresh generator per call)
-    for kind in ("multisupport", "dsg"):
-        spec = ModelSpec(tuple(body(kind, "relu")))
-        params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 4))
-        cases.append(GradCase(
-            name=f"{kind}/relu/softmax_ce+dropout", spec=spec, params=params, H0=H0,
-            supports=supports, y=labels, mask=mask,
-            config=TrainConfig(loss="softmax_ce", input_dropout=0.4,
-                               kernel_dropout=0.3, **cfg),
-            rng_factory=lambda: np.random.default_rng(seed + 5),
-        ))
-    # a batch of two stacked graphs (the one above and a 5-node one) through
-    # an equal-width DSG layer and the segment readout, with dropout
-    extra = np.random.default_rng(seed + 6)
-    H0_b, batch = stack_graphs(
-        [H0, extra.standard_normal((5, f0))],
-        [supports, [extra.standard_normal((5, 5)) / np.sqrt(5) for _ in supports]])
-    spec = ModelSpec((
-        MultiSupportConv(out=4, use_bias=True, activation="relu"),
-        DepthwiseSeparableConv(out=4, use_bias=True, activation="tanh"),
-        ReadoutMeanMax(),
-        Dense(out=n_classes, use_bias=True, activation="linear"),
-    ))
-    params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 7))
-    params[1].depthwise += 0.3 * extra.standard_normal(params[1].depthwise.shape)
-    cases.append(GradCase(
-        name="batch2/readout/softmax_ce+dropout", spec=spec, params=params, H0=H0_b,
-        supports=batch, y=np.array([1, 2]), mask=None,
-        config=TrainConfig(loss="softmax_ce", input_dropout=0.2, kernel_dropout=0.2, **cfg),
-        rng_factory=lambda: np.random.default_rng(seed + 8),
-    ))
-    return cases
-
-
-def gradcheck_suite(seed: int = 0, step: float = 1e-6, mutate=None) -> list:
-    """Finite-difference check over every layer/activation/loss combination.
-
-    Returns (case name, max relative error) pairs. mutate, when given, is
-    applied as mutate(name, grads) to the analytic gradients before the
-    comparison; tests use it to prove the check catches injected bugs.
-    """
-    report = []
-    for case in _gradcheck_cases(seed):
-        analytic = analytic_gradients(case.spec, case.params, case.H0, case.supports,
-                                      case.y, case.mask, case.config, case.rng_factory)
-        if mutate is not None:
-            mutate(case.name, analytic)
-        numeric = finite_difference_gradients(case.spec, case.params, case.H0,
-                                              case.supports, case.y, case.mask,
-                                              case.config, step, case.rng_factory)
-        report.append((case.name, max_relative_error(analytic, numeric)))
-    return report

@@ -29,6 +29,7 @@ from specgconv.filters import (
     gcn_theoretical_profile,
     parse_design,
 )
+from specgconv.gradcheck import gradcheck_suite
 from specgconv.graphs import (
     LaplacianKind,
     average_degree,
@@ -46,7 +47,6 @@ from specgconv.nn import (
     TrainConfig,
     count_parameters,
     crossvalidate,
-    gradcheck_suite,
     init_parameters,
     param_count,
     parse_architecture,

@@ -121,6 +121,15 @@ def test_analyze_unknown_graph_is_config_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+def test_analyze_non_finite_design_is_config_error(tmp_path, capsys):
+    out = tmp_path / "a"
+    assert main(["analyze", "--graph", "ring16", "--kernel", "design:lowpass(eta=nan)",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "lowpass(eta=nan)" in err and len(err.strip().splitlines()) == 1
+    assert not (out / "standard_1.csv").exists()
+
+
 def test_analyze_uses_cache_dir(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("SPECGCONV_CACHE", str(cache))

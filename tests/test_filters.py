@@ -9,6 +9,7 @@ from specgconv.filters import (
     CayleyBasis,
     ChebBasis,
     ExpLowPass,
+    FAMILIES,
     HighPass,
     LowPass,
     OneMinusRatio,
@@ -160,6 +161,8 @@ def test_parse_format_roundtrip():
     for t in texts:
         d = parse_design(t)
         assert parse_design(format_design(d)) == d
+    # a family added without a text form fails here
+    assert {type(parse_design(t)) for t in texts} == set(FAMILIES.values()) - {Tabulated}
 
 
 def test_parse_design_errors():
@@ -171,6 +174,17 @@ def test_parse_design_errors():
         parse_design("highpass(eta=2)")
     with pytest.raises(ValueError, match="cannot parse"):
         parse_design("low pass(eta")
+
+
+@pytest.mark.parametrize("text", [
+    "lowpass(eta=nan)", "lowpass(eta=inf)", "bandpass(c=0.5,gamma=nan)",
+    "explowpass(tau=nan)", "cayley(s=2,h=nan,r=1)",
+])
+def test_non_finite_parameters_rejected(text):
+    # every `x <= 0` domain check is false for nan, so finiteness is its own check
+    with pytest.raises(ValueError, match="must be finite") as info:
+        parse_design(text)
+    assert text in str(info.value)
 
 
 def test_parse_tabulated_file(tmp_path, basis):

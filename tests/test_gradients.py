@@ -1,10 +1,10 @@
 import numpy as np
 
+from specgconv.gradcheck import gradcheck_suite
 from specgconv.nn import (
     Dense,
     ModelSpec,
     add_decay_grads,
-    gradcheck_suite,
     init_parameters,
     zero_like_params,
 )

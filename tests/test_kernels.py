@@ -188,6 +188,13 @@ def test_kernelset_validation():
         KernelSet(supports=(asym,), provenance=(Designed(AllPass()),))
 
 
+def test_kernelset_is_a_sequence_of_its_supports():
+    basis = sym_basis(random_graph(6, 0.5, seed=8))
+    ks = design_kernelset(basis, [AllPass(), BandPass(center=0.5, gamma=1.0)])
+    assert len(ks) == 2
+    assert all(a is b for a, b in zip(ks, ks.supports, strict=True))
+
+
 def test_design_roundtrip_on_weighted_graph():
     A = np.zeros((6, 6))
     pairs = [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.5), (3, 4, 3.0), (4, 5, 1.0), (5, 0, 0.25)]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from specgconv.data import MultiGraphDataset, SingleGraphDataset
-from specgconv.filters import AllPass
+from specgconv.filters import AllPass, LowPass
 from specgconv.graphs import LaplacianKind, build_laplacian, make_ring, random_graph
 from specgconv.kernels import design_kernelset, gcn_kernel
+from specgconv import nn
 from specgconv.nn import (
     Dense,
     DepthwiseSeparableConv,
@@ -117,6 +118,50 @@ def test_train_records_metrics_per_epoch():
         for key in ("train_loss", "train_acc", "val_loss", "val_acc", "test_loss", "test_acc"):
             assert key in row
     assert result.optimizer == {"name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
+def split_dataset(bad_node=None, bad_label=None):
+    data = separable_dataset()
+    masks = {"train": np.zeros(20, bool), "val": np.zeros(20, bool), "test": np.zeros(20, bool)}
+    masks["train"][:10] = True
+    masks["val"][10:15] = True
+    masks["test"][15:] = True
+    labels = data.labels.copy()
+    if bad_node is not None:
+        labels[bad_node] = bad_label
+    return SingleGraphDataset(graph=data.graph, labels=labels, masks=masks)
+
+
+@pytest.mark.parametrize("node,label,track_test", [(3, 2, False), (12, -1, False), (17, 5, True)])
+def test_scored_label_outside_classes_refused_before_first_forward(monkeypatch, node, label,
+                                                                   track_test):
+    data = split_dataset(node, label)
+    calls = []
+    forward = nn.model_forward
+    monkeypatch.setattr(nn, "model_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    spec = ModelSpec((MultiSupportConv(out=2, use_bias=True, activation="linear"),))
+    cfg = TrainConfig(learning_rate=0.02, epochs=2, seed=1)
+    with pytest.raises(ValueError, match=f"node {node} has label {label}, outside the classes 0..1"):
+        train(spec, two_support_kernels(data.graph), data, cfg, track_test=track_test)
+    assert calls == []
+
+
+def test_unscored_test_label_is_not_checked():
+    data = split_dataset(17, 5)
+    spec = ModelSpec((MultiSupportConv(out=2, use_bias=True, activation="linear"),))
+    cfg = TrainConfig(learning_rate=0.02, epochs=2, seed=1)
+    assert len(train(spec, two_support_kernels(data.graph), data, cfg).metrics) == 2
+
+
+def test_train_takes_a_kernelset_or_a_support_list():
+    data = separable_dataset()
+    basis = decompose(build_laplacian(data.graph, SYM), SYM)
+    ks = design_kernelset(basis, [AllPass(), LowPass(eta=2.0)])
+    spec = ModelSpec((DepthwiseSeparableConv(out=2, use_bias=True, activation="linear"),))
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, seed=0, kernel_dropout=0.3)
+    a = train(spec, ks, data, cfg)
+    b = train(spec, list(ks.supports), data, cfg)
+    assert a.metrics == b.metrics
 
 
 def graph_classification_dataset(n_graphs=40, seed=0):
