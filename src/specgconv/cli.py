@@ -106,6 +106,8 @@ def _build_kernels(arg: str, graph, basis):
 
 
 def cmd_analyze(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     graph = _load_graph(args.graph)
     kind = _laplacian_kind(args.laplacian)
     basis = decompose(build_laplacian(graph, kind), kind, cache_dir=_cache_dir())
@@ -153,8 +155,26 @@ def cmd_analyze(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+# a config field that is missing or null takes its default; _REQUIRED has none
+_REQUIRED = object()
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
+               int: "an integer"}
+
+
+def _field(section: dict, key: str, kind, default=_REQUIRED):
+    """section[key], refused unless it is of the JSON kind given (a Python type)."""
+    value = section.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing field {key!r}")
+        return default
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def _train_config(cfg: dict, args) -> TrainConfig:
-    t = dict(cfg.get("train", {}))
+    t = dict(_field(cfg, "train", dict, {}))
     for key, val in (("epochs", args.epochs), ("learning_rate", args.lr), ("seed", args.seed)):
         if val is not None:
             t[key] = val
@@ -168,27 +188,29 @@ def _train_config(cfg: dict, args) -> TrainConfig:
 
 
 def _experiment_parts(cfg: dict, base_dir: str):
-    try:
-        ds = cfg["dataset"]
-        path, kind = ds["path"], ds.get("kind", "single")
-        designs = [parse_design(t, base_dir=base_dir) for t in cfg["designs"]]
-        arch = cfg["architecture"]
-    except KeyError as exc:
-        raise ConfigError(f"config is missing field {exc.args[0]!r}") from None
+    ds = _field(cfg, "dataset", dict)
+    path, kind = _field(ds, "path", str), _field(ds, "kind", str, "single")
+    texts = _field(cfg, "designs", list)
+    if not all(isinstance(t, str) for t in texts):
+        raise ConfigError(f"designs must be a list of strings, got {json.dumps(texts)}")
+    designs = [parse_design(t, base_dir=base_dir) for t in texts]
+    arch = _field(cfg, "architecture", str)
     if not designs:
         raise ConfigError("designs must be non-empty")
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"dataset path {path!r} is not a directory")
     try:
         spec = parse_architecture(
             arch,
-            output_activation=cfg.get("output_activation", "linear"),
-            hidden_bias=cfg.get("hidden_bias", False),
-            output_bias=cfg.get("output_bias", True),
+            output_activation=_field(cfg, "output_activation", str, "linear"),
+            hidden_bias=_field(cfg, "hidden_bias", bool, False),
+            output_bias=_field(cfg, "output_bias", bool, True),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    lap = _laplacian_kind(cfg.get("laplacian", "sym"))
+    lap = _laplacian_kind(_field(cfg, "laplacian", str, "sym"))
     return path, kind, ds, designs, arch, spec, lap
 
 
@@ -230,7 +252,9 @@ def _write_metrics_csv(path, metrics):
 
 
 def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
-    sweep = cfg.get("sweep_eta")
+    sweep = _field(cfg, "sweep_eta", list, [])
+    if not all(isinstance(eta, (int, float)) for eta in sweep):
+        raise ConfigError(f"sweep_eta must be a list of numbers, got {json.dumps(sweep)}")
     if sweep and not dataset.masks["val"].any():
         raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")
     basis = decompose(build_laplacian(dataset.graph, lap), lap, cache_dir=_cache_dir())
@@ -280,6 +304,8 @@ def _run_eta_sweep(cfg, spec, designs, dataset, basis, tconfig, out_dir, sweep, 
 
 
 def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
+    cv_cfg = _field(cfg, "cv", dict, {})
+    folds, repeats = _field(cv_cfg, "folds", int, 10), _field(cv_cfg, "repeats", int, 1)
     kernelsets = []
     cov = None
     lambda_maxes, degrees = [], []
@@ -290,11 +316,7 @@ def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
         lambda_maxes.append(basis.lambda_max)
         degrees.append(average_degree(g))
         kernelsets.append(design_kernelset(basis, designs))
-    cv_cfg = cfg.get("cv", {})
-    result = crossvalidate(
-        dataset, kernelsets, spec, tconfig,
-        folds=int(cv_cfg.get("folds", 10)), repeats=int(cv_cfg.get("repeats", 1)),
-    )
+    result = crossvalidate(dataset, kernelsets, spec, tconfig, folds=folds, repeats=repeats)
     final = {
         "cv_mean_accuracy": result.mean,
         "cv_std_accuracy": result.std,
@@ -315,27 +337,31 @@ def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
 def cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config must be a JSON object, got {json.dumps(cfg)}")
     base_dir = os.path.dirname(os.path.abspath(args.config))
     path, kind, ds, designs, arch, spec, lap = _experiment_parts(cfg, base_dir)
     tconfig = _train_config(cfg, args)
-    out_dir = args.out or cfg.get("output_dir") or "run"
+    out_dir = args.out or _field(cfg, "output_dir", str, "") or "run"
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     if kind == "single":
-        dataset = load_single_graph(path)
-        n_classes = dataset.n_classes
-        final_width = spec.widths(dataset.graph.features.shape[1])[-1]
-        if tconfig.loss == "softmax_ce" and final_width != n_classes:
-            raise ConfigError(
-                f"architecture {arch!r} ends with width {final_width}, dataset has {n_classes} classes"
-            )
-        return _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir)
-    if kind == "tu":
-        dataset = load_tu_dataset(path, use_attributes=bool(ds.get("use_attributes", False)))
-        return _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir)
-    raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
+        dataset, run = load_single_graph(path), _run_transductive
+        f0 = dataset.graph.features.shape[1]
+    elif kind == "tu":
+        use_attributes = _field(ds, "use_attributes", bool, False)
+        dataset, run = load_tu_dataset(path, use_attributes=use_attributes), _run_inductive
+        f0 = dataset.graphs[0].features.shape[1]
+    else:
+        raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
+    # node labels, and the graph targets of either loss, are n_classes wide
+    final_width = spec.widths(f0)[-1]
+    if final_width != dataset.n_classes:
+        raise ConfigError(f"architecture {arch!r} ends with width {final_width}, "
+                          f"dataset has {dataset.n_classes} classes")
+    return run(cfg, spec, designs, lap, dataset, tconfig, out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ dropout as Bernoulli masking of support entries with inverted scaling).
 """
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
@@ -296,11 +297,12 @@ class GraphBatch:
 
 def stack_graphs(features: Sequence[np.ndarray], kernels: Sequence) -> tuple:
     """Stack the node rows of several graphs; returns (H0, GraphBatch) for
-    model_forward. kernels holds one KernelSet (or support list) per graph."""
+    model_forward. kernels holds one KernelSet (or support list) per graph.
+    A lone graph's feature matrix is returned itself, not copied."""
     sizes = [f.shape[0] for f in features]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     batch = GraphBatch(tuple(tuple(k) for k in kernels), offsets)
-    return np.concatenate(features, axis=0), batch
+    return (features[0] if len(features) == 1 else np.concatenate(features, axis=0)), batch
 
 
 class _Dropout:
@@ -721,6 +723,13 @@ class TrainConfig:
     loss: str = "softmax_ce"
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "weight_decay", "depthwise_decay",
+                     "input_dropout", "kernel_dropout"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
         for name in ("input_dropout", "kernel_dropout"):
@@ -729,8 +738,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch size >= 1")
+        if self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
+            raise ValueError("epochs and seed must be >= 0 and batch size >= 1")
 
 
 def decay_value(params, weight_decay, depthwise_decay) -> float:
@@ -763,15 +772,6 @@ class TrainResult:
     optimizer: dict
 
 
-def _metric_row(outputs, labels_or_targets, mask, loss_kind):
-    loss, _ = LOSSES[loss_kind](outputs, labels_or_targets, mask)
-    if loss_kind == "softmax_ce":
-        acc = accuracy_multiclass(outputs, labels_or_targets, mask)
-    else:
-        acc = micro_f1(outputs, labels_or_targets, mask)
-    return loss, acc
-
-
 def train(
     spec: ModelSpec,
     kernelsets,
@@ -784,69 +784,92 @@ def train(
 ):
     """Train a model to a fixed epoch count; deterministic per config.seed.
 
-    Transductive (SingleGraphDataset): kernelsets is one KernelSet, loss is
-    masked over data.masks['train'], metrics track train/val (and test when
-    asked). Inductive (MultiGraphDataset): kernelsets is one KernelSet per
-    graph, train_idx/val_idx select graphs, and the model is updated once
-    per mini-batch with the gradient of the batch's mean loss. A mini-batch,
-    like each evaluation set, runs as consecutive chunks of stacked graphs
-    (at most _CHUNK_ROWS node rows each, a larger graph alone) through the
-    same layers as a single graph; dropout masks are drawn graph by graph,
-    as separate per-graph passes would draw them.
+    Inductive (MultiGraphDataset): kernelsets holds one KernelSet per graph,
+    train_idx/val_idx select graphs, and the model ends in a meanmax readout.
+    Transductive (SingleGraphDataset): kernelsets is the graph's KernelSet,
+    the model has no readout, and the graph is a training set of one graph
+    whose loss is masked over data.masks['train'].
+
+    Both run one loop: each epoch shuffles the training graphs (one graph
+    draws nothing from the Generator), updates the model once per mini-batch
+    with the gradient of the batch's mean loss, then scores train and val
+    (transductive: one forward scored on each split, test too when asked).
+    Mini-batches and evaluation sets run as consecutive chunks of stacked
+    graphs (at most _CHUNK_ROWS node rows each, a larger graph alone) through
+    the same layers; dropout masks are drawn graph by graph, as separate
+    per-graph passes would draw them.
 
     For the binary loss, targets must be the (n, c) 0/1 matrix (transductive)
     and labels are ignored.
     """
+    loss_fn = LOSSES[config.loss]
     if isinstance(data, SingleGraphDataset):
-        return _train_transductive(spec, kernelsets, data, config, targets, track_test)
-    if isinstance(data, MultiGraphDataset):
+        graphs, kernelsets, train_idx = (data.graph,), (kernelsets,), [0]
+        if config.loss == "binary_ce" and targets is None:
+            raise ValueError("binary_ce needs an explicit (n, c) 0/1 target matrix")
+        y = targets if config.loss == "binary_ce" else data.labels
+        scored = [name for name in ("train", "val", "test")[:3 if track_test else 2]
+                  if name == "train" or data.masks[name].any()]
+        if config.loss == "softmax_ce":
+            # refuse a scored label outside the output classes before any epoch runs
+            rows = np.flatnonzero(np.logical_or.reduce([data.masks[name] for name in scored]))
+            _check_labels(y[rows], spec.widths(data.graph.features.shape[1])[-1], rows)
+        score = accuracy_multiclass if config.loss == "softmax_ce" else micro_f1
+
+        def chunk_loss(out, chunk):
+            return loss_fn(out, y, data.masks["train"])
+
+        def epoch_scores(params):
+            out, _ = model_forward(spec, params, data.graph.features, kernelsets[0])
+            return {name: (loss_fn(out, y, data.masks[name])[0], score(out, y, data.masks[name]))
+                    for name in scored}
+    elif isinstance(data, MultiGraphDataset):
         if train_idx is None or val_idx is None:
             raise ValueError("multi-graph training needs train_idx and val_idx")
-        return _train_inductive(spec, kernelsets, data, config, train_idx, val_idx)
-    raise TypeError(f"unsupported dataset type {type(data).__name__}")
+        graphs = data.graphs
 
+        def chunk_loss(out, chunk):
+            return _graph_loss(out, data, chunk, config.loss)[:2]
 
-def _train_transductive(spec, kernels, data, config, targets, track_test):
-    g = data.graph
-    rng = np.random.default_rng(config.seed)
-    params = init_parameters(spec, g.features.shape[1], len(kernels), rng)
-    adam = Adam(config.learning_rate)
-    if config.loss == "binary_ce":
-        if targets is None:
-            raise ValueError("binary_ce needs an explicit (n, c) 0/1 target matrix")
-        y = targets
+        def epoch_scores(params):
+            return {name: evaluate_graphs(spec, params, kernelsets, data, idx, config.loss)
+                    for name, idx in (("train", train_idx), ("val", val_idx))}
     else:
-        y = data.labels
-        # refuse a scored label outside the output classes before any epoch runs
-        n_classes = spec.widths(g.features.shape[1])[-1]
-        for name in ("train", "val") + (("test",) if track_test else ()):
-            rows = np.flatnonzero(data.masks[name])
-            _check_labels(y[rows], n_classes, rows)
-    loss_fn = LOSSES[config.loss]
+        raise TypeError(f"unsupported dataset type {type(data).__name__}")
+
+    _check_readout(spec, graph_level=isinstance(data, MultiGraphDataset))
+    train_idx = np.asarray(train_idx, dtype=int)
+    rng = np.random.default_rng(config.seed)
+    params = init_parameters(spec, graphs[0].features.shape[1], len(kernelsets[0]), rng)
+    adam = Adam(config.learning_rate)
+    sizes = np.array([g.n for g in graphs])
 
     metrics = []
     for epoch in range(config.epochs):
-        out, caches = model_forward(
-            spec, params, g.features, kernels,
-            train=True, rng=rng,
-            input_dropout=config.input_dropout, kernel_dropout=config.kernel_dropout,
-        )
-        loss, dout = loss_fn(out, y, data.masks["train"])
-        if not np.isfinite(loss):
-            raise TrainingDiverged(epoch, loss)
-        grads = model_backward(spec, params, caches, dout)
-        add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
-        adam.step(flatten_params(params), flatten_params(grads))
-
-        out_eval, _ = model_forward(spec, params, g.features, kernels)
+        order = train_idx[rng.permutation(train_idx.size)]
+        for start in range(0, order.size, config.batch_size):
+            grads = _batch_gradients(spec, params, graphs, kernelsets, sizes,
+                                     order[start : start + config.batch_size],
+                                     chunk_loss, config, rng, epoch)
+            add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
+            adam.step(flatten_params(params), flatten_params(grads))
+            del grads   # else it stays alive beside the next batch's gradients
         row = {"epoch": epoch}
-        row["train_loss"], row["train_acc"] = _metric_row(out_eval, y, data.masks["train"], config.loss)
-        if data.masks["val"].any():
-            row["val_loss"], row["val_acc"] = _metric_row(out_eval, y, data.masks["val"], config.loss)
-        if track_test and data.masks["test"].any():
-            row["test_loss"], row["test_acc"] = _metric_row(out_eval, y, data.masks["test"], config.loss)
+        for name, (loss, acc) in epoch_scores(params).items():
+            row[f"{name}_loss"], row[f"{name}_acc"] = loss, acc
         metrics.append(row)
     return TrainResult(params=params, metrics=metrics, config=config, optimizer=adam.metadata())
+
+
+def _check_readout(spec: ModelSpec, graph_level: bool) -> None:
+    """A graph-level model pools each graph to one row with a meanmax readout
+    that no graph convolution follows; a node-level model has no readout."""
+    readout = [isinstance(layer, ReadoutMeanMax) for layer in spec.layers]
+    if graph_level != any(readout):
+        raise ValueError("a graph-level model needs a meanmax readout" if graph_level else
+                         "a single-graph (node-level) model cannot contain a meanmax readout")
+    if graph_level and any(isinstance(layer, _CONV) for layer in spec.layers[readout.index(True):]):
+        raise ValueError("a graph convolution cannot follow the meanmax readout")
 
 
 # Row bound of one chunk of stacked graphs. A chunk's caches and backward
@@ -911,53 +934,27 @@ def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
     return loss_sum / idx.size, score_sum / idx.size
 
 
-def _batch_gradients(spec, params, kernelsets, data, sizes, batch_ids, config, rng, epoch):
-    """Gradient of the mean loss over one mini-batch, without decay. The batch
-    runs as consecutive chunks of stacked graphs (sizes: node count per graph)
-    whose gradients add up; dropout masks come from rng graph by graph, in
-    batch order."""
+def _batch_gradients(spec, params, graphs, kernelsets, sizes, batch_ids, chunk_loss,
+                     config, rng, epoch):
+    """Gradient of the mean loss over one mini-batch of graphs, without
+    decay. The batch runs as consecutive chunks of stacked graphs (sizes:
+    node count per graph) whose gradients add up; chunk_loss(out, chunk)
+    gives a chunk's mean loss and its gradient; dropout masks come from rng
+    graph by graph, in batch order."""
     grads = None
     for chunk in _chunks(batch_ids, sizes):
-        H0, batch = stack_graphs([data.graphs[i].features for i in chunk],
+        H0, batch = stack_graphs([graphs[i].features for i in chunk],
                                  [kernelsets[i] for i in chunk])
         out, caches = model_forward(
             spec, params, H0, batch, train=True, rng=rng,
             input_dropout=config.input_dropout, kernel_dropout=config.kernel_dropout,
         )
-        loss, dout, _ = _graph_loss(out, data, chunk, config.loss)
+        loss, dout = chunk_loss(out, chunk)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch, loss)
         dout *= len(chunk) / len(batch_ids)
         grads = model_backward(spec, params, caches, dout, into=grads)
     return grads
-
-
-def _train_inductive(spec, kernelsets, data, config, train_idx, val_idx):
-    train_idx = np.asarray(train_idx, dtype=int)
-    val_idx = np.asarray(val_idx, dtype=int)
-    rng = np.random.default_rng(config.seed)
-    f0 = data.graphs[0].features.shape[1]
-    params = init_parameters(spec, f0, len(kernelsets[0]), rng)
-    adam = Adam(config.learning_rate)
-    sizes = _graph_sizes(data)
-
-    metrics = []
-    for epoch in range(config.epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
-        for start in range(0, order.size, config.batch_size):
-            grads = _batch_gradients(spec, params, kernelsets, data, sizes,
-                                     order[start : start + config.batch_size], config, rng, epoch)
-            add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
-            adam.step(flatten_params(params), flatten_params(grads))
-            del grads   # else it stays alive beside the next batch's gradients
-
-        row = {"epoch": epoch}
-        row["train_loss"], row["train_acc"] = evaluate_graphs(
-            spec, params, kernelsets, data, train_idx, config.loss)
-        row["val_loss"], row["val_acc"] = evaluate_graphs(
-            spec, params, kernelsets, data, val_idx, config.loss)
-        metrics.append(row)
-    return TrainResult(params=params, metrics=metrics, config=config, optimizer=adam.metadata())
 
 
 def save_checkpoint(params: Sequence[LayerParams], path) -> None:
@@ -1022,6 +1019,8 @@ def crossvalidate(
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
+    if folds < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
     accs, best_epochs = [], []
     for rep in range(repeats):
         fold_ids = make_folds(dataset, folds, seed=config.seed + 7919 * rep)

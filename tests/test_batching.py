@@ -73,8 +73,11 @@ def per_graph_gradients(ds, kernelsets, params, ids, rng):
 
 
 def batch_gradients(ds, kernelsets, params, ids, rng):
-    return nn._batch_gradients(SPEC, params, kernelsets, ds, nn._graph_sizes(ds),
-                               np.asarray(ids), CONFIG, rng, 0)
+    def chunk_loss(out, chunk):
+        return nn._graph_loss(out, ds, chunk, CONFIG.loss)[:2]
+
+    return nn._batch_gradients(SPEC, params, ds.graphs, kernelsets, nn._graph_sizes(ds),
+                               np.asarray(ids), chunk_loss, CONFIG, rng, 0)
 
 
 def max_relative_difference(a, b):

@@ -130,6 +130,15 @@ def test_analyze_non_finite_design_is_config_error(tmp_path, capsys):
     assert not (out / "standard_1.csv").exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_analyze_trials_below_one_is_config_error(tmp_path, capsys, trials):
+    out = tmp_path / "g"
+    assert main(["analyze", "--graph", "ring12", "--kernel", "gat:5", "--trials", trials,
+                 "--out", str(out)]) == 2
+    assert "--trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_uses_cache_dir(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("SPECGCONV_CACHE", str(cache))
@@ -289,6 +298,65 @@ def test_train_tu_crossvalidation(tmp_path):
     assert 0.0 <= result["cv_mean_accuracy"] <= 1.0
     assert result["std_defined"] is True
     assert len(result["repeat_accuracies"]) == 2
+
+
+def write_tu_config(tmp_path, **overrides):
+    cfg = {
+        "dataset": {"path": str(write_tu_dir(tmp_path)), "kind": "tu"},
+        "designs": ["allpass", "highpass"],
+        "architecture": "G6-meanmax-D2",
+        "train": {"learning_rate": 0.02, "epochs": 2, "batch_size": 4, "seed": 0},
+        "cv": {"folds": 3},
+        "output_dir": "cvrun",
+    }
+    cfg.update(overrides)
+    path = tmp_path / "tu.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("kind,arch,message", [
+    ("single", "DSG8-meanmax-D2", "single-graph (node-level) model cannot contain a meanmax"),
+    ("tu", "G6-D2", "graph-level model needs a meanmax readout"),
+    ("tu", "G6-meanmax-G4-D2", "graph convolution cannot follow the meanmax readout"),
+    ("tu", "G6-meanmax-D3", "ends with width 3, dataset has 2 classes"),
+    ("tu", "G6-meanmax-D1", "ends with width 1, dataset has 2 classes"),
+])
+def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, kind, arch, message):
+    write = write_toy_config if kind == "single" else write_tu_config
+    assert main(["train", "--config", str(write(tmp_path, architecture=arch))]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*/result.json"))
+
+
+@pytest.mark.parametrize("kind,overrides,message", [
+    ("single", None, "config must be a JSON object, got [1, 2]"),
+    ("single", {"dataset": "toyds"}, 'dataset must be an object, got "toyds"'),
+    ("single", {"train": [1]}, "train must be an object, got [1]"),
+    ("tu", {"cv": 3}, "cv must be an object, got 3"),
+    ("single", {"sweep_eta": "3"}, 'sweep_eta must be a list, got "3"'),
+    ("single", {"sweep_eta": [1, None]}, "sweep_eta must be a list of numbers"),
+    ("single", {"output_dir": 5}, "output_dir must be a string, got 5"),
+    ("single", {"dataset": {"path": "toyds/edges.csv"}}, "edges.csv' is not a directory"),
+    ("single", {"designs": ["allpass", 3]}, "designs must be a list of strings"),
+    ("single", {"architecture": 7}, "architecture must be a string, got 7"),
+    ("single", {"laplacian": ["sym"]}, 'laplacian must be a string, got ["sym"]'),
+    ("single", {"train": {"epochs": 2.5}}, "epochs must be an integer, got 2.5"),
+    ("single", {"train": {"epochs": 2, "seed": "a"}}, "seed must be an integer, got 'a'"),
+    ("single", {"train": {"epochs": 2, "weight_decay": "x"}}, "weight_decay must be a number"),
+    ("tu", {"cv": {"folds": 2.5}}, "folds must be an integer, got 2.5"),
+    ("tu", {"cv": {"folds": 1}}, "needs at least 2 folds, got 1"),
+])
+def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overrides, message):
+    write = write_toy_config if kind == "single" else write_tu_config
+    cfg = write(tmp_path, **(overrides or {}))
+    if overrides is None:
+        cfg.write_text("[1, 2]")
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*/result.json"))
 
 
 def test_train_divergence_exits_3(tmp_path):

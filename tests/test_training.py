@@ -164,6 +164,27 @@ def test_train_takes_a_kernelset_or_a_support_list():
     assert a.metrics == b.metrics
 
 
+def test_model_must_fit_the_problem_before_first_forward(monkeypatch):
+    calls = []
+    forward = nn.model_forward
+    monkeypatch.setattr(nn, "model_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    cfg = TrainConfig(learning_rate=0.02, epochs=2, seed=1)
+    data = separable_dataset()
+    node_model_with_readout = ModelSpec((
+        MultiSupportConv(out=4, activation="relu"), ReadoutMeanMax(), Dense(out=2)))
+    with pytest.raises(ValueError, match="node-level\\) model cannot contain a meanmax readout"):
+        train(node_model_with_readout, two_support_kernels(data.graph), data, cfg)
+    ds = graph_classification_dataset(n_graphs=6)
+    ids = dict(train_idx=np.arange(4), val_idx=np.arange(4, 6))
+    with pytest.raises(ValueError, match="graph-level model needs a meanmax readout"):
+        train(ModelSpec((MultiSupportConv(out=2),)), allpass_kernelsets(ds), ds, cfg, **ids)
+    conv_after_readout = ModelSpec((
+        MultiSupportConv(out=4), ReadoutMeanMax(), MultiSupportConv(out=2)))
+    with pytest.raises(ValueError, match="graph convolution cannot follow the meanmax readout"):
+        train(conv_after_readout, allpass_kernelsets(ds), ds, cfg, **ids)
+    assert calls == []
+
+
 def graph_classification_dataset(n_graphs=40, seed=0):
     graphs, labels = [], []
     for i in range(n_graphs):
@@ -234,6 +255,14 @@ def test_crossvalidate_mean_degree_task():
     assert cv.mean >= 0.95
 
 
+@pytest.mark.parametrize("folds", [1, 0, -2])
+def test_crossvalidate_needs_two_folds(monkeypatch, folds):
+    ds = graph_classification_dataset(n_graphs=8)
+    monkeypatch.setattr(nn, "train", lambda *a, **k: pytest.fail("a fold was trained"))
+    with pytest.raises(ValueError, match=f"at least 2 folds, got {folds}"):
+        crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1), folds=folds)
+
+
 def test_crossvalidate_rejects_too_many_folds():
     ds = graph_classification_dataset(n_graphs=8)
     with pytest.raises(ValueError, match="folds"):
@@ -257,6 +286,20 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a, b)
     assert back[1].bias is None and back[1].depthwise is None
     assert back[2].bias is None
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("epochs", 2.5, "epochs must be an integer"),
+    ("batch_size", "4", "batch_size must be an integer"),
+    ("seed", None, "seed must be an integer"),
+    ("seed", -1, "seed must be >= 0"),
+    ("learning_rate", "fast", "learning_rate must be a number"),
+    ("weight_decay", [0.1], "weight_decay must be a number"),
+    ("kernel_dropout", None, "kernel_dropout must be a number"),
+])
+def test_train_config_refuses_wrong_types(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
 
 
 def test_train_config_validation():
