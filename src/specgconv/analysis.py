@@ -7,17 +7,18 @@ itself. Designed supports recover their design exactly; structural supports
 """
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import FLOAT_FMT, save_matrix_csv
+from .data import load_matrix_csv, save_matrix_csv
 from .graphs import Graph, LaplacianKind, build_laplacian
 from .kernels import gat_sample_kernel
 from .spectral import SpectralBasis, decompose
+
+PROFILE_HEADER = ("lambda", "standard")
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,7 @@ def export_profile(
     include_full set, the full matrix goes to ``<path stem>_full.csv``.
     """
     std = np.abs(p.standard) if absolute else p.standard
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "standard"])
-        for lam, val in zip(p.lam, std):
-            writer.writerow([FLOAT_FMT % lam, FLOAT_FMT % val])
+    save_matrix_csv(path, np.column_stack([p.lam, std]), header=PROFILE_HEADER)
     if include_full:
         stem, ext = os.path.splitext(os.fspath(path))
         full = np.abs(p.full) if absolute else p.full
@@ -125,12 +122,5 @@ def export_profile(
 
 def load_profile_csv(path) -> tuple:
     """Read back an exported standard profile as (lambda, standard)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["lambda", "standard"]:
-            raise ValueError(f"{path}: not a profile CSV (header {header})")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    lam = np.array([r[0] for r in rows])
-    std = np.array([r[1] for r in rows])
-    return lam, std
+    m = load_matrix_csv(path, header=PROFILE_HEADER)
+    return m[:, 0], m[:, 1]

@@ -223,12 +223,19 @@ def _coverage_warning(designs, basis):
     return cov
 
 
+def _out_file(out_dir, name):
+    """Path of a run output. The run directory is made at the first write, so a
+    run refused for its config, before or during set-up, leaves none behind."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def _write_run(out_dir, cfg, tconfig, extra, result=None):
     """Write result.json (when a result is given) and provenance.json; both
     record the optimizer's name and constants as the optimizer reports them."""
     optimizer = Adam(tconfig.learning_rate).metadata()
     if result is not None:
-        with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
+        with open(_out_file(out_dir, "result.json"), "w", encoding="utf-8") as fh:
             json.dump({**result, "optimizer": optimizer}, fh, indent=2)
     doc = {
         "config": cfg,
@@ -238,7 +245,7 @@ def _write_run(out_dir, cfg, tconfig, extra, result=None):
         "optimizer": optimizer,
         **extra,
     }
-    with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
+    with open(_out_file(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, default=str)
 
 
@@ -265,8 +272,8 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
     kernels = design_kernelset(basis, designs)
 
     result = train(spec, kernels, dataset, tconfig, track_test=True)
-    _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), result.metrics)
-    save_checkpoint(result.params, os.path.join(out_dir, "checkpoint.json"))
+    _write_metrics_csv(_out_file(out_dir, "metrics.csv"), result.metrics)
+    save_checkpoint(result.params, _out_file(out_dir, "checkpoint.json"))
     last = result.metrics[-1]
     best_val = max(result.metrics, key=lambda m: m.get("val_acc", 0.0))
     final = {
@@ -296,7 +303,7 @@ def _run_eta_sweep(cfg, spec, designs, dataset, basis, tconfig, out_dir, sweep, 
         print(f"eta={eta}: min val loss {min_val_loss:.4f}, max val acc {max_val_acc:.4f}")
     best = min(rows, key=lambda r: r["min_val_loss"])
     doc = {"sweep": rows, "selected_eta": best["eta"], "criterion": "min_val_loss"}
-    with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
+    with open(_out_file(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
     _write_run(out_dir, cfg, tconfig, {"lambda_max": basis.lambda_max, "coverage": cov})
     print(f"sweep: selected eta={best['eta']}")
@@ -345,7 +352,8 @@ def cmd_train(args) -> int:
     out_dir = args.out or _field(cfg, "output_dir", str, "") or "run"
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"output_dir {out_dir!r} exists and is not a directory")
 
     if kind == "single":
         dataset, run = load_single_graph(path), _run_transductive

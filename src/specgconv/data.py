@@ -9,7 +9,8 @@ Two dataset layouts are supported:
 
 All CSV files carry a header row, are comma separated, UTF-8 and line-feed
 terminated. Floats are written with 17 significant digits so that a write /
-read round trip is bitwise lossless.
+read round trip is bitwise lossless; save_matrix_csv and load_matrix_csv are
+the package's only float-CSV writer and reader.
 """
 from __future__ import annotations
 
@@ -25,41 +26,40 @@ FLOAT_FMT = "%.17g"
 
 
 # ---------------------------------------------------------------------------
-# generic CSV matrix format (also used by the eigendecomposition cache)
+# float CSV: matrices, exported profiles and tabulated responses
 # ---------------------------------------------------------------------------
 
-def save_matrix_csv(path, m: np.ndarray) -> None:
-    """Write a 1-D or 2-D float array as CSV with a c0,c1,... header."""
+def save_matrix_csv(path, m: np.ndarray, header=None) -> None:
+    """Write a 1-D or 2-D float array as CSV, one row per line.
+
+    The header defaults to c0,c1,...; a 1-D array is written as one row.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    if header is None:
+        header = [f"c{j}" for j in range(m.shape[1])]
+    row_fmt = ",".join([FLOAT_FMT] * m.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"c{j}" for j in range(m.shape[1])) + "\n")
-        for row in m:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in m:   # one row at a time: a whole-matrix tolist() costs ~4x its memory
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by save_matrix_csv; always returns a 2-D array."""
+def load_matrix_csv(path, header=None) -> np.ndarray:
+    """Read a matrix written by save_matrix_csv; always returns a 2-D array.
+
+    With header given, the file's header row must equal it exactly.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        names = next(reader, None)
+        if names is None:
             raise ValueError(f"{path}: empty CSV")
+        if header is not None and names != list(header):
+            raise ValueError(f"{path}: header {','.join(names)!r}, expected {','.join(header)!r}")
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
-        return np.zeros((0, len(header)))
+        return np.zeros((0, len(names)))
     return np.array(rows, dtype=np.float64)
-
-
-def save_vector_csv(path, v: np.ndarray, name: str = "value") -> None:
-    v = np.asarray(v, dtype=np.float64).ravel()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(name + "\n")
-        for x in v:
-            fh.write(FLOAT_FMT % x + "\n")
-
-
-def load_vector_csv(path) -> np.ndarray:
-    return load_matrix_csv(path).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +95,19 @@ class SingleGraphDataset:
         return int(self.labels.max()) + 1
 
 
-def _read_rows(path) -> list:
+def _read_rows(path, fields: int) -> list:
+    """(line number, row) of each non-empty row after the header; a file
+    without a header or a row with fewer than `fields` fields is refused."""
+    name = os.path.basename(path)
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
-        return [row for row in reader if row]
+        if next(reader, None) is None:
+            raise ValueError(f"{name} is empty: expected a header row")
+        rows = [(reader.line_num, row) for row in reader if row]
+    for lineno, row in rows:
+        if len(row) < fields:
+            raise ValueError(f"{name} line {lineno}: expected {fields} fields, got {len(row)}")
+    return rows
 
 
 def load_single_graph(directory) -> SingleGraphDataset:
@@ -115,7 +123,7 @@ def load_single_graph(directory) -> SingleGraphDataset:
     n = features.shape[0]
 
     adjacency = np.zeros((n, n))
-    for lineno, row in enumerate(_read_rows(os.path.join(directory, "edges.csv")), start=2):
+    for lineno, row in _read_rows(os.path.join(directory, "edges.csv"), 2):
         src, dst = int(row[0]), int(row[1])
         w = float(row[2]) if len(row) > 2 else 1.0
         if src == dst:
@@ -126,7 +134,7 @@ def load_single_graph(directory) -> SingleGraphDataset:
         adjacency[dst, src] = w
 
     labels = np.array(
-        [int(float(row[0])) for row in _read_rows(os.path.join(directory, "labels.csv"))]
+        [int(float(row[0])) for _, row in _read_rows(os.path.join(directory, "labels.csv"), 1)]
     )
     if labels.shape != (n,):
         raise ValueError(f"labels.csv must have {n} rows, got {labels.shape[0]}")
@@ -135,7 +143,7 @@ def load_single_graph(directory) -> SingleGraphDataset:
     masks = {name: np.zeros(n, dtype=bool) for name in ("train", "val", "test")}
     if os.path.exists(split_path):
         assigned = np.zeros(n, dtype=bool)
-        for lineno, row in enumerate(_read_rows(split_path), start=2):
+        for lineno, row in _read_rows(split_path, 2):
             node, role = int(row[0]), row[1].strip()
             if not 0 <= node < n:
                 raise ValueError(
@@ -257,6 +265,8 @@ def make_folds(dataset: MultiGraphDataset, k: int = 10, seed: int = 0) -> np.nda
     fallback (plain seeded shuffle dealt round-robin).
     """
     n = len(dataset)
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got {k}")
     if k > n:
         raise ValueError(f"cannot make {k} folds out of {n} graphs")
     rng = np.random.default_rng(seed)

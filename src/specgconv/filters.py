@@ -17,7 +17,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .data import load_vector_csv
+from .data import load_matrix_csv
 from .spectral import SpectralBasis
 
 
@@ -194,7 +194,11 @@ class Tabulated(FilterDesign, key="tabulated"):
         path = take("file", str)
         if base_dir is not None:
             path = os.path.join(base_dir, path)
-        return cls(values=load_vector_csv(path))
+        m = load_matrix_csv(path)
+        if m.shape[1] != 1:
+            raise ValueError(f"tabulated response file {path} has {m.shape[1]} columns, "
+                             "expected one value per row")
+        return cls(values=m[:, 0])
 
 
 # text key -> family

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import load_matrix_csv, save_matrix_csv
 from .graphs import LaplacianKind
 
 ORTHO_TOL = 1e-8
 SYM_TOL = 1e-10
+# part of every cache key: change it with the sign rule, the sort or the entry
+# layout, so that entries written before miss instead of serving stale bases
+_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,11 @@ def _validate(basis: SpectralBasis, L: np.ndarray) -> None:
 def decompose(L: np.ndarray, kind: LaplacianKind, cache_dir=None) -> SpectralBasis:
     """Eigendecompose a symmetric Laplacian into a validated SpectralBasis.
 
-    L must be symmetric within 1e-10. With cache_dir set, (lambda, U) pairs
-    are stored as CSV keyed by a content hash of L; a cache hit that fails
-    the basis invariants is discarded and recomputed.
+    L must be symmetric within 1e-10. With cache_dir set, each basis is
+    stored as one ``<key>.npy`` file holding the (n+1) x n array [lambda; U],
+    keyed by a hash of the cache version, the kind and the bytes of L. Every
+    hit is validated; an entry that is unreadable, of the wrong shape or
+    fails the basis invariants is discarded and recomputed.
     """
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -116,54 +120,48 @@ def inverse_fourier(basis: SpectralBasis, x_ft: np.ndarray) -> np.ndarray:
 
 def _cache_key(L: np.ndarray, kind: LaplacianKind) -> str:
     h = hashlib.sha256()
+    h.update(f"v{_CACHE_VERSION}".encode())
     h.update(str(L.shape).encode())
     h.update(kind.value.encode())
     h.update(np.ascontiguousarray(L).tobytes())
     return h.hexdigest()[:32]
 
 
-def _cache_paths(cache_dir, key: str):
-    return (
-        os.path.join(cache_dir, f"{key}.lambda.csv"),
-        os.path.join(cache_dir, f"{key}.U.csv"),
-    )
-
-
 def _cache_load(cache_dir, L, kind):
-    """The cached basis of L, or None. An entry that fails the basis
-    invariants is removed; files another process removed first (while
-    discarding the same entry) count as a miss, not an error."""
-    lam_path, u_path = _cache_paths(cache_dir, _cache_key(L, kind))
-    if not (os.path.exists(lam_path) and os.path.exists(u_path)):
-        return None
+    """The cached basis of L, or None. An entry that cannot be read as a
+    float64 [lambda; U] array (never unpickled) or fails the basis invariants
+    is removed; an entry another process removed first counts as a miss."""
+    path = os.path.join(cache_dir, _cache_key(L, kind) + ".npy")
+    n = L.shape[0]
     try:
-        lam = load_matrix_csv(lam_path).ravel()
-        U = load_matrix_csv(u_path)
-        basis = SpectralBasis(eigenvalues=lam, eigenvectors=U, kind=kind)
+        with open(path, "rb") as fh:
+            entry = np.lib.format.read_array(fh, allow_pickle=False)
+        if entry.dtype != np.float64 or entry.shape != (n + 1, n):
+            raise ValueError(f"cache entry of {entry.dtype} {entry.shape}")
+        basis = SpectralBasis(eigenvalues=entry[0], eigenvectors=entry[1:], kind=kind)
         _validate(basis, L)
         return basis
     except FileNotFoundError:
         return None
     except (ValueError, ArithmeticError):
-        for path in (lam_path, u_path):
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
         return None
 
 
 def _cache_store(cache_dir, L, kind, basis) -> None:
-    """Write each file under a temporary name in the cache directory, then
+    """Write the entry under a temporary name in the cache directory, then
     rename it into place, so no reader ever sees a half-written entry."""
     os.makedirs(cache_dir, exist_ok=True)
-    lam_path, u_path = _cache_paths(cache_dir, _cache_key(L, kind))
-    for path, values in ((u_path, basis.eigenvectors), (lam_path, basis.eigenvalues)):
-        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-        try:
-            save_matrix_csv(tmp, values)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+    path = os.path.join(cache_dir, _cache_key(L, kind) + ".npy")
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, np.vstack([basis.eigenvalues, basis.eigenvectors]), allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

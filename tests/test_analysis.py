@@ -133,6 +133,14 @@ def test_export_rows_and_abs(tmp_path):
     assert p.standard[0] < 0
 
 
+@pytest.mark.parametrize("header", ["c0,c1", "lambda,standard,extra", "standard,lambda"])
+def test_profile_reader_needs_the_exact_header(tmp_path, header):
+    path = tmp_path / "p.csv"
+    path.write_text(header + "\n" + "0.5," * (header.count(",")) + "0.5\n")
+    with pytest.raises(ValueError, match="expected 'lambda,standard'"):
+        load_profile_csv(path)
+
+
 def test_profile_dimension_mismatch():
     basis = sym_basis(make_ring(5))
     with pytest.raises(ValueError):

@@ -144,8 +144,8 @@ def test_analyze_uses_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SPECGCONV_CACHE", str(cache))
     assert main(["analyze", "--graph", "ring16", "--kernel", "gcn",
                  "--out", str(tmp_path / "o1")]) == 0
-    cached = sorted(p.name for p in cache.iterdir())
-    assert len(cached) == 2
+    cached = [p.name for p in cache.iterdir()]
+    assert len(cached) == 1 and cached[0].endswith(".npy")
     assert main(["analyze", "--graph", "ring16", "--kernel", "gcn",
                  "--out", str(tmp_path / "o2")]) == 0
     a = (tmp_path / "o1" / "standard_1.csv").read_text()
@@ -347,6 +347,7 @@ def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, kind, arch,
     ("single", {"train": {"epochs": 2, "weight_decay": "x"}}, "weight_decay must be a number"),
     ("tu", {"cv": {"folds": 2.5}}, "folds must be an integer, got 2.5"),
     ("tu", {"cv": {"folds": 1}}, "needs at least 2 folds, got 1"),
+    ("single", {"output_dir": "toyds/edges.csv"}, "edges.csv' exists and is not a directory"),
 ])
 def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overrides, message):
     write = write_toy_config if kind == "single" else write_tu_config
@@ -357,6 +358,19 @@ def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overri
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert not list(tmp_path.glob("*/result.json"))
+
+
+@pytest.mark.parametrize("kind,overrides", [
+    ("single", {"architecture": "DSG4-DSG5"}),            # found after loading
+    ("single", {"sweep_eta": [1, None]}),                 # found by the run itself
+    ("single", {"architecture": "DSG8-meanmax-D2"}),      # found by train
+    ("tu", {"cv": {"folds": 100}}),                       # found by make_folds
+])
+def test_refused_train_run_leaves_no_output_directory(tmp_path, kind, overrides):
+    write = write_toy_config if kind == "single" else write_tu_config
+    cfg = write(tmp_path, **overrides)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert not (tmp_path / json.loads(cfg.read_text())["output_dir"]).exists()
 
 
 def test_train_divergence_exits_3(tmp_path):

@@ -1,11 +1,14 @@
-"""Property: any `train` config ends in exit code 0, 2, 3 or 4, and a failure
-is reported on one line of stderr, never as a traceback."""
+"""Property: any `train` config, and any `analyze` run on a malformed
+single-graph dataset or with malformed arguments, ends in exit code 0, 2, 3
+or 4, and a failure is reported on one line of stderr, never as a traceback."""
 import contextlib
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -92,6 +95,22 @@ def train_configs(draw):
     return cfg
 
 
+def run_quietly(argv):
+    """(exit code, stderr) of one CLI run, with warnings silenced."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_documented_exit(code, err):
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert len(err.strip().splitlines()) == 1, err
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(config=train_configs() | one_of([1, 2], "config", 3, None))
 def test_any_train_config_exits_with_a_documented_code(config):
@@ -101,11 +120,86 @@ def test_any_train_config_exits_with_a_documented_code(config):
         write_tu_dir(root)
         path = root / "config.json"
         path.write_text(json.dumps(config))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["train", "--config", str(path)])
-    assert code in (0, 2, 3, 4)
-    if code != 0:
-        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+        code, err = run_quietly(["train", "--config", str(path)])
+    assert_documented_exit(code, err)
+
+
+# cells that are not valid where they land: empty, non-numeric, non-finite,
+# fractional, negative and out-of-range values for the toy graph's 24 nodes
+BAD_CELLS = ("", "x", "nan", "inf", "-inf", "1e999", "1.5", "-1", "24", "1000000", "-7",
+             " 3", "0x10", "train", "val", "bogus", "2")
+
+
+@st.composite
+def malformed_files(draw):
+    """{file name: change} for one to three of the toy graph's CSV files; a
+    change deletes the file (None), empties it (""), cuts it to its header
+    ("header_only") or is a list of (edit, row, column, cell) row edits."""
+    changes = {}
+    for name in draw(st.sets(one_of("edges.csv", "features.csv", "labels.csv", "split.csv"),
+                             min_size=1, max_size=3)):
+        how = draw(one_of("missing", "empty", "header_only", "edit"))
+        changes[name] = {"missing": None, "empty": "", "header_only": "header_only"}.get(how, [
+            (draw(one_of("short_row", "extra_field", "bad_cell", "blank_line", "drop_row")),
+             draw(st.integers(0, 23)), draw(st.integers(0, 2)), draw(one_of(*BAD_CELLS)))
+            for _ in range(draw(st.integers(1, 3)))])
+    return changes
+
+
+def apply_changes(directory, changes):
+    for name, change in changes.items():
+        path = directory / name
+        if change is None:
+            path.unlink()
+            continue
+        lines = path.read_text().splitlines()
+        if change == "header_only":
+            lines = lines[:1]
+        elif isinstance(change, list):
+            rows = [line.split(",") for line in lines[1:]]
+            for edit, row, col, cell in change:
+                if not rows:
+                    break
+                row %= len(rows)
+                if edit == "short_row":
+                    rows[row] = rows[row][:1]
+                elif edit == "extra_field":
+                    rows[row] = rows[row] + [cell]
+                elif edit == "bad_cell":
+                    rows[row] = rows[row][:col] + [cell] + rows[row][col + 1:]
+                elif edit == "blank_line":
+                    rows[row] = []
+                else:
+                    del rows[row]
+            lines = lines[:1] + [",".join(r) for r in rows]
+        path.write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+KERNELS = ("gcn", "cheb:1", "cheb:3", "cayley:1:1", "cayley:0.5:2", "gat:3", "gat:0",
+           "design:lowpass(eta=3);highpass", "design:bandpass(c=0.5,gamma=500)")
+BAD_KERNELS = ("cheb:0", "cheb:-2", "cheb:x", "cheb:", "cayley:0:1", "cayley:-1:1",
+               "cayley:nan:1", "cayley:1:0", "cayley:1:-1", "cayley:x:1", "cayley:1", "design:",
+               "design:;", "design:nope", "design:lowpass(eta=-1)", "design:lowpass(eta=nan)",
+               "design:tabulated(file=none.csv)", "gat:", "gat:x", "gat:-1", "bogus", "", "gcn:1")
+RINGS = ("ring3", "ring16", "ring40", "ring2", "ring0", "ring-4", "ringx", "ring", "ring 8", "missing")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(graph=st.just("dataset") | one_of(*RINGS), changes=st.none() | malformed_files(),
+       kernel=one_of(*KERNELS) | one_of(*BAD_KERNELS), trials=one_of(1, 2, 3, 1, 0, -1),
+       laplacian=one_of("sym", "comb"), cached=st.booleans(),
+       flags=st.lists(one_of("--abs", "--export-kernels"), unique=True))
+def test_any_analyze_run_exits_with_a_documented_code(graph, changes, kernel, trials, laplacian,
+                                                      flags, cached):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_toy_dataset(root / "toyds")
+        if changes:
+            apply_changes(root / "toyds", changes)
+        spec = {"dataset": str(root / "toyds"), "missing": str(root / "nope")}.get(graph, graph)
+        env = {"SPECGCONV_CACHE": str(root / "cache") if cached else ""}
+        with mock.patch.dict(os.environ, env):
+            code, err = run_quietly(["analyze", "--graph", spec, "--kernel", kernel,
+                                     "--trials", str(trials), "--laplacian", laplacian,
+                                     *flags, "--out", str(root / "out")])
+    assert_documented_exit(code, err)

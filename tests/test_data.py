@@ -68,6 +68,20 @@ def test_out_of_range_node(tmp_path):
         load_single_graph(tmp_path)
 
 
+@pytest.mark.parametrize("name,text,message", [
+    ("edges.csv", "", "edges.csv is empty: expected a header row"),
+    ("labels.csv", "", "labels.csv is empty: expected a header row"),
+    ("edges.csv", "src,dst\n0,1\n\n2\n", "edges.csv line 4: expected 2 fields, got 1"),
+    ("split.csv", "node,role\n0,train\n1\n", "split.csv line 3: expected 2 fields, got 1"),
+])
+def test_headerless_file_or_short_row_is_one_line_error(tmp_path, name, text, message):
+    write_single_graph(tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_single_graph(tmp_path)
+    assert str(info.value) == message
+
+
 def test_overlapping_roles_rejected(tmp_path):
     write_single_graph(tmp_path)
     (tmp_path / "split.csv").write_text("node,role\n0,train\n0,test\n")
@@ -208,6 +222,13 @@ def test_make_folds_small_class_fallback():
     with pytest.warns(UserWarning, match="not stratified"):
         folds = make_folds(ds, k=10, seed=0)
     assert np.all(np.bincount(folds, minlength=10) == 2)
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_make_folds_needs_two_folds(k):
+    ds = dataset_with_labels(np.zeros(6, int))
+    with pytest.raises(ValueError, match=f"need at least 2 folds, got {k}"):
+        make_folds(ds, k=k, seed=0)
 
 
 def test_make_folds_too_few_graphs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specgconv.data import save_vector_csv
+from specgconv.data import save_matrix_csv
 from specgconv.filters import (
     AllPass,
     BandPass,
@@ -189,9 +189,16 @@ def test_non_finite_parameters_rejected(text):
 
 def test_parse_tabulated_file(tmp_path, basis):
     vals = np.linspace(0, 1, basis.n)
-    save_vector_csv(tmp_path / "resp.csv", vals)
+    save_matrix_csv(tmp_path / "resp.csv", vals[:, None])
     d = parse_design("tabulated(file=resp.csv)", base_dir=tmp_path)
     assert np.array_equal(evaluate(d, basis), vals)
+
+
+def test_tabulated_file_with_two_columns_is_refused(tmp_path, basis):
+    # n/2 rows of two values must not be read as n values
+    save_matrix_csv(tmp_path / "resp.csv", np.linspace(0, 1, basis.n).reshape(-1, 2))
+    with pytest.raises(ValueError, match=r"resp\.csv has 2 columns"):
+        parse_design("tabulated(file=resp.csv)", base_dir=tmp_path)
 
 
 def test_coverage_diagnostic(basis):

@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -95,45 +96,105 @@ def test_non_symmetric_rejected():
         decompose(L, COMB)
 
 
+def _entry_path(cache_dir, L):
+    from specgconv.spectral import _cache_key
+
+    return os.path.join(str(cache_dir), _cache_key(L, SYM) + ".npy")
+
+
+def _save_entry(path, entry, allow_pickle=False):
+    with open(path, "wb") as fh:
+        np.save(fh, entry, allow_pickle=allow_pickle)
+
+
 def test_cache_roundtrip_and_corruption(tmp_path):
     g = random_graph(12, 0.4, seed=2)
     L = build_laplacian(g, SYM)
     fresh = decompose(L, SYM, cache_dir=tmp_path)
     files = sorted(p.name for p in tmp_path.iterdir())
-    assert len(files) == 2
+    assert files == [os.path.basename(_entry_path(tmp_path, L))]
     hit = decompose(L, SYM, cache_dir=tmp_path)
     assert np.array_equal(hit.eigenvalues, fresh.eigenvalues)
     assert np.array_equal(hit.eigenvectors, fresh.eigenvectors)
 
-    # corrupt the eigenvector file: the hit must be discarded and recomputed
-    u_file = next(p for p in tmp_path.iterdir() if p.name.endswith(".U.csv"))
-    lines = u_file.read_text().splitlines()
-    lines[1] = ",".join(["1.0"] * len(lines[1].split(",")))
-    u_file.write_text("\n".join(lines) + "\n")
+    # corrupt the eigenvectors: the hit must be discarded and recomputed
+    path = _entry_path(tmp_path, L)
+    entry = np.load(path, allow_pickle=False)
+    entry[1] = 1.0
+    _save_entry(path, entry)
     again = decompose(L, SYM, cache_dir=tmp_path)
     assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
-
-
-def _cache_files(cache_dir, L):
-    from specgconv.spectral import _cache_key, _cache_paths
-
-    return _cache_paths(str(cache_dir), _cache_key(L, SYM))
 
 
 def test_truncated_cache_entry_is_recomputed_and_rewritten(tmp_path):
     L = build_laplacian(random_graph(15, 0.4, seed=4), SYM)
     fresh = decompose(L, SYM, cache_dir=tmp_path)
-    _, u_path = _cache_files(tmp_path, L)
-    with open(u_path, "r", encoding="utf-8") as fh:
+    path = _entry_path(tmp_path, L)
+    with open(path, "rb") as fh:
         whole = fh.read()
-    with open(u_path, "w", encoding="utf-8") as fh:
-        fh.write(whole[: len(whole) // 2])   # a writer cut off mid-row
+    with open(path, "wb") as fh:
+        fh.write(whole[: len(whole) // 2])   # a writer cut off mid-array
     again = decompose(L, SYM, cache_dir=tmp_path)
     assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
-    with open(u_path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         assert fh.read() == whole
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+
+
+class _MakesDirectoryWhenUnpickled:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.makedirs, (self.path,))
+
+
+@pytest.mark.parametrize("bad", ["pickle", "object_array", "zip_prefix", "garbage",
+                                 "empty", "lambda_missing", "float32"])
+def test_unreadable_cache_entry_is_discarded_never_unpickled(tmp_path, bad):
+    L = build_laplacian(random_graph(9, 0.5, seed=7), SYM)
+    cache = tmp_path / "cache"
+    fresh = decompose(L, SYM, cache_dir=cache)
+    path = _entry_path(cache, L)
+    with open(path, "rb") as fh:
+        whole = fh.read()
+    marker = str(tmp_path / "unpickled")
+    payload = _MakesDirectoryWhenUnpickled(marker)
+    entry = np.load(path, allow_pickle=False)
+    if bad == "pickle":
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+    elif bad == "object_array":
+        _save_entry(path, np.array([payload], dtype=object), allow_pickle=True)
+    elif bad == "lambda_missing":
+        _save_entry(path, entry[1:])
+    elif bad == "float32":
+        _save_entry(path, entry.astype(np.float32))
+    else:
+        with open(path, "wb") as fh:
+            fh.write({"zip_prefix": b"PK\x03\x04" + bytes(64), "garbage": b"not an array\n",
+                      "empty": b""}[bad])
+    again = decompose(L, SYM, cache_dir=cache)
+    assert not os.path.exists(marker)
+    assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
+    with open(path, "rb") as fh:
+        assert fh.read() == whole
+
+
+def test_cache_key_changes_with_cache_version(tmp_path, monkeypatch):
+    from specgconv import spectral
+
+    L = build_laplacian(random_graph(8, 0.5, seed=8), SYM)
+    decompose(L, SYM, cache_dir=tmp_path)
+    old = _entry_path(tmp_path, L)
+    monkeypatch.setattr(spectral, "_CACHE_VERSION", spectral._CACHE_VERSION + 1)
+    new = _entry_path(tmp_path, L)
+    assert new != old
+    # an entry written under another version is never read: this is a miss
+    decompose(L, SYM, cache_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        os.path.basename(p) for p in _cache_files(tmp_path, L))
+        os.path.basename(p) for p in (old, new))
 
 
 def test_discarding_entry_tolerates_file_already_removed(tmp_path, monkeypatch):
@@ -141,32 +202,30 @@ def test_discarding_entry_tolerates_file_already_removed(tmp_path, monkeypatch):
 
     L = build_laplacian(random_graph(10, 0.5, seed=5), SYM)
     decompose(L, SYM, cache_dir=tmp_path)
-    lam_path, u_path = _cache_files(tmp_path, L)
-    with open(u_path, "a", encoding="utf-8") as fh:
-        fh.write("not,a,number\n")
-    real_load = spectral.load_matrix_csv
+    path = _entry_path(tmp_path, L)
+    entry = np.load(path, allow_pickle=False)
+    entry[0] = -entry[0]   # eigenvalues out of order: the entry fails validation
+    _save_entry(path, entry)
+    real_read = np.lib.format.read_array
 
-    def lose_lambda_then_load(path):
-        if path == u_path:
-            os.remove(lam_path)   # another process discards the same entry first
-        return real_load(path)
+    def read_then_lose(fh, **kwargs):
+        read = real_read(fh, **kwargs)
+        os.remove(path)   # another process discards the same entry first
+        return read
 
-    monkeypatch.setattr(spectral, "load_matrix_csv", lose_lambda_then_load)
+    monkeypatch.setattr(np.lib.format, "read_array", read_then_lose)
     assert spectral._cache_load(str(tmp_path), L, SYM) is None
-    assert not os.path.exists(u_path) and not os.path.exists(lam_path)
+    assert not os.path.exists(path)
 
 
 def test_interrupted_store_leaves_no_file_under_final_name(tmp_path, monkeypatch):
-    from specgconv import spectral
-
     L = build_laplacian(random_graph(10, 0.5, seed=6), SYM)
 
-    def write_half_then_fail(path, m):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("c0,c1\n0.5,")
+    def write_half_then_fail(fh, m, **kwargs):
+        fh.write(b"\x93NUMPY\x01\x00")
         raise OSError("disk full")
 
-    monkeypatch.setattr(spectral, "save_matrix_csv", write_half_then_fail)
+    monkeypatch.setattr(np, "save", write_half_then_fail)
     with pytest.raises(OSError, match="disk full"):
         decompose(L, SYM, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
