@@ -22,7 +22,9 @@ import numpy as np
 from . import __version__
 from .analysis import export_profile, gat_profile_stats, profile
 from .data import load_single_graph, load_tu_dataset, save_matrix_csv
-from .filters import CayleyBasis, LowPass, coverage, format_design, gcn_cutoff, parse_design
+from .filters import (
+    CayleyBasis, ChebBasis, LowPass, coverage, format_design, gcn_cutoff, parse_design,
+)
 from .gradcheck import gradcheck_suite
 from .graphs import LaplacianKind, average_degree, build_laplacian, make_ring
 from .kernels import (
@@ -85,7 +87,9 @@ def _build_kernels(arg: str, graph, basis):
     if head == "gcn":
         return [gcn_kernel(graph)], ["gcn"]
     if head == "cheb":
-        ks = cheb_kernels(build_laplacian(graph, basis.kind), basis.lambda_max, int(rest))
+        k = int(rest)
+        ChebBasis(k=k).check_graph(graph.n)   # before the n x n Laplacian is built
+        ks = cheb_kernels(build_laplacian(graph, basis.kind), basis.lambda_max, k)
         return list(ks.supports), [f"cheb_{k + 1}" for k in range(ks.n_kernels)]
     if head == "cayley":
         h_str, _, r_str = rest.partition(":")

@@ -15,12 +15,13 @@ the package's only float-CSV writer and reader.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _all_finite
 
 FLOAT_FMT = "%.17g"
 
@@ -56,10 +57,36 @@ def load_matrix_csv(path, header=None) -> np.ndarray:
             raise ValueError(f"{path}: empty CSV")
         if header is not None and names != list(header):
             raise ValueError(f"{path}: header {','.join(names)!r}, expected {','.join(header)!r}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        return np.zeros((0, len(names)))
-    return np.array(rows, dtype=np.float64)
+        try:
+            rows = [[float(v) for v in row] for row in reader if row]
+        except ValueError:   # an unparsable cell
+            rows = None
+    # rows holds 3.9 M float objects on a Cora-shaped file: the peak RSS of such
+    # a run moves by ~8 MB even with edits here that change no allocation
+    try:
+        if rows is not None:
+            return np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
+    except ValueError:   # a ragged row
+        pass
+    raise ValueError(_bad_matrix_line(path))
+
+
+def _bad_matrix_line(path) -> str:
+    """'<path> line <k>: ...' for the first row of a float CSV that holds a
+    cell float() refuses or another field count than the first row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        width = None
+        for row in filter(None, reader):
+            try:
+                [float(v) for v in row]
+            except ValueError as exc:
+                return f"{path} line {reader.line_num}: {exc}"
+            width = width or len(row)
+            if len(row) != width:
+                return f"{path} line {reader.line_num}: {len(row)} fields, the first row has {width}"
+    return f"{path}: unreadable"
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +122,52 @@ class SingleGraphDataset:
         return int(self.labels.max()) + 1
 
 
-def _read_rows(path, fields: int) -> list:
-    """(line number, row) of each non-empty row after the header; a file
-    without a header or a row with fewer than `fields` fields is refused."""
+def _integer(text: str) -> int:
+    """An integer cell in the int64 range: an int literal, or a float literal
+    of an integer ("2.0")."""
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        value = int(value) if value.is_integer() else None
+    if value is None or not -2**63 <= value < 2**63:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _read_rows(path, fields: int, *convs) -> list:
+    """(line number, values) of each non-empty row after the header: the
+    row's leading cells read by convs (one converter per cell, as far as the
+    row reaches), the rest as text. A file without a header, a row with fewer
+    than `fields` fields, or a cell its converter refuses is named by line."""
     name = os.path.basename(path)
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise ValueError(f"{name} is empty: expected a header row")
         rows = [(reader.line_num, row) for row in reader if row]
+    out = []
     for lineno, row in rows:
         if len(row) < fields:
             raise ValueError(f"{name} line {lineno}: expected {fields} fields, got {len(row)}")
-    return rows
+        try:
+            out.append((lineno, [conv(v) for conv, v in zip(convs, row)] + row[len(convs):]))
+        except ValueError as exc:
+            raise ValueError(f"{name} line {lineno}: {exc}") from None
+    return out
 
 
 def load_single_graph(directory) -> SingleGraphDataset:
@@ -121,11 +181,14 @@ def load_single_graph(directory) -> SingleGraphDataset:
     directory = os.fspath(directory)
     features = load_matrix_csv(os.path.join(directory, "features.csv"))
     n = features.shape[0]
+    if not _all_finite(features):
+        node = np.argmin(np.isfinite(features).all(axis=1))
+        raise ValueError(f"features.csv: non-finite feature of node {node}")
 
     adjacency = np.zeros((n, n))
-    for lineno, row in _read_rows(os.path.join(directory, "edges.csv"), 2):
-        src, dst = int(row[0]), int(row[1])
-        w = float(row[2]) if len(row) > 2 else 1.0
+    for lineno, (src, dst, *weight) in _read_rows(os.path.join(directory, "edges.csv"), 2,
+                                                  _integer, _integer, _finite):
+        w = weight[0] if weight else 1.0
         if src == dst:
             raise ValueError(f"edges.csv line {lineno}: self-loop on node {src}")
         if not (0 <= src < n and 0 <= dst < n):
@@ -134,7 +197,8 @@ def load_single_graph(directory) -> SingleGraphDataset:
         adjacency[dst, src] = w
 
     labels = np.array(
-        [int(float(row[0])) for _, row in _read_rows(os.path.join(directory, "labels.csv"), 1)]
+        [row[0] for _, row in _read_rows(os.path.join(directory, "labels.csv"), 1, _integer)],
+        dtype=int,
     )
     if labels.shape != (n,):
         raise ValueError(f"labels.csv must have {n} rows, got {labels.shape[0]}")
@@ -143,8 +207,7 @@ def load_single_graph(directory) -> SingleGraphDataset:
     masks = {name: np.zeros(n, dtype=bool) for name in ("train", "val", "test")}
     if os.path.exists(split_path):
         assigned = np.zeros(n, dtype=bool)
-        for lineno, row in _read_rows(split_path, 2):
-            node, role = int(row[0]), row[1].strip()
+        for lineno, (node, role, *_) in _read_rows(split_path, 2, _integer, str.strip):
             if not 0 <= node < n:
                 raise ValueError(
                     f"split.csv line {lineno}: node index {node} out of range 0..{n - 1}")
@@ -181,9 +244,53 @@ class MultiGraphDataset:
         return len(self.graphs)
 
 
-def _tu_lines(path) -> list:
+def _tu_lines(path):
+    """(line number, text) of each non-blank line, stripped, read lazily."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [ln.strip() for ln in fh if ln.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text:
+                yield lineno, text
+
+
+def _tu_integers(path) -> np.ndarray:
+    """One integer per non-blank line; a cell that is not one is named by line."""
+    name = os.path.basename(path)
+
+    def values():
+        for lineno, text in _tu_lines(path):
+            try:
+                yield _integer(text)
+            except ValueError as exc:
+                raise ValueError(f"{name} line {lineno}: {exc}") from None
+
+    return np.fromiter(values(), dtype=np.int64)
+
+
+def _tu_edges(path, indicator) -> np.ndarray:
+    """The (m, 2) 0-based node ids of DS_A.txt's edges, two 1-based ids per
+    non-blank line. A line without two integers, an id outside 1..n or an
+    edge between two graphs is refused with its line."""
+    name = os.path.basename(path)
+    graph_of = indicator.tolist()   # list indexing: the loop runs once per edge row
+    n = len(graph_of)
+
+    def ids():
+        for lineno, line in _tu_lines(path):
+            try:
+                a, b = map(int, line.replace(",", " ").split())
+            except ValueError:
+                raise ValueError(f"{name} line {lineno}: expected two integer node ids, "
+                                 f"got {line!r}") from None
+            if not (0 < a <= n and 0 < b <= n):
+                raise ValueError(f"{name} line {lineno}: node id out of range 1..{n}")
+            if graph_of[a - 1] != graph_of[b - 1]:
+                raise ValueError(f"{name} line {lineno}: edge crosses graphs "
+                                 f"{graph_of[a - 1]} and {graph_of[b - 1]}")
+            yield a - 1
+            yield b - 1
+
+    return np.fromiter(ids(), dtype=np.int64).reshape(-1, 2)
 
 
 def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDataset:
@@ -191,45 +298,51 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
 
     Node labels are one-hot encoded into the feature matrix; continuous node
     attributes are appended only when use_attributes is set. Graph labels are
-    remapped to contiguous 0..n_classes-1 in sorted order.
+    remapped to contiguous 0..n_classes-1 in sorted order. Graph ids in the
+    indicator run 1..N in non-decreasing order, each with at least one node;
+    node ids in DS_A.txt are 1-based.
     """
     directory = os.fspath(directory)
     name = os.path.basename(os.path.normpath(directory))
     p = lambda suffix: os.path.join(directory, f"{name}_{suffix}.txt")
 
-    indicator = np.array([int(x) for x in _tu_lines(p("graph_indicator"))])
+    indicator = _tu_integers(p("graph_indicator"))
     n_nodes = indicator.size
-    n_graphs = indicator.max()
-    if np.any(np.diff(indicator) < 0):
-        raise ValueError("graph_indicator must be non-decreasing")
+    if n_nodes == 0:
+        raise ValueError(f"{name}_graph_indicator.txt lists no nodes")
+    # each node's graph id equals its predecessor's or the next one, from 1 on
+    jumps = np.flatnonzero(~np.isin(np.diff(indicator, prepend=indicator[0]), (0, 1)))
+    if indicator[0] != 1 or jumps.size:
+        k = jumps[0] if indicator[0] == 1 else 0
+        raise ValueError(f"{name}_graph_indicator.txt: node {k + 1} has graph id {indicator[k]}; "
+                         "graph ids must run 1, 2, ... in non-decreasing order")
+    n_graphs = indicator[-1]
     offsets = np.searchsorted(indicator, np.arange(1, n_graphs + 1))
     sizes = np.bincount(indicator)[1:]
 
-    raw_graph_labels = np.array([int(float(x)) for x in _tu_lines(p("graph_labels"))])
+    raw_graph_labels = _tu_integers(p("graph_labels"))
     if raw_graph_labels.size != n_graphs:
         raise ValueError("graph_labels row count does not match graph_indicator")
     classes = np.unique(raw_graph_labels)
     labels = np.searchsorted(classes, raw_graph_labels)
 
+    ids = _tu_edges(p("A"), indicator)
+    graph_of = indicator[ids[:, 0]] - 1
+    local = ids - offsets[graph_of, None]
+    loops = local[:, 0] == local[:, 1]
+    if loops.any():
+        warnings.warn(f"{name}: dropped {int(loops.sum())} self-loop edge rows")
+    graph_of, local = graph_of[~loops], local[~loops]
+    order = np.argsort(graph_of, kind="stable")
+    bounds = np.searchsorted(graph_of[order], np.arange(n_graphs + 1))
     adjacencies = [np.zeros((s, s)) for s in sizes]
-    dropped_loops = 0
-    for lineno, line in enumerate(_tu_lines(p("A")), start=1):
-        a, b = (int(v) for v in line.replace(",", " ").split())
-        ga, gb = indicator[a - 1], indicator[b - 1]
-        if ga != gb:
-            raise ValueError(f"{name}_A.txt line {lineno}: edge crosses graphs {ga} and {gb}")
-        i, j = a - 1 - offsets[ga - 1], b - 1 - offsets[ga - 1]
-        if i == j:
-            dropped_loops += 1
-            continue
-        adjacencies[ga - 1][i, j] = 1.0
-        adjacencies[ga - 1][j, i] = 1.0
-    if dropped_loops:
-        warnings.warn(f"{name}: dropped {dropped_loops} self-loop edge rows")
+    for k, adjacency in enumerate(adjacencies):
+        i, j = local[order[bounds[k] : bounds[k + 1]]].T
+        adjacency[i, j] = adjacency[j, i] = 1.0
 
     node_label_path = p("node_labels")
     if os.path.exists(node_label_path):
-        node_labels = np.array([int(float(x)) for x in _tu_lines(node_label_path)])
+        node_labels = _tu_integers(node_label_path)
         if node_labels.size != n_nodes:
             raise ValueError("node_labels row count does not match graph_indicator")
         values = np.unique(node_labels)
@@ -243,9 +356,15 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
         attr_path = p("node_attributes")
         if not os.path.exists(attr_path):
             raise ValueError(f"use_attributes set but {attr_path} is missing")
-        attrs = np.array(
-            [[float(v) for v in ln.replace(",", " ").split()] for ln in _tu_lines(attr_path)]
-        )
+        rows = []
+        for lineno, line in _tu_lines(attr_path):
+            try:
+                rows.append([_finite(v) for v in line.replace(",", " ").split()])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"{len(rows[-1])} values, the first row has {len(rows[0])}")
+            except ValueError as exc:
+                raise ValueError(f"{name}_node_attributes.txt line {lineno}: {exc}") from None
+        attrs = np.array(rows).reshape(len(rows), -1)
         if attrs.shape[0] != n_nodes:
             raise ValueError("node_attributes row count does not match graph_indicator")
         features = np.hstack([features, attrs])

@@ -42,6 +42,9 @@ class FilterDesign:
     def check(self) -> None:
         """Raise ValueError on parameters outside the family's domain."""
 
+    def check_graph(self, n: int) -> None:
+        """Raise ValueError if the design cannot be used on an n-node graph."""
+
     def text(self) -> str:
         parts = [f"{name}={format(getattr(self, field), 'g' if conv is float else '')}"
                  for name, field, conv in self.args]
@@ -133,6 +136,12 @@ class ChebBasis(FilterDesign, key="cheb", args=(("k", "k", int),), needs_lambda_
         if self.k < 1:
             raise ValueError(f"Chebyshev index must be >= 1, got {self.k}")
 
+    def check_graph(self, n):
+        # by Cayley-Hamilton, an order above n is a linear combination of lower ones
+        if self.k > n:
+            raise ValueError(f"design {self.text()}: Chebyshev index above the graph's "
+                             f"node count {n}")
+
     def response(self, lam, lambda_max):
         f2 = 2.0 * lam / lambda_max - 1.0
         if self.k == 1:
@@ -210,12 +219,16 @@ def cayley_theta(x):
     return np.arctan2(-1.0, x) - np.arctan2(1.0, x)
 
 
+def _as_design(design) -> FilterDesign:
+    if not isinstance(design, FilterDesign):
+        raise TypeError(f"not a FilterDesign: {design!r}")
+    return design
+
+
 def evaluate_on(design: FilterDesign, lam: np.ndarray, lambda_max: float) -> np.ndarray:
     """Evaluate a design elementwise on given eigenvalues."""
     lam = np.asarray(lam, dtype=np.float64)
-    if not isinstance(design, FilterDesign):
-        raise TypeError(f"not a FilterDesign: {design!r}")
-    if design.needs_lambda_max and lambda_max <= 0:
+    if _as_design(design).needs_lambda_max and lambda_max <= 0:
         raise ValueError(f"{type(design).__name__} is undefined for lambda_max <= 0 "
                          "(edgeless graph?)")
     return design.response(lam, lambda_max)
@@ -223,6 +236,7 @@ def evaluate_on(design: FilterDesign, lam: np.ndarray, lambda_max: float) -> np.
 
 def evaluate(design: FilterDesign, basis: SpectralBasis) -> np.ndarray:
     """Evaluate a design at the basis eigenvalues (ascending order)."""
+    _as_design(design).check_graph(basis.n)
     return evaluate_on(design, basis.eigenvalues, basis.lambda_max)
 
 
@@ -282,6 +296,8 @@ def coverage(designs: Sequence[FilterDesign], basis: SpectralBasis, grid: int = 
     zero; the CLI warns below 0.01. Tabulated designs are interpolated onto
     the grid.
     """
+    for d in designs:
+        _as_design(d).check_graph(basis.n)
     lam = np.linspace(0.0, basis.lambda_max, grid)
     total = np.zeros(grid)
     for d in designs:

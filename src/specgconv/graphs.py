@@ -26,14 +26,20 @@ def _as_float_matrix(a) -> np.ndarray:
     return m
 
 
+def _all_finite(m: np.ndarray) -> bool:
+    # min and max propagate nan and reach -inf and inf; unlike isfinite(m).all(),
+    # they allocate no temporary as large as m
+    return bool(np.isfinite(m.min(initial=0.0)) and np.isfinite(m.max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph with node features.
 
-    adjacency : (n, n) symmetric nonnegative weight matrix, zero diagonal.
+    adjacency : (n, n) symmetric finite nonnegative weight matrix, zero diagonal.
         Self-loops are forbidden here; kernels that need them (GCN) add the
         identity internally.
-    features : (n, f0) real node feature matrix.
+    features : (n, f0) finite real node feature matrix.
     """
 
     adjacency: np.ndarray
@@ -45,6 +51,9 @@ class Graph:
         n = adj.shape[0]
         if adj.shape[1] != n:
             raise ValueError(f"adjacency must be square, got {adj.shape}")
+        for name, m in (("adjacency", adj), ("feature", feats)):
+            if not _all_finite(m):
+                raise ValueError(f"{name} entries must be finite")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be exactly symmetric")
         if np.any(adj < 0):

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .filters import FilterDesign, evaluate
+from .filters import ChebBasis, FilterDesign, evaluate
 from .graphs import Graph
 from .spectral import SpectralBasis
 
@@ -88,6 +88,7 @@ def cheb_kernels(L: np.ndarray, lambda_max: float, n_kernels: int) -> KernelSet:
         raise ValueError(f"lambda_max must be positive, got {lambda_max}")
     L = np.asarray(L, dtype=np.float64)
     n = L.shape[0]
+    ChebBasis(k=n_kernels).check_graph(n)
     supports = [np.eye(n)]
     if n_kernels >= 2:
         supports.append(2.0 * L / lambda_max - np.eye(n))

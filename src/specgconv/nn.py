@@ -826,10 +826,7 @@ def train(
     elif isinstance(data, MultiGraphDataset):
         if train_idx is None or val_idx is None:
             raise ValueError("multi-graph training needs train_idx and val_idx")
-        graphs = data.graphs
-
-        def chunk_loss(out, chunk):
-            return _graph_loss(out, data, chunk, config.loss)[:2]
+        graphs, chunk_loss = data.graphs, _graph_chunk_loss(data, config.loss)
 
         def epoch_scores(params):
             return {name: evaluate_graphs(spec, params, kernelsets, data, idx, config.loss)
@@ -838,13 +835,29 @@ def train(
         raise TypeError(f"unsupported dataset type {type(data).__name__}")
 
     _check_readout(spec, graph_level=isinstance(data, MultiGraphDataset))
+    adam = Adam(config.learning_rate)
+    fit = _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam)
+    params = next(fit)
+    metrics = []
+    for epoch, _ in enumerate(fit):
+        row = {"epoch": epoch}
+        for name, (loss, acc) in epoch_scores(params).items():
+            row[f"{name}_loss"], row[f"{name}_acc"] = loss, acc
+        metrics.append(row)
+    return TrainResult(params=params, metrics=metrics, config=config, optimizer=adam.metadata())
+
+
+def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam):
+    """The epoch loop of train and crossvalidate. Yields the parameters as
+    initialised from config.seed, then again after each epoch's updates: the
+    same list each time, updated in place by adam. Each epoch shuffles the
+    training graphs and takes one step per mini-batch of config.batch_size
+    of them (see _batch_gradients)."""
     train_idx = np.asarray(train_idx, dtype=int)
     rng = np.random.default_rng(config.seed)
     params = init_parameters(spec, graphs[0].features.shape[1], len(kernelsets[0]), rng)
-    adam = Adam(config.learning_rate)
     sizes = np.array([g.n for g in graphs])
-
-    metrics = []
+    yield params
     for epoch in range(config.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         for start in range(0, order.size, config.batch_size):
@@ -854,11 +867,7 @@ def train(
             add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
             adam.step(flatten_params(params), flatten_params(grads))
             del grads   # else it stays alive beside the next batch's gradients
-        row = {"epoch": epoch}
-        for name, (loss, acc) in epoch_scores(params).items():
-            row[f"{name}_loss"], row[f"{name}_acc"] = loss, acc
-        metrics.append(row)
-    return TrainResult(params=params, metrics=metrics, config=config, optimizer=adam.metadata())
+        yield params
 
 
 def _check_readout(spec: ModelSpec, graph_level: bool) -> None:
@@ -912,6 +921,11 @@ def _graph_loss(out, data: MultiGraphDataset, ids, loss_kind: str):
         target[np.arange(len(ids)), labels] = 1.0
     loss, grad = LOSSES[loss_kind](out, target)
     return loss, grad, target
+
+
+def _graph_chunk_loss(data: MultiGraphDataset, loss_kind: str):
+    """The chunk loss of graph-level training: (mean loss, its gradient)."""
+    return lambda out, chunk: _graph_loss(out, data, chunk, loss_kind)[:2]
 
 
 def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
@@ -1016,11 +1030,18 @@ def crossvalidate(
     best averaged accuracy and report the averaged accuracy at that epoch.
     Mean and std are over repeats; a single repeat reports std 0 and flags it
     as undefined.
+
+    Each fold runs train's epoch loop with the same seed, so its validation
+    curve is train(...)'s val_acc column, but each epoch scores the fold's
+    validation graphs only: the training-set scores, which the epoch rule
+    never reads, are not computed.
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
     if folds < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
+    _check_readout(spec, graph_level=True)
+    chunk_loss = _graph_chunk_loss(dataset, config.loss)
     accs, best_epochs = [], []
     for rep in range(repeats):
         fold_ids = make_folds(dataset, folds, seed=config.seed + 7919 * rep)
@@ -1029,9 +1050,11 @@ def crossvalidate(
             tr = np.flatnonzero(fold_ids != f)
             va = np.flatnonzero(fold_ids == f)
             cfg = replace(config, seed=config.seed + 1000 * rep + f + 1)
-            # keep only the curve: a fold's parameters would stay alive through the next fold
-            metrics = train(spec, kernelsets, dataset, cfg, train_idx=tr, val_idx=va).metrics
-            curves.append([m["val_acc"] for m in metrics])
+            fit = _fit(spec, dataset.graphs, kernelsets, tr, chunk_loss, cfg,
+                       Adam(cfg.learning_rate))
+            next(fit)   # the initial parameters are not scored
+            curves.append([evaluate_graphs(spec, params, kernelsets, dataset, va, cfg.loss)[1]
+                           for params in fit])
         avg = np.mean(np.array(curves), axis=0)
         best = int(np.argmax(avg))
         best_epochs.append(best)

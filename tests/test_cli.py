@@ -130,6 +130,30 @@ def test_analyze_non_finite_design_is_config_error(tmp_path, capsys):
     assert not (out / "standard_1.csv").exists()
 
 
+@pytest.mark.parametrize("kernel,k", [("cheb:17", 17), ("cheb:40", 40),
+                                      ("design:cheb(k=17)", 17)])
+def test_analyze_chebyshev_order_above_node_count_is_config_error(tmp_path, capsys, kernel, k):
+    assert main(["analyze", "--graph", "ring16", "--kernel", kernel,
+                 "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == (f"config error: design cheb(k={k}): Chebyshev index "
+                                       "above the graph's node count 16\n")
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("labels.csv", "label\n" + "0\n" * 23 + "inf\n",
+     "labels.csv line 25: expected an integer, got 'inf'"),
+    ("edges.csv", "src,dst,weight\n0,1,1\n1,2,inf\n",
+     "edges.csv line 3: expected a finite number, got 'inf'"),
+    ("features.csv", "c0\n" + "1\n" * 23 + "-inf\n", "features.csv: non-finite feature of node 23"),
+])
+def test_analyze_non_finite_dataset_cell_is_config_error(tmp_path, capsys, name, text, message):
+    write_toy_dataset(tmp_path / "toyds")
+    (tmp_path / "toyds" / name).write_text(text)
+    assert main(["analyze", "--graph", str(tmp_path / "toyds"), "--kernel", "gcn",
+                 "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_analyze_trials_below_one_is_config_error(tmp_path, capsys, trials):
     out = tmp_path / "g"

@@ -203,3 +203,71 @@ def test_any_analyze_run_exits_with_a_documented_code(graph, changes, kernel, tr
                                      "--trials", str(trials), "--laplacian", laplacian,
                                      *flags, "--out", str(root / "out")])
     assert_documented_exit(code, err)
+
+
+# cells that are not valid where they land in the toy TU set (12 graphs of 5
+# or 6 nodes, 66 nodes): empty, non-numeric, non-finite, fractional, zero,
+# negative and out-of-range ids, and a row with three fields
+TU_BAD_CELLS = ("", "x", "nan", "inf", "1e999", "1.5", "2.0", "0", "-1", "13", "67", "1000000",
+                "99999999999999999999", "1, 2, 3", "5")
+
+
+@st.composite
+def malformed_tu_files(draw):
+    """{file suffix: change} for one to three of the toy TU set's files; a
+    change deletes the file (None), empties it (""), reverses its lines
+    ("decreasing") or is a list of (edit, line, field, cell) line edits."""
+    changes = {}
+    # DS_A.txt and line edits are drawn more often: a broken indicator fails first
+    for suffix in draw(st.lists(one_of("A", "A", "A", "graph_indicator", "graph_labels",
+                                       "node_labels"), min_size=1, max_size=3, unique=True)):
+        how = draw(one_of("missing", "empty", "decreasing", "edit", "edit", "edit"))
+        changes[suffix] = {"missing": None, "empty": "", "decreasing": "decreasing"}.get(how, [
+            (draw(one_of("bad_cell", "drop_line", "extra_line")), draw(st.integers(0, 160)),
+             draw(st.integers(0, 2)), draw(one_of(*TU_BAD_CELLS)))
+            for _ in range(draw(st.integers(1, 3)))])
+    return changes
+
+
+def apply_tu_changes(directory, changes):
+    for suffix, change in changes.items():
+        path = directory / f"TOY_{suffix}.txt"
+        if change is None:
+            path.unlink()
+            continue
+        lines = path.read_text().splitlines()
+        if change == "decreasing":
+            lines = lines[::-1]
+        elif isinstance(change, list):
+            for edit, line, field, cell in change:
+                line %= len(lines) + 1
+                if edit == "extra_line":
+                    lines.insert(line, cell)
+                elif line == len(lines):
+                    continue
+                elif edit == "drop_line":
+                    del lines[line]
+                elif suffix == "A" and field < 2:   # one of the two node ids
+                    ids = lines[line].split(", ")
+                    lines[line] = ", ".join(ids[:field] + [cell] + ids[field + 1:])
+                else:
+                    lines[line] = cell
+        else:
+            lines = []
+        path.write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(changes=malformed_tu_files(),
+       designs=one_of(["allpass", "highpass"], ["cheb(k=2)", "cheb(k=6)"]))
+def test_any_train_run_on_a_malformed_tu_set_exits_with_a_documented_code(changes, designs):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        apply_tu_changes(write_tu_dir(root), changes)
+        config = {"dataset": {"path": "TOY", "kind": "tu"}, "designs": designs,
+                  "architecture": "G6-meanmax-D2", "train": {"epochs": 1, "batch_size": 4},
+                  "cv": {"folds": 2, "repeats": 1}}
+        path = root / "config.json"
+        path.write_text(json.dumps(config))
+        code, err = run_quietly(["train", "--config", str(path)])
+    assert_documented_exit(code, err)

@@ -98,6 +98,46 @@ def test_split_node_out_of_range_rejected(tmp_path, node):
         load_single_graph(tmp_path)
 
 
+@pytest.mark.parametrize("name,text,message", [
+    ("edges.csv", "src,dst\n0,1\n1,x\n", "edges.csv line 3: expected an integer, got 'x'"),
+    ("edges.csv", "src,dst,weight\n0,1,inf\n",
+     "edges.csv line 2: expected a finite number, got 'inf'"),
+    ("edges.csv", "src,dst,weight\n0,1,w\n", "edges.csv line 2: expected a finite number, got 'w'"),
+    ("labels.csv", "label\n0\n1.5\n-1\n", "labels.csv line 3: expected an integer, got '1.5'"),
+    ("labels.csv", "label\n0\n\n1\ninf\n", "labels.csv line 5: expected an integer, got 'inf'"),
+    ("labels.csv", "label\nnan\n1\n-1\n", "labels.csv line 2: expected an integer, got 'nan'"),
+    ("labels.csv", "label\n1e999\n1\n-1\n",
+     "labels.csv line 2: expected an integer, got '1e999'"),
+    ("split.csv", "node,role\n0,train\nx,val\n", "split.csv line 3: expected an integer, got 'x'"),
+    ("features.csv", "c0,c1\n1,0\n0,inf\n0.5,0.5\n", "features.csv: non-finite feature of node 1"),
+])
+def test_bad_cell_is_named_by_file_and_line(tmp_path, name, text, message):
+    write_single_graph(tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_single_graph(tmp_path)
+    assert str(info.value) == message
+
+
+def test_integral_float_label_is_read(tmp_path):
+    write_single_graph(tmp_path)
+    (tmp_path / "labels.csv").write_text("label\n0.0\n1e0\n-1\n")
+    assert load_single_graph(tmp_path).labels.tolist() == [0, 1, -1]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("c0,c1\n1,0\n0,x\n", "line 3: could not convert string to float: 'x'"),
+    ("c0,c1\n1,0\n\n0,1,2\n", "line 4: 3 fields, the first row has 2"),
+    ("c0,c1\n1,0\n0\n", "line 3: 1 fields, the first row has 2"),
+])
+def test_unreadable_matrix_csv_row_is_named_by_line(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_matrix_csv(path)
+    assert str(info.value) == f"{path} {message}"
+
+
 def test_unlabeled_train_node_rejected(tmp_path):
     write_single_graph(tmp_path)
     (tmp_path / "split.csv").write_text("node,role\n2,train\n")
@@ -183,6 +223,79 @@ def test_tu_cross_graph_edge_rejected(tmp_path):
     (d / "TOY_A.txt").write_text("1, 2\n2, 1\n3, 4\n4, 3\n6, 7\n7, 6\n")
     with pytest.raises(ValueError, match="crosses graphs"):
         load_tu_dataset(d)
+
+
+def write_tu_files(root, indicator, edges, labels=(1, 2)):
+    d = root / "TOY"
+    d.mkdir()
+    (d / "TOY_graph_indicator.txt").write_text("\n".join(map(str, indicator)) + "\n")
+    (d / "TOY_graph_labels.txt").write_text("\n".join(map(str, labels)) + "\n")
+    (d / "TOY_A.txt").write_text(edges)
+    return d
+
+
+def test_tu_edges_in_any_order_rebuild_each_graph(tmp_path):
+    """Edge rows shuffled across graphs, one direction only, repeated or
+    self-looped load back as the graphs they were written from."""
+    rng = np.random.default_rng(0)
+    graphs = [random_graph(int(n), 0.3, seed=k) for k, n in enumerate(rng.integers(2, 9, 15))]
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    edges = [(offsets[k] + i + 1, offsets[k] + j + 1) for k, g in enumerate(graphs)
+             for i, j in zip(*np.nonzero(np.triu(g.adjacency)))]
+    edges += edges[:5] + [(1, 1), (offsets[-1], offsets[-1])]
+    edges = [edges[i] if i % 2 else edges[i][::-1] for i in rng.permutation(len(edges))]
+    indicator = np.repeat(np.arange(1, len(graphs) + 1), [g.n for g in graphs])
+    d = write_tu_files(tmp_path, indicator, "".join(f"{a}, {b}\n" for a, b in edges),
+                       labels=[k % 2 for k in range(len(graphs))])
+    with pytest.warns(UserWarning, match="dropped 2 self-loop edge rows"):
+        ds = load_tu_dataset(d)
+    assert all(np.array_equal(a.adjacency, g.adjacency) for a, g in zip(ds.graphs, graphs))
+
+
+def test_tu_node_id_zero_does_not_wrap(tmp_path):
+    # id 0 would read indicator[-1] and add the edge (1, 2) in graph 2
+    d = write_tu_files(tmp_path, [1, 2, 2, 2], "2, 3\n3, 2\n0, 4\n4, 0\n")
+    with pytest.raises(ValueError) as info:
+        load_tu_dataset(d)
+    assert str(info.value) == "TOY_A.txt line 3: node id out of range 1..4"
+
+
+@pytest.mark.parametrize("edges,message", [
+    ("1, 2\n2, 1\n7, 8\n8, 10\n", "TOY_A.txt line 4: node id out of range 1..9"),
+    ("1, 2\n\n2, -1\n", "TOY_A.txt line 3: node id out of range 1..9"),
+    ("1, 2\n2\n", "TOY_A.txt line 2: expected two integer node ids, got '2'"),
+    ("1, 2\n2, 1, 3\n", "TOY_A.txt line 2: expected two integer node ids, got '2, 1, 3'"),
+    ("1, 2\n2, x\n", "TOY_A.txt line 2: expected two integer node ids, got '2, x'"),
+    ("1, 2\n2, 1e999\n", "TOY_A.txt line 2: expected two integer node ids, got '2, 1e999'"),
+    ("1, 2\n2, 99999999999999999999\n", "TOY_A.txt line 2: node id out of range 1..9"),
+])
+def test_tu_bad_edge_row_is_named_by_line(tmp_path, edges, message):
+    d = write_tu_fixture(tmp_path)
+    (d / "TOY_A.txt").write_text(edges)
+    with pytest.raises(ValueError) as info:
+        load_tu_dataset(d)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("file,text,message", [
+    ("graph_indicator", "1\n1\nx\n", "TOY_graph_indicator.txt line 3: expected an integer, got 'x'"),
+    ("graph_labels", "5\n\n7.5\n5\n", "TOY_graph_labels.txt line 3: expected an integer, got '7.5'"),
+    ("node_labels", "0\n1\n0\n2\n2\n1\n1\n0\ninf\n",
+     "TOY_node_labels.txt line 9: expected an integer, got 'inf'"),
+    ("graph_indicator", "", "TOY_graph_indicator.txt lists no nodes"),
+    ("graph_indicator", "0\n1\n1\n2\n2\n3\n3\n3\n3\n", "TOY_graph_indicator.txt: node 1 "
+     "has graph id 0; graph ids must run 1, 2, ... in non-decreasing order"),
+    ("graph_indicator", "1\n1\n1\n3\n3\n3\n3\n3\n3\n", "TOY_graph_indicator.txt: node 4 "
+     "has graph id 3; graph ids must run 1, 2, ... in non-decreasing order"),
+    ("graph_indicator", "1\n1\n2\n1\n2\n3\n3\n3\n3\n", "TOY_graph_indicator.txt: node 4 "
+     "has graph id 1; graph ids must run 1, 2, ... in non-decreasing order"),
+])
+def test_tu_bad_list_file_is_refused(tmp_path, file, text, message):
+    d = write_tu_fixture(tmp_path)
+    (d / f"TOY_{file}.txt").write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_tu_dataset(d)
+    assert str(info.value) == message
 
 
 def dataset_with_labels(labels):

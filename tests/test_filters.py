@@ -212,6 +212,18 @@ def test_coverage_diagnostic(basis):
     assert coverage([Tabulated(values=np.full(basis.n, 0.5))], basis) == pytest.approx(0.5)
 
 
+def test_chebyshev_index_is_bounded_by_the_node_count(basis):
+    # by Cayley-Hamilton, orders above n add nothing
+    assert evaluate(ChebBasis(k=basis.n), basis).shape == (basis.n,)
+    message = f"design cheb\\(k={basis.n + 1}\\): Chebyshev index above the graph's node count 14"
+    with pytest.raises(ValueError, match=message):
+        evaluate(ChebBasis(k=basis.n + 1), basis)
+    with pytest.raises(ValueError, match="node count 14"):
+        coverage([AllPass(), ChebBasis(k=10**4)], basis)
+    with pytest.raises(ValueError, match="node count 14"):
+        design_bmatrix(basis, [ChebBasis(k=15)])
+
+
 def test_design_bmatrix_columns(basis):
     designs = [AllPass(), HighPass()]
     B = design_bmatrix(basis, designs)

@@ -92,6 +92,14 @@ def test_graph_validation():
         Graph(adjacency=np.zeros((2, 2)), features=np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_graph_refuses_non_finite_entries(value):
+    with pytest.raises(ValueError, match="adjacency entries must be finite"):
+        Graph(adjacency=np.array([[0.0, value], [value, 0.0]]), features=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="feature entries must be finite"):
+        Graph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]), features=np.array([[1.0], [value]]))
+
+
 def test_graph_is_immutable():
     g = two_node_edge()
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,9 +260,42 @@ def test_crossvalidate_mean_degree_task():
 @pytest.mark.parametrize("folds", [1, 0, -2])
 def test_crossvalidate_needs_two_folds(monkeypatch, folds):
     ds = graph_classification_dataset(n_graphs=8)
-    monkeypatch.setattr(nn, "train", lambda *a, **k: pytest.fail("a fold was trained"))
+    monkeypatch.setattr(nn, "_fit", lambda *a, **k: pytest.fail("a fold was trained"))
     with pytest.raises(ValueError, match=f"at least 2 folds, got {folds}"):
         crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1), folds=folds)
+
+
+def test_crossvalidate_scores_only_validation_graphs(monkeypatch):
+    """Each fold-epoch scores the fold's validation graphs and nothing else,
+    and the CV result is the one the public train's val_acc rows give."""
+    ds = graph_classification_dataset(n_graphs=12)
+    sets = allpass_kernelsets(ds)
+    cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=4, input_dropout=0.2,
+                      kernel_dropout=0.2, seed=2)
+    folds, repeats = 3, 2
+    scored, evaluate = [], nn.evaluate_graphs
+    monkeypatch.setattr(nn, "evaluate_graphs",
+                        lambda *a: scored.append(list(a[4])) or evaluate(*a))
+    cv = crossvalidate(ds, sets, GRAPH_SPEC, cfg, folds=folds, repeats=repeats)
+    monkeypatch.undo()
+
+    expected_scored, accs, best_epochs = [], [], []
+    for rep in range(repeats):
+        fold_ids = nn.make_folds(ds, folds, seed=cfg.seed + 7919 * rep)
+        curves = []
+        for f in range(folds):
+            va = np.flatnonzero(fold_ids == f)
+            fold_cfg = replace(cfg, seed=cfg.seed + 1000 * rep + f + 1)
+            result = train(GRAPH_SPEC, sets, ds, fold_cfg,
+                           train_idx=np.flatnonzero(fold_ids != f), val_idx=va)
+            curves.append([m["val_acc"] for m in result.metrics])
+            expected_scored += [list(va)] * cfg.epochs
+        avg = np.mean(np.array(curves), axis=0)
+        best_epochs.append(int(np.argmax(avg)))
+        accs.append(float(avg[best_epochs[-1]]))
+    assert scored == expected_scored
+    assert cv == nn.CVResult(mean=float(np.mean(accs)), std=float(np.std(accs)),
+                             std_defined=True, repeat_accuracies=accs, best_epochs=best_epochs)
 
 
 def test_crossvalidate_rejects_too_many_folds():
