@@ -22,9 +22,7 @@ import numpy as np
 from . import __version__
 from .analysis import export_profile, gat_profile_stats, profile
 from .data import load_single_graph, load_tu_dataset, save_matrix_csv
-from .filters import (
-    CayleyBasis, ChebBasis, LowPass, coverage, format_design, gcn_cutoff, parse_design,
-)
+from .filters import CayleyBasis, LowPass, coverage, format_design, gcn_cutoff, parse_design
 from .gradcheck import gradcheck_suite
 from .graphs import LaplacianKind, average_degree, build_laplacian, make_ring
 from .kernels import (
@@ -87,9 +85,7 @@ def _build_kernels(arg: str, graph, basis):
     if head == "gcn":
         return [gcn_kernel(graph)], ["gcn"]
     if head == "cheb":
-        k = int(rest)
-        ChebBasis(k=k).check_graph(graph.n)   # before the n x n Laplacian is built
-        ks = cheb_kernels(build_laplacian(graph, basis.kind), basis.lambda_max, k)
+        ks = cheb_kernels(build_laplacian(graph, basis.kind), basis.lambda_max, int(rest))
         return list(ks.supports), [f"cheb_{k + 1}" for k in range(ks.n_kernels)]
     if head == "cayley":
         h_str, _, r_str = rest.partition(":")
@@ -101,6 +97,8 @@ def _build_kernels(arg: str, graph, basis):
         designs = [parse_design(t) for t in rest.split(";") if t]
         if not designs:
             raise ConfigError("design: needs at least one filter expression")
+        for d in designs:
+            d.check_graph(graph.n)
         ks = design_kernelset(basis, designs)
         return list(ks.supports), [format_design(d) for d in designs]
     if head == "gat":
@@ -361,13 +359,17 @@ def cmd_train(args) -> int:
 
     if kind == "single":
         dataset, run = load_single_graph(path), _run_transductive
-        f0 = dataset.graph.features.shape[1]
+        graphs = [dataset.graph]
     elif kind == "tu":
         use_attributes = _field(ds, "use_attributes", bool, False)
         dataset, run = load_tu_dataset(path, use_attributes=use_attributes), _run_inductive
-        f0 = dataset.graphs[0].features.shape[1]
+        graphs = dataset.graphs
     else:
         raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
+    n_max = max(g.n for g in graphs)
+    for d in designs:
+        d.check_graph(n_max)
+    f0 = graphs[0].features.shape[1]
     # node labels, and the graph targets of either loss, are n_classes wide
     final_width = spec.widths(f0)[-1]
     if final_width != dataset.n_classes:

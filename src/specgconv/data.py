@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .graphs import Graph, _all_finite
+from .graphs import Graph
 
 FLOAT_FMT = "%.17g"
 
@@ -59,16 +59,9 @@ def load_matrix_csv(path, header=None) -> np.ndarray:
             raise ValueError(f"{path}: header {','.join(names)!r}, expected {','.join(header)!r}")
         try:
             rows = [[float(v) for v in row] for row in reader if row]
-        except ValueError:   # an unparsable cell
-            rows = None
-    # rows holds 3.9 M float objects on a Cora-shaped file: the peak RSS of such
-    # a run moves by ~8 MB even with edits here that change no allocation
-    try:
-        if rows is not None:
             return np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
-    except ValueError:   # a ragged row
-        pass
-    raise ValueError(_bad_matrix_line(path))
+        except ValueError:   # an unparsable cell or a ragged row
+            raise ValueError(_bad_matrix_line(path)) from None
 
 
 def _bad_matrix_line(path) -> str:
@@ -122,9 +115,9 @@ class SingleGraphDataset:
         return int(self.labels.max()) + 1
 
 
-def _integer(text: str) -> int:
-    """An integer cell in the int64 range: an int literal, or a float literal
-    of an integer ("2.0")."""
+def _label(text: str) -> int:
+    """A label cell in the int64 range: an int literal, or a float literal of
+    an integer ("2.0")."""
     try:
         value = int(text)
     except ValueError:
@@ -135,16 +128,6 @@ def _integer(text: str) -> int:
         value = int(value) if value.is_integer() else None
     if value is None or not -2**63 <= value < 2**63:
         raise ValueError(f"expected an integer, got {text!r}")
-    return value
-
-
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -181,13 +164,10 @@ def load_single_graph(directory) -> SingleGraphDataset:
     directory = os.fspath(directory)
     features = load_matrix_csv(os.path.join(directory, "features.csv"))
     n = features.shape[0]
-    if not _all_finite(features):
-        node = np.argmin(np.isfinite(features).all(axis=1))
-        raise ValueError(f"features.csv: non-finite feature of node {node}")
 
     adjacency = np.zeros((n, n))
     for lineno, (src, dst, *weight) in _read_rows(os.path.join(directory, "edges.csv"), 2,
-                                                  _integer, _integer, _finite):
+                                                  int, int, float):
         w = weight[0] if weight else 1.0
         if src == dst:
             raise ValueError(f"edges.csv line {lineno}: self-loop on node {src}")
@@ -197,7 +177,7 @@ def load_single_graph(directory) -> SingleGraphDataset:
         adjacency[dst, src] = w
 
     labels = np.array(
-        [row[0] for _, row in _read_rows(os.path.join(directory, "labels.csv"), 1, _integer)],
+        [row[0] for _, row in _read_rows(os.path.join(directory, "labels.csv"), 1, _label)],
         dtype=int,
     )
     if labels.shape != (n,):
@@ -207,7 +187,7 @@ def load_single_graph(directory) -> SingleGraphDataset:
     masks = {name: np.zeros(n, dtype=bool) for name in ("train", "val", "test")}
     if os.path.exists(split_path):
         assigned = np.zeros(n, dtype=bool)
-        for lineno, (node, role, *_) in _read_rows(split_path, 2, _integer, str.strip):
+        for lineno, (node, role, *_) in _read_rows(split_path, 2, int, str.strip):
             if not 0 <= node < n:
                 raise ValueError(
                     f"split.csv line {lineno}: node index {node} out of range 0..{n - 1}")
@@ -221,7 +201,10 @@ def load_single_graph(directory) -> SingleGraphDataset:
         warnings.warn(f"{split_path} missing; defaulting every node to train")
         masks["train"][:] = True
 
-    graph = Graph(adjacency=adjacency, features=features)
+    try:
+        graph = Graph(adjacency=adjacency, features=features)
+    except ValueError as exc:   # a non-finite feature or weight, a negative weight
+        raise ValueError(f"{directory}: {exc}") from None
     return SingleGraphDataset(graph=graph, labels=labels, masks=masks)
 
 
@@ -253,44 +236,19 @@ def _tu_lines(path):
                 yield lineno, text
 
 
-def _tu_integers(path) -> np.ndarray:
-    """One integer per non-blank line; a cell that is not one is named by line."""
+def _tu_integers(path, conv) -> np.ndarray:
+    """One int64 per non-blank line, read by conv; a line it refuses is named."""
     name = os.path.basename(path)
 
     def values():
         for lineno, text in _tu_lines(path):
             try:
-                yield _integer(text)
-            except ValueError as exc:
+                value = np.int64(conv(text))
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{name} line {lineno}: {exc}") from None
+            yield value
 
     return np.fromiter(values(), dtype=np.int64)
-
-
-def _tu_edges(path, indicator) -> np.ndarray:
-    """The (m, 2) 0-based node ids of DS_A.txt's edges, two 1-based ids per
-    non-blank line. A line without two integers, an id outside 1..n or an
-    edge between two graphs is refused with its line."""
-    name = os.path.basename(path)
-    graph_of = indicator.tolist()   # list indexing: the loop runs once per edge row
-    n = len(graph_of)
-
-    def ids():
-        for lineno, line in _tu_lines(path):
-            try:
-                a, b = map(int, line.replace(",", " ").split())
-            except ValueError:
-                raise ValueError(f"{name} line {lineno}: expected two integer node ids, "
-                                 f"got {line!r}") from None
-            if not (0 < a <= n and 0 < b <= n):
-                raise ValueError(f"{name} line {lineno}: node id out of range 1..{n}")
-            if graph_of[a - 1] != graph_of[b - 1]:
-                raise ValueError(f"{name} line {lineno}: edge crosses graphs "
-                                 f"{graph_of[a - 1]} and {graph_of[b - 1]}")
-            yield a - 1
-            yield b - 1
-
-    return np.fromiter(ids(), dtype=np.int64).reshape(-1, 2)
 
 
 def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDataset:
@@ -306,7 +264,7 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
     name = os.path.basename(os.path.normpath(directory))
     p = lambda suffix: os.path.join(directory, f"{name}_{suffix}.txt")
 
-    indicator = _tu_integers(p("graph_indicator"))
+    indicator = _tu_integers(p("graph_indicator"), int)
     n_nodes = indicator.size
     if n_nodes == 0:
         raise ValueError(f"{name}_graph_indicator.txt lists no nodes")
@@ -320,29 +278,37 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
     offsets = np.searchsorted(indicator, np.arange(1, n_graphs + 1))
     sizes = np.bincount(indicator)[1:]
 
-    raw_graph_labels = _tu_integers(p("graph_labels"))
+    raw_graph_labels = _tu_integers(p("graph_labels"), _label)
     if raw_graph_labels.size != n_graphs:
         raise ValueError("graph_labels row count does not match graph_indicator")
     classes = np.unique(raw_graph_labels)
     labels = np.searchsorted(classes, raw_graph_labels)
 
-    ids = _tu_edges(p("A"), indicator)
-    graph_of = indicator[ids[:, 0]] - 1
-    local = ids - offsets[graph_of, None]
-    loops = local[:, 0] == local[:, 1]
-    if loops.any():
-        warnings.warn(f"{name}: dropped {int(loops.sum())} self-loop edge rows")
-    graph_of, local = graph_of[~loops], local[~loops]
-    order = np.argsort(graph_of, kind="stable")
-    bounds = np.searchsorted(graph_of[order], np.arange(n_graphs + 1))
     adjacencies = [np.zeros((s, s)) for s in sizes]
-    for k, adjacency in enumerate(adjacencies):
-        i, j = local[order[bounds[k] : bounds[k + 1]]].T
-        adjacency[i, j] = adjacency[j, i] = 1.0
+    dropped_loops = 0
+    for lineno, line in _tu_lines(p("A")):
+        try:
+            a, b = map(int, line.replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"{name}_A.txt line {lineno}: expected two integer node ids, "
+                             f"got {line!r}") from None
+        if not (0 < a <= n_nodes and 0 < b <= n_nodes):
+            raise ValueError(f"{name}_A.txt line {lineno}: node id out of range 1..{n_nodes}")
+        ga, gb = indicator[a - 1], indicator[b - 1]
+        if ga != gb:
+            raise ValueError(f"{name}_A.txt line {lineno}: edge crosses graphs {ga} and {gb}")
+        i, j = a - 1 - offsets[ga - 1], b - 1 - offsets[ga - 1]
+        if i == j:
+            dropped_loops += 1
+            continue
+        adjacencies[ga - 1][i, j] = 1.0
+        adjacencies[ga - 1][j, i] = 1.0
+    if dropped_loops:
+        warnings.warn(f"{name}: dropped {dropped_loops} self-loop edge rows")
 
     node_label_path = p("node_labels")
     if os.path.exists(node_label_path):
-        node_labels = _tu_integers(node_label_path)
+        node_labels = _tu_integers(node_label_path, _label)
         if node_labels.size != n_nodes:
             raise ValueError("node_labels row count does not match graph_indicator")
         values = np.unique(node_labels)
@@ -356,15 +322,9 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
         attr_path = p("node_attributes")
         if not os.path.exists(attr_path):
             raise ValueError(f"use_attributes set but {attr_path} is missing")
-        rows = []
-        for lineno, line in _tu_lines(attr_path):
-            try:
-                rows.append([_finite(v) for v in line.replace(",", " ").split()])
-                if len(rows[-1]) != len(rows[0]):
-                    raise ValueError(f"{len(rows[-1])} values, the first row has {len(rows[0])}")
-            except ValueError as exc:
-                raise ValueError(f"{name}_node_attributes.txt line {lineno}: {exc}") from None
-        attrs = np.array(rows).reshape(len(rows), -1)
+        attrs = np.array(
+            [[float(v) for v in ln.replace(",", " ").split()] for _, ln in _tu_lines(attr_path)]
+        )
         if attrs.shape[0] != n_nodes:
             raise ValueError("node_attributes row count does not match graph_indicator")
         features = np.hstack([features, attrs])

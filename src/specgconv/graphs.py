@@ -53,7 +53,8 @@ class Graph:
             raise ValueError(f"adjacency must be square, got {adj.shape}")
         for name, m in (("adjacency", adj), ("feature", feats)):
             if not _all_finite(m):
-                raise ValueError(f"{name} entries must be finite")
+                node = int(np.flatnonzero(~np.isfinite(m).all(axis=1))[0])
+                raise ValueError(f"{name} entries must be finite; node {node} has one that is not")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be exactly symmetric")
         if np.any(adj < 0):

@@ -136,21 +136,23 @@ def test_analyze_chebyshev_order_above_node_count_is_config_error(tmp_path, caps
     assert main(["analyze", "--graph", "ring16", "--kernel", kernel,
                  "--out", str(tmp_path / "c")]) == 2
     assert capsys.readouterr().err == (f"config error: design cheb(k={k}): Chebyshev index "
-                                       "above the graph's node count 16\n")
+                                       "above the node count 16\n")
 
 
 @pytest.mark.parametrize("name,text,message", [
     ("labels.csv", "label\n" + "0\n" * 23 + "inf\n",
      "labels.csv line 25: expected an integer, got 'inf'"),
     ("edges.csv", "src,dst,weight\n0,1,1\n1,2,inf\n",
-     "edges.csv line 3: expected a finite number, got 'inf'"),
-    ("features.csv", "c0\n" + "1\n" * 23 + "-inf\n", "features.csv: non-finite feature of node 23"),
+     "{dir}: adjacency entries must be finite; node 1 has one that is not"),
+    ("features.csv", "c0\n" + "1\n" * 23 + "-inf\n",
+     "{dir}: feature entries must be finite; node 23 has one that is not"),
 ])
 def test_analyze_non_finite_dataset_cell_is_config_error(tmp_path, capsys, name, text, message):
     write_toy_dataset(tmp_path / "toyds")
     (tmp_path / "toyds" / name).write_text(text)
     assert main(["analyze", "--graph", str(tmp_path / "toyds"), "--kernel", "gcn",
                  "--out", str(tmp_path / "a")]) == 2
+    message = message.format(dir=tmp_path / "toyds")
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
@@ -322,6 +324,20 @@ def test_train_tu_crossvalidation(tmp_path):
     assert 0.0 <= result["cv_mean_accuracy"] <= 1.0
     assert result["std_defined"] is True
     assert len(result["repeat_accuracies"]) == 2
+
+
+def test_tu_chebyshev_index_is_bounded_by_the_largest_graph(tmp_path, capsys):
+    # the toy set's graphs have 5 or 6 nodes: cheb(k=6) is redundant on the
+    # 5-node graphs only, and trains; cheb(k=7) is redundant on every graph
+    path = write_tu_config(tmp_path, designs=["allpass", "cheb(k=6)"])
+    with pytest.warns(UserWarning, match="cover the spectrum poorly"):
+        assert main(["train", "--config", str(path)]) == 0
+    path.write_text(path.read_text().replace("cheb(k=6)", "cheb(k=7)"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r7")]) == 2
+    assert capsys.readouterr().err == ("config error: design cheb(k=7): Chebyshev index "
+                                       "above the node count 6\n")
+    assert not (tmp_path / "r7").exists()
 
 
 def write_tu_config(tmp_path, **overrides):

@@ -99,24 +99,30 @@ def test_split_node_out_of_range_rejected(tmp_path, node):
 
 
 @pytest.mark.parametrize("name,text,message", [
-    ("edges.csv", "src,dst\n0,1\n1,x\n", "edges.csv line 3: expected an integer, got 'x'"),
+    ("edges.csv", "src,dst\n0,1\n1,x\n",
+     "edges.csv line 3: invalid literal for int() with base 10: 'x'"),
+    ("edges.csv", "src,dst\n0,1\n1,2.0\n",
+     "edges.csv line 3: invalid literal for int() with base 10: '2.0'"),
     ("edges.csv", "src,dst,weight\n0,1,inf\n",
-     "edges.csv line 2: expected a finite number, got 'inf'"),
-    ("edges.csv", "src,dst,weight\n0,1,w\n", "edges.csv line 2: expected a finite number, got 'w'"),
+     "{dir}: adjacency entries must be finite; node 0 has one that is not"),
+    ("edges.csv", "src,dst,weight\n0,1,w\n",
+     "edges.csv line 2: could not convert string to float: 'w'"),
     ("labels.csv", "label\n0\n1.5\n-1\n", "labels.csv line 3: expected an integer, got '1.5'"),
     ("labels.csv", "label\n0\n\n1\ninf\n", "labels.csv line 5: expected an integer, got 'inf'"),
     ("labels.csv", "label\nnan\n1\n-1\n", "labels.csv line 2: expected an integer, got 'nan'"),
     ("labels.csv", "label\n1e999\n1\n-1\n",
      "labels.csv line 2: expected an integer, got '1e999'"),
-    ("split.csv", "node,role\n0,train\nx,val\n", "split.csv line 3: expected an integer, got 'x'"),
-    ("features.csv", "c0,c1\n1,0\n0,inf\n0.5,0.5\n", "features.csv: non-finite feature of node 1"),
+    ("split.csv", "node,role\n0,train\nx,val\n",
+     "split.csv line 3: invalid literal for int() with base 10: 'x'"),
+    ("features.csv", "c0,c1\n1,0\n0,inf\n0.5,0.5\n",
+     "{dir}: feature entries must be finite; node 1 has one that is not"),
 ])
 def test_bad_cell_is_named_by_file_and_line(tmp_path, name, text, message):
     write_single_graph(tmp_path)
     (tmp_path / name).write_text(text)
     with pytest.raises(ValueError) as info:
         load_single_graph(tmp_path)
-    assert str(info.value) == message
+    assert str(info.value) == message.format(dir=tmp_path)
 
 
 def test_integral_float_label_is_read(tmp_path):
@@ -278,7 +284,12 @@ def test_tu_bad_edge_row_is_named_by_line(tmp_path, edges, message):
 
 
 @pytest.mark.parametrize("file,text,message", [
-    ("graph_indicator", "1\n1\nx\n", "TOY_graph_indicator.txt line 3: expected an integer, got 'x'"),
+    ("graph_indicator", "1\n1\nx\n",
+     "TOY_graph_indicator.txt line 3: invalid literal for int() with base 10: 'x'"),
+    ("graph_indicator", "1\n1\n2.0\n",
+     "TOY_graph_indicator.txt line 3: invalid literal for int() with base 10: '2.0'"),
+    ("graph_indicator", "1\n1\n99999999999999999999\n",
+     "TOY_graph_indicator.txt line 3: Python int too large to convert to C long"),
     ("graph_labels", "5\n\n7.5\n5\n", "TOY_graph_labels.txt line 3: expected an integer, got '7.5'"),
     ("node_labels", "0\n1\n0\n2\n2\n1\n1\n0\ninf\n",
      "TOY_node_labels.txt line 9: expected an integer, got 'inf'"),
