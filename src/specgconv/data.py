@@ -48,7 +48,10 @@ def save_matrix_csv(path, m: np.ndarray, header=None) -> None:
 def load_matrix_csv(path, header=None) -> np.ndarray:
     """Read a matrix written by save_matrix_csv; always returns a 2-D array.
 
-    With header given, the file's header row must equal it exactly.
+    With header given, the file's header row must equal it exactly. The body
+    is parsed by numpy: every cell is one float literal (surrounding spaces
+    allowed; no quotes, no digit-group underscores, no comments) and blank
+    lines are skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -58,27 +61,37 @@ def load_matrix_csv(path, header=None) -> np.ndarray:
         if header is not None and names != list(header):
             raise ValueError(f"{path}: header {','.join(names)!r}, expected {','.join(header)!r}")
         try:
-            rows = [[float(v) for v in row] for row in reader if row]
-            return np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
+                m = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError:   # an unparsable cell or a ragged row
             raise ValueError(_bad_matrix_line(path)) from None
+    return m if m.shape[0] else np.zeros((0, len(names)))
 
 
 def _bad_matrix_line(path) -> str:
     """'<path> line <k>: ...' for the first row of a float CSV that holds a
-    cell float() refuses or another field count than the first row."""
+    cell numpy refuses or another field count than the first row; each row
+    is put to np.loadtxt on its own, so the grammar is the reader's."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         width = None
-        for row in filter(None, reader):
+        for lineno, line in enumerate(fh, start=reader.line_num + 1):
+            if line == "\n":
+                continue
             try:
-                [float(v) for v in row]
-            except ValueError as exc:
-                return f"{path} line {reader.line_num}: {exc}"
-            width = width or len(row)
-            if len(row) != width:
-                return f"{path} line {reader.line_num}: {len(row)} fields, the first row has {width}"
+                row = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                for j, cell in enumerate(line.rstrip("\n").split(",")):
+                    try:
+                        np.loadtxt([line], delimiter=",", comments=None, usecols=[j])
+                    except ValueError:
+                        return f"{path} line {lineno}: could not convert string to float: {cell!r}"
+                break
+            width = width or row.shape[1]
+            if row.shape[1] != width:
+                return f"{path} line {lineno}: {row.shape[1]} fields, the first row has {width}"
     return f"{path}: unreadable"
 
 
@@ -280,7 +293,8 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
 
     raw_graph_labels = _tu_integers(p("graph_labels"), _label)
     if raw_graph_labels.size != n_graphs:
-        raise ValueError("graph_labels row count does not match graph_indicator")
+        raise ValueError(f"{name}_graph_labels.txt: {raw_graph_labels.size} rows, "
+                         f"{name}_graph_indicator.txt lists {n_graphs} graphs")
     classes = np.unique(raw_graph_labels)
     labels = np.searchsorted(classes, raw_graph_labels)
 
@@ -310,7 +324,8 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
     if os.path.exists(node_label_path):
         node_labels = _tu_integers(node_label_path, _label)
         if node_labels.size != n_nodes:
-            raise ValueError("node_labels row count does not match graph_indicator")
+            raise ValueError(f"{name}_node_labels.txt: {node_labels.size} rows, "
+                             f"{name}_graph_indicator.txt lists {n_nodes} nodes")
         values = np.unique(node_labels)
         onehot = np.zeros((n_nodes, values.size))
         onehot[np.arange(n_nodes), np.searchsorted(values, node_labels)] = 1.0
@@ -326,7 +341,8 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
             [[float(v) for v in ln.replace(",", " ").split()] for _, ln in _tu_lines(attr_path)]
         )
         if attrs.shape[0] != n_nodes:
-            raise ValueError("node_attributes row count does not match graph_indicator")
+            raise ValueError(f"{name}_node_attributes.txt: {attrs.shape[0]} rows, "
+                             f"{name}_graph_indicator.txt lists {n_nodes} nodes")
         features = np.hstack([features, attrs])
 
     graphs = []

@@ -14,7 +14,7 @@ import numpy as np
 
 from .filters import ChebBasis, FilterDesign, evaluate
 from .graphs import Graph
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _synthesize
 
 DESIGNED_SYM_TOL = 1e-8
 
@@ -67,11 +67,9 @@ class KernelSet:
 
 
 def design_kernel(basis: SpectralBasis, design: FilterDesign) -> np.ndarray:
-    """Support with the designed spectral response: U diag(F(lambda)) U^T."""
-    f = evaluate(design, basis)
-    U = basis.eigenvectors
-    C = (U * f) @ U.T
-    return 0.5 * (C + C.T)
+    """Support with the designed spectral response: U diag(F(lambda)) U^T,
+    exactly symmetric."""
+    return _synthesize(basis.eigenvectors, evaluate(design, basis))
 
 
 def design_kernelset(basis: SpectralBasis, designs: Sequence[FilterDesign]) -> KernelSet:

@@ -41,11 +41,30 @@ class SpectralBasis:
 
 
 def _apply_sign_rule(U: np.ndarray) -> np.ndarray:
-    U = U.copy()
+    """Flip, in place, each column of U whose pivot entry is negative; returns U."""
     pivot = np.argmax(np.abs(U), axis=0)
     flip = U[pivot, np.arange(U.shape[1])] < 0
-    U[:, flip] *= -1.0
+    U *= np.where(flip, -1.0, 1.0)
     return U
+
+
+def _synthesize(U: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """U diag(f) U^T as P P^T - N N^T, where P and N are the columns of
+    V = U sqrt(|f|) with f > 0 and f < 0.
+
+    numpy computes X @ X.T with a BLAS syrk, half the flops of a general
+    product, and mirrors its upper triangle, so the result is exactly
+    symmetric.
+    """
+    V = U * np.sqrt(np.abs(f))
+    neg = f < 0
+    if not neg.any():
+        return V @ V.T
+    P, N = V[:, f > 0], V[:, neg]
+    del V   # P and N are copies: free V before the two n x n products
+    C = P @ P.T
+    C -= N @ N.T
+    return C
 
 
 def _validate(basis: SpectralBasis, L: np.ndarray) -> None:

@@ -135,13 +135,37 @@ def test_integral_float_label_is_read(tmp_path):
     ("c0,c1\n1,0\n0,x\n", "line 3: could not convert string to float: 'x'"),
     ("c0,c1\n1,0\n\n0,1,2\n", "line 4: 3 fields, the first row has 2"),
     ("c0,c1\n1,0\n0\n", "line 3: 1 fields, the first row has 2"),
+    # numpy's float grammar: no quotes, no digit-group underscores, no comments
+    ('c0,c1\n1,0\n"1",0\n', "line 3: could not convert string to float: '\"1\"'"),
+    ("c0,c1\n1_0,0\n", "line 2: could not convert string to float: '1_0'"),
+    ("c0,c1\n1,0\n0,1#2\n", "line 3: could not convert string to float: '1#2'"),
+    ("c0,c1\n1,0,\n", "line 2: could not convert string to float: ''"),
+    # a blank line counts as a line; a line of spaces is a row with one empty cell
+    ("c0,c1\n1,0\n\n\n0,x\n", "line 5: could not convert string to float: 'x'"),
+    ("c0,c1\n1,0\n  \n", "line 3: could not convert string to float: '  '"),
+    ("c0,c1\r\n1,0\r\n\r\n0,x\r\n", "line 4: could not convert string to float: 'x'"),
 ])
 def test_unreadable_matrix_csv_row_is_named_by_line(tmp_path, text, message):
     path = tmp_path / "m.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     with pytest.raises(ValueError) as info:
         load_matrix_csv(path)
     assert str(info.value) == f"{path} {message}"
+
+
+@pytest.mark.parametrize("text,rows", [
+    ("c0,c1\n", []),
+    ("c0,c1\n\n\n", []),
+    ("c0,c1\n1,2\n\n3,4\n", [[1, 2], [3, 4]]),
+    ("c0,c1\r\n1,2\r\n\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    ("c0,c1\n 1 ,\t2\n-inf,nan\n", [[1, 2], [-np.inf, np.nan]]),
+])
+def test_matrix_csv_blank_lines_crlf_and_header_only_are_read(tmp_path, text, rows):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    m = load_matrix_csv(path)
+    assert m.dtype == np.float64 and m.shape == (len(rows), 2)
+    assert np.array_equal(m, np.array(rows, dtype=float).reshape(-1, 2), equal_nan=True)
 
 
 def test_unlabeled_train_node_rejected(tmp_path):
@@ -309,6 +333,22 @@ def test_tu_bad_list_file_is_refused(tmp_path, file, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("file,text,message", [
+    ("graph_labels", "5\n7\n", "TOY_graph_labels.txt: 2 rows, "
+     "TOY_graph_indicator.txt lists 3 graphs"),
+    ("node_labels", "0\n1\n0\n2\n2\n1\n1\n0\n2\n1\n", "TOY_node_labels.txt: 10 rows, "
+     "TOY_graph_indicator.txt lists 9 nodes"),
+    ("node_attributes", "0.5\n1.5\n", "TOY_node_attributes.txt: 2 rows, "
+     "TOY_graph_indicator.txt lists 9 nodes"),
+])
+def test_tu_row_count_mismatch_names_both_files_and_counts(tmp_path, file, text, message):
+    d = write_tu_fixture(tmp_path)
+    (d / f"TOY_{file}.txt").write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_tu_dataset(d, use_attributes=True)
+    assert str(info.value) == message
+
+
 def dataset_with_labels(labels):
     g = random_graph(5, 0.5, seed=0)
     labels = np.asarray(labels)
@@ -382,6 +422,19 @@ def test_matrix_csv_roundtrip_bitwise(tmp_path):
     save_matrix_csv(path, m)
     back = load_matrix_csv(path)
     assert np.array_equal(back, m)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[-0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308]]),
+    np.array([[0.1]]),
+    np.array([[1.0], [-0.0], [1 / 3]]),
+])
+def test_matrix_csv_roundtrip_bitwise_at_the_edges_of_float64(tmp_path, m):
+    path = tmp_path / "m.csv"
+    save_matrix_csv(path, m)
+    back = load_matrix_csv(path)
+    assert back.shape == m.shape and back.dtype == np.float64
+    assert back.tobytes() == m.tobytes()
 
 
 def test_dataset_invariants():

@@ -13,7 +13,7 @@ from specgconv.kernels import (
     gat_sample_kernel,
     gcn_kernel,
 )
-from specgconv.spectral import decompose
+from specgconv.spectral import SpectralBasis, decompose
 
 SYM = LaplacianKind.SYM_NORMALIZED
 
@@ -193,6 +193,40 @@ def test_kernelset_validation():
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
         KernelSet(supports=(asym,), provenance=(Designed(AllPass()),))
+    C = design_kernel(sym_basis(random_graph(12, 0.4, seed=13)), BandPass(center=0.5, gamma=1.0))
+    near, far = C.copy(), C.copy()
+    near[0, 1] += 5e-9
+    far[0, 1] += 2e-8
+    KernelSet(supports=(near,), provenance=(Designed(AllPass()),))
+    with pytest.raises(ValueError, match="symmetric"):
+        KernelSet(supports=(far,), provenance=(Designed(AllPass()),))
+
+
+def _basis(n):
+    if n == 1:
+        return SpectralBasis(eigenvalues=np.zeros(1), eigenvectors=np.ones((1, 1)), kind=SYM)
+    return sym_basis(random_graph(n, 0.2, seed=11))
+
+
+@pytest.mark.parametrize("n", [1, 40])
+@pytest.mark.parametrize("kind", ["positive", "negative", "mixed", "zeros", "all_zero"])
+def test_designed_support_is_exactly_symmetric_and_matches_the_plain_product(kind, n):
+    rng = np.random.default_rng(n)
+    f = {"positive": rng.uniform(0.1, 2.0, n), "negative": -rng.uniform(0.1, 2.0, n),
+         "mixed": rng.standard_normal(n), "zeros": np.where(np.arange(n) % 3, 1.5, 0.0)
+         * rng.choice([-1.0, 1.0], n), "all_zero": np.zeros(n)}[kind]
+    basis = _basis(n)
+    C = design_kernel(basis, Tabulated(values=f))
+    assert np.array_equal(C, C.T)
+    U = basis.eigenvectors
+    ref = (U * f) @ U.T
+    assert np.max(np.abs(C - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_chebyshev_designs_are_exactly_symmetric():
+    basis = sym_basis(random_graph(30, 0.2, seed=12))
+    ks = design_kernelset(basis, [ChebBasis(k=k) for k in range(1, 6)])
+    assert all(np.array_equal(C, C.T) for C in ks)
 
 
 def test_kernelset_is_a_sequence_of_its_supports():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specgconv.graphs import LaplacianKind, build_laplacian, make_ring, random_graph
-from specgconv.spectral import decompose, fourier, inverse_fourier
+from specgconv.spectral import _apply_sign_rule, decompose, fourier, inverse_fourier
 
 SYM = LaplacianKind.SYM_NORMALIZED
 COMB = LaplacianKind.COMBINATORIAL
@@ -88,6 +88,21 @@ def test_repeatability_bit_identical():
     b = decompose(L, SYM)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_sign_rule_flips_in_place_as_the_copying_rule_did():
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((30, 30))
+    U[:, 3] = -np.abs(U[:, 3])
+    U[0, 5] = U[1, 5] = -9.0   # a tie: the smallest index is the pivot
+    want = U.copy()
+    pivot = np.argmax(np.abs(want), axis=0)
+    flip = want[pivot, np.arange(30)] < 0
+    want[:, flip] *= -1.0
+    got = _apply_sign_rule(U)
+    assert got is U
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_non_symmetric_rejected():
