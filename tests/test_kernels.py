@@ -212,9 +212,9 @@ def _basis(n):
 @pytest.mark.parametrize("kind", ["positive", "negative", "mixed", "zeros", "all_zero"])
 def test_designed_support_is_exactly_symmetric_and_matches_the_plain_product(kind, n):
     rng = np.random.default_rng(n)
-    f = {"positive": rng.uniform(0.1, 2.0, n), "negative": -rng.uniform(0.1, 2.0, n),
-         "mixed": rng.standard_normal(n), "zeros": np.where(np.arange(n) % 3, 1.5, 0.0)
-         * rng.choice([-1.0, 1.0], n), "all_zero": np.zeros(n)}[kind]
+    mixed = rng.standard_normal(n)
+    f = {"positive": np.abs(mixed) + 0.1, "negative": -np.abs(mixed) - 0.1, "mixed": mixed,
+         "zeros": np.where(np.arange(n) % 3, mixed, 0.0), "all_zero": np.zeros(n)}[kind]
     basis = _basis(n)
     C = design_kernel(basis, Tabulated(values=f))
     assert np.array_equal(C, C.T)

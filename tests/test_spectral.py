@@ -94,7 +94,7 @@ def test_sign_rule_flips_in_place_as_the_copying_rule_did():
     rng = np.random.default_rng(4)
     U = rng.standard_normal((30, 30))
     U[:, 3] = -np.abs(U[:, 3])
-    U[0, 5] = U[1, 5] = -9.0   # a tie: the smallest index is the pivot
+    U[0, 5], U[1, 5] = -9.0, 9.0   # a tie: the smallest index is the pivot, so it flips
     want = U.copy()
     pivot = np.argmax(np.abs(want), axis=0)
     flip = want[pivot, np.arange(30)] < 0
