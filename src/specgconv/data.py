@@ -264,6 +264,24 @@ def _tu_integers(path, conv) -> np.ndarray:
     return np.fromiter(values(), dtype=np.int64)
 
 
+def _tu_floats(path) -> np.ndarray:
+    """One float row per non-blank line, its cells split by commas or
+    whitespace; an unparsable cell, or another field count than the first
+    row's, is named with its line."""
+    name = os.path.basename(path)
+    rows = []
+    for lineno, text in _tu_lines(path):
+        try:
+            row = [float(v) for v in text.replace(",", " ").split()]
+        except ValueError as exc:
+            raise ValueError(f"{name} line {lineno}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{name} line {lineno}: {len(row)} fields, "
+                             f"the first row has {len(rows[0])}")
+        rows.append(row)
+    return np.array(rows)
+
+
 def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDataset:
     """Parse a TU-format dataset directory (DS_A.txt and friends).
 
@@ -337,9 +355,7 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
         attr_path = p("node_attributes")
         if not os.path.exists(attr_path):
             raise ValueError(f"use_attributes set but {attr_path} is missing")
-        attrs = np.array(
-            [[float(v) for v in ln.replace(",", " ").split()] for _, ln in _tu_lines(attr_path)]
-        )
+        attrs = _tu_floats(attr_path)
         if attrs.shape[0] != n_nodes:
             raise ValueError(f"{name}_node_attributes.txt: {attrs.shape[0]} rows, "
                              f"{name}_graph_indicator.txt lists {n_nodes} nodes")

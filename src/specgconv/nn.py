@@ -6,14 +6,19 @@ followed by one shared 1x1 matrix), dense, and a mean+max readout for
 graph-level outputs. Gradients are reverse-mode and hand-derived per layer;
 the optimizer is Adam with a fixed learning rate.
 
-Training is single-threaded and deterministic per seed: one Generator drives
-initialization and both dropout kinds (input dropout on layer inputs, kernel
-dropout as Bernoulli masking of support entries with inverted scaling).
+Training is deterministic per seed: one Generator drives initialization and
+both dropout kinds (input dropout on layer inputs, kernel dropout as Bernoulli
+masking of support entries with inverted scaling). Kernel dropout of a large
+support is drawn by the calling thread and one helper thread, each filling
+half of the rows from its own position in the same PCG64 stream; the dropped
+support and the Generator's state are bit for bit those of one sequential
+draw, so results do not depend on the split.
 """
 from __future__ import annotations
 
 import numbers
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -306,8 +311,9 @@ def stack_graphs(features: Sequence[np.ndarray], kernels: Sequence) -> tuple:
 
 
 class _Dropout:
-    """Dropout masks of one training forward over a batch, as booleans (True
-    = kept), applied with inverted scaling.
+    """Dropout of one training forward over a batch: input masks as booleans
+    (True = kept), which the layer applies with inverted scaling, and kernel
+    dropout as the dropped supports themselves (see _dropped).
 
     Graph by graph, and layer by layer within a graph, each layer draws an
     input mask and then one kernel mask per support. The forward runs layer
@@ -320,36 +326,37 @@ class _Dropout:
     def __init__(self, rng, input_dropout: float, kernel_dropout: float,
                  spec: ModelSpec, f0: int, batch: GraphBatch):
         self.input_keep = 1.0 - input_dropout
-        self.kernel_keep = 1.0 - kernel_dropout
-        draws = [self._graph_masks(rng, spec, f0, b - a, supports)
+        draws = [_graph_masks(rng, spec, f0, b - a, supports, self.input_keep,
+                              1.0 - kernel_dropout)
                  for supports, (a, b) in zip(batch.supports, batch.segments())]
         self._early = [list(d) for d in draws[:-1]]
         self._last = draws[-1]
 
-    def _graph_masks(self, rng, spec, f0, rows, supports):
-        """Yield one graph's (input mask, kernel masks) layer by layer, each
-        None where the layer draws none; a graph has one row after a readout."""
-        for layer, f_in in zip(spec.layers, spec.widths(f0)):
-            if isinstance(layer, ReadoutMeanMax):
-                rows = 1
-                yield None, None
-                continue
-            inp = kern = None
-            if self.input_keep < 1:
-                inp = rng.random((rows, f_in)) < self.input_keep
-            if isinstance(layer, _CONV) and self.kernel_keep < 1:
-                kern = [rng.random(C.shape) < self.kernel_keep for C in supports]
-            yield inp, kern
-
     def layer(self, i: int) -> tuple:
-        """Masks of layer i: (stacked input mask, keep) and (per-graph kernel
-        masks, keep), each None where the layer draws none."""
+        """Dropout of layer i: (stacked input mask, keep) and the per-graph
+        dropped supports, each None where the layer draws none."""
         drawn = [masks[i] for masks in self._early] + [next(self._last)]
         inputs, kernels = [d[0] for d in drawn], [d[1] for d in drawn]
         inp = None if inputs[0] is None else (
             np.concatenate(inputs, axis=0) if len(inputs) > 1 else inputs[0], self.input_keep)
-        kern = None if kernels[0] is None else (kernels, self.kernel_keep)
-        return inp, kern
+        return inp, None if kernels[0] is None else kernels
+
+
+def _graph_masks(rng, spec, f0, rows, supports, input_keep, kernel_keep):
+    """Yield one graph's (input mask, dropped supports) layer by layer, each
+    None where the layer draws none; a graph has one row after a readout.
+    A module-level generator, so that its suspended frame holds no _Dropout."""
+    for layer, f_in in zip(spec.layers, spec.widths(f0)):
+        if isinstance(layer, ReadoutMeanMax):
+            rows = 1
+            yield None, None
+            continue
+        inp = kern = None
+        if input_keep < 1:
+            inp = rng.random((rows, f_in)) < input_keep
+        if isinstance(layer, _CONV) and kernel_keep < 1:
+            kern = [_dropped(rng, C, kernel_keep) for C in supports]
+        yield inp, kern
 
 
 def _scaled(x: np.ndarray, mask: np.ndarray, keep: float) -> np.ndarray:
@@ -357,6 +364,57 @@ def _scaled(x: np.ndarray, mask: np.ndarray, keep: float) -> np.ndarray:
     out = x * mask
     out *= 1.0 / keep
     return out
+
+
+# Rows of C drawn, masked and scaled at a time by _dropped: about 1 MB per
+# block at Cora's 2708 columns, so each block is still in cache when it is
+# masked and scaled. A support of at least _DROP_SPLIT_BLOCKS blocks of rows
+# is split over two threads.
+_DROP_ROWS = 48
+_DROP_SPLIT_BLOCKS = 4
+
+
+def _dropped(rng: np.random.Generator, C: np.ndarray, keep: float) -> np.ndarray:
+    """_scaled(C, rng.random(C.shape) < keep, keep), bit for bit, leaving rng
+    in the state that draw leaves it, but drawn a row block at a time, so no
+    C-sized float or boolean temporary is made.
+
+    With a PCG64 Generator, a support of at least _DROP_SPLIT_BLOCKS row
+    blocks is split at its middle row: a helper thread fills the second half
+    from a copy of the bit generator advanced past the first half (random()
+    takes one 64-bit output per double) while rng fills the first half; rng
+    then takes the copy's end state and keeps its own buffered 32-bit half,
+    which advance() clears."""
+    out = np.empty_like(C)
+    n_rows, n_cols = C.shape
+    bitgen = rng.bit_generator
+    if n_rows < _DROP_SPLIT_BLOCKS * _DROP_ROWS or type(bitgen) is not np.random.PCG64:
+        _fill_dropped(rng, C, keep, out, 0, n_rows)
+        return out
+    mid = n_rows // 2
+    ahead = np.random.PCG64()
+    ahead.state = bitgen.state
+    ahead.advance(mid * n_cols)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        second = helper.submit(_fill_dropped, np.random.Generator(ahead), C, keep, out,
+                               mid, n_rows)
+        _fill_dropped(rng, C, keep, out, 0, mid)
+        second.result()
+    state, own = ahead.state, bitgen.state
+    state["has_uint32"], state["uinteger"] = own["has_uint32"], own["uinteger"]
+    bitgen.state = state
+    return out
+
+
+def _fill_dropped(rng, C, keep, out, lo, hi) -> None:
+    """Rows lo:hi of _dropped's output, drawn from rng in row order."""
+    block = np.empty((min(_DROP_ROWS, hi - lo), C.shape[1]))
+    scale = 1.0 / keep
+    for a in range(lo, hi, _DROP_ROWS):
+        b = min(a + _DROP_ROWS, hi)
+        draw = rng.random(out=block[: b - a])
+        rows = np.multiply(C[a:b], draw < keep, out=out[a:b])
+        rows *= scale
 
 
 def _narrowing(layer, Hin) -> bool:
@@ -413,18 +471,14 @@ def _layer_forward(layer, lp, H, batch, masks=None):
     if isinstance(layer, ReadoutMeanMax):
         return _readout_forward(H, batch)
 
-    input_mask, kernel_masks = masks if masks is not None else (None, None)
+    input_mask, dropped = masks if masks is not None else (None, None)
     Hin = H if input_mask is None else _scaled(H, *input_mask)
     cache = {"Hin": Hin, "mask": input_mask, "offsets": batch.offsets}
 
     if isinstance(layer, Dense):
         Z = Hin @ lp.weights[0]
     elif isinstance(layer, _CONV):
-        Cs = batch.supports
-        if kernel_masks is not None:
-            per_graph, keep = kernel_masks
-            Cs = [[_scaled(C, m, keep) for C, m in zip(supports, ms)]
-                  for supports, ms in zip(Cs, per_graph)]
+        Cs = batch.supports if dropped is None else dropped
         cache["Cs"] = Cs
         if _narrowing(layer, Hin):
             Z = None

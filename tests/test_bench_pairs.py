@@ -1,0 +1,61 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _runs(parent, change, workload="cora-dsg"):
+    runs = []
+    for k, (p, c) in enumerate(zip(parent, change)):
+        for side, value in (("parent", p), ("change", c)):
+            runs.append({"side": side, "workload": workload, "seed": 100 + k, "first": "parent",
+                         "failed": 0, "attempted": 3, "setup_s": 1.0, "step_s": value,
+                         "peak_rss_mb": 50.0})
+    return runs
+
+
+def test_summary_arithmetic_on_fixed_numbers():
+    parent = [2.0, 2.2, 1.8, 2.4, 2.0]
+    change = [1.5, 2.2, 1.6, 2.5, 1.0]   # lower, tie, lower, higher, lower
+    s = bench_pairs.summarize(_runs(parent, change))["cora-dsg"]
+    step = s["step_s"]
+    assert step["pairs"] == 5
+    assert step["parent_median"] == 2.0 and step["change_median"] == 1.6
+    # weibull quartiles of five values sit at ranks 1.5 and 4.5
+    assert step["parent_quartiles"] == pytest.approx([1.9, 2.3])
+    assert step["change_quartiles"] == pytest.approx([1.25, 2.35])
+    assert step["parent_iqr"] == pytest.approx(0.4)
+    assert step["change_lower_in"] == 3         # the tie counts for neither side
+    assert step["rel_change"] == pytest.approx(-0.2)
+    assert step["parent"] == parent and step["change"] == change
+    assert s["setup_s"]["change_lower_in"] == 0          # every pair tied
+    assert s["failed"] == {"parent": 0, "change": 0, "attempted_parent": 15,
+                           "attempted_change": 15}
+    assert not bench_pairs.claim_holds(step)            # 3 of 5 pairs
+
+
+def _step_stats(parent, change):
+    return bench_pairs.summarize(_runs(parent, change))["cora-dsg"]["step_s"]
+
+
+def test_claim_rule_needs_nine_in_ten_and_a_gap_above_the_parent_iqr():
+    parent = [2.0 + 0.01 * k for k in range(10)]
+    change = [p - 0.5 for p in parent]
+    assert bench_pairs.claim_holds(_step_stats(parent, change))
+    assert bench_pairs.claim_holds(_step_stats(parent, change[:9] + parent[9:]))      # one tie
+    assert not bench_pairs.claim_holds(_step_stats(parent, change[:8] + parent[8:]))  # two
+    near = _step_stats(parent, [p - 0.05 for p in parent])   # gap 0.05, parent IQR 0.055
+    assert near["change_lower_in"] == 10 and not bench_pairs.claim_holds(near)
+
+
+def test_unpaired_runs_are_left_out_of_the_summary():
+    runs = _runs([2.0, 2.1], [1.0, 1.1])
+    runs.append({"side": "parent", "workload": "cora-dsg", "seed": 999, "first": "parent",
+                 "failed": 1, "attempted": 3, "step_s": 9.0})
+    s = bench_pairs.summarize(runs)["cora-dsg"]
+    assert s["step_s"]["pairs"] == 2 and s["failed"]["parent"] == 0

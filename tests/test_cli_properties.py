@@ -218,9 +218,11 @@ def malformed_tu_files(draw):
     change deletes the file (None), empties it (""), reverses its lines
     ("decreasing") or is a list of (edit, line, field, cell) line edits."""
     changes = {}
-    # DS_A.txt and line edits are drawn more often: a broken indicator fails first
+    # DS_A.txt, the attributes and line edits are drawn more often: a broken
+    # indicator fails first
     for suffix in draw(st.lists(one_of("A", "A", "A", "graph_indicator", "graph_labels",
-                                       "node_labels"), min_size=1, max_size=3, unique=True)):
+                                       "node_labels", "node_attributes", "node_attributes"),
+                                min_size=1, max_size=3, unique=True)):
         how = draw(one_of("missing", "empty", "decreasing", "edit", "edit", "edit"))
         changes[suffix] = {"missing": None, "empty": "", "decreasing": "decreasing"}.get(how, [
             (draw(one_of("bad_cell", "drop_line", "extra_line")), draw(st.integers(0, 160)),
@@ -257,16 +259,27 @@ def apply_tu_changes(directory, changes):
         path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+def write_tu_attributes(directory):
+    """Two continuous attributes per node of the toy TU set."""
+    n_nodes = len((directory / "TOY_graph_indicator.txt").read_text().split())
+    (directory / "TOY_node_attributes.txt").write_text(
+        "".join(f"{0.25 * i}, {-1.5 * (i % 3)}\n" for i in range(n_nodes)))
+    return directory
+
+
 # cheb(k=6) is above the node count of the toy set's 5-node graphs, which
 # must not refuse it: only a graph set whose largest graph is smaller does
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(changes=malformed_tu_files(),
-       designs=one_of(["allpass", "highpass"], ["cheb(k=2)", "cheb(k=6)"]))
-def test_any_train_run_on_a_malformed_tu_set_exits_with_a_documented_code(changes, designs):
+       designs=one_of(["allpass", "highpass"], ["cheb(k=2)", "cheb(k=6)"]),
+       use_attributes=one_of(True, True, False))
+def test_any_train_run_on_a_malformed_tu_set_exits_with_a_documented_code(changes, designs,
+                                                                           use_attributes):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        apply_tu_changes(write_tu_dir(root), changes)
-        config = {"dataset": {"path": "TOY", "kind": "tu"}, "designs": designs,
+        apply_tu_changes(write_tu_attributes(write_tu_dir(root)), changes)
+        config = {"dataset": {"path": "TOY", "kind": "tu", "use_attributes": use_attributes},
+                  "designs": designs,
                   "architecture": "G6-meanmax-D2", "train": {"epochs": 1, "batch_size": 4},
                   "cv": {"folds": 2, "repeats": 1}}
         path = root / "config.json"

@@ -333,6 +333,19 @@ def test_tu_bad_list_file_is_refused(tmp_path, file, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0.5, 1\n1.5, x\n", "TOY_node_attributes.txt line 2: could not convert string to float: 'x'"),
+    ("0.5, 1\n\n1.5\n", "TOY_node_attributes.txt line 3: 1 fields, the first row has 2"),
+    ("0.5\n1.5 2 3\n", "TOY_node_attributes.txt line 2: 3 fields, the first row has 1"),
+])
+def test_tu_bad_attribute_row_is_named_by_line(tmp_path, text, message):
+    d = write_tu_fixture(tmp_path)
+    (d / "TOY_node_attributes.txt").write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_tu_dataset(d, use_attributes=True)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("file,text,message", [
     ("graph_labels", "5\n7\n", "TOY_graph_labels.txt: 2 rows, "
      "TOY_graph_indicator.txt lists 3 graphs"),

@@ -1,6 +1,12 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+from specgconv import nn
 from specgconv.filters import Tabulated
 from specgconv.graphs import LaplacianKind, build_laplacian, random_graph
 from specgconv.kernels import design_kernel
@@ -22,6 +28,8 @@ from specgconv.nn import (
     param_count,
     parse_architecture,
     softmax_cross_entropy,
+    _dropped,
+    _scaled,
 )
 from specgconv.spectral import decompose
 
@@ -178,6 +186,84 @@ def test_conv_layers_match_input_first_reference(kind, widths, dropout):
             assert rel(gw, ww) < 1e-12
         if kind == "dsg":
             assert rel(g.depthwise, want["depthwise"]) < 1e-12
+
+
+def _buffer_uint32(rng):
+    rng.integers(0, 2**32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("rows,cols,keep,bitgen,before", [
+    (nn._DROP_ROWS - 5, 30, 0.25, np.random.PCG64, None),
+    (3 * nn._DROP_ROWS + 7, 20, 0.9, np.random.PCG64, None),
+    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.25, np.random.PCG64, None),
+    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.9, np.random.PCG64, _buffer_uint32),
+    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.25, np.random.MT19937, None),
+], ids=["under-one-block", "ragged-blocks", "split-odd-rows", "split-buffered-uint32",
+        "mt19937"])
+def test_dropped_is_the_masked_scaled_support_bit_for_bit(rows, cols, keep, bitgen, before):
+    C = np.random.default_rng(4).standard_normal((rows, cols))
+    rng, twin = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
+    if before is not None:
+        before(rng)
+        before(twin)
+    got = _dropped(rng, C, keep)
+    want = _scaled(C, twin.random(C.shape) < keep, keep)
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == twin.random()
+    assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                          twin.integers(0, 2**32, size=3, dtype=np.uint32))
+
+
+def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
+    """Each call's two halves write disjoint rows of its own output; callers
+    on more threads than cores, switching often, still get the sequential
+    draw of their own Generator."""
+    rows = 2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 3
+    C = np.random.default_rng(5).standard_normal((rows, 17))
+    want = [_scaled(C, np.random.default_rng(s).random(C.shape) < 0.5, 0.5) for s in range(6)]
+    got = [[] for _ in want]
+
+    def draw(seed):
+        for _ in range(5):
+            got[seed].append(_dropped(np.random.default_rng(seed), C, 0.5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(len(want))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for outs, w in zip(got, want):
+        assert len(outs) == 5 and all(out.tobytes() == w.tobytes() for out in outs)
+
+
+def test_dropout_state_is_freed_when_the_forward_returns(monkeypatch):
+    """Nothing of one training forward's dropout outlives it in a reference
+    cycle, which only the cyclic collector would free."""
+    alive = []
+
+    class Recorded(nn._Dropout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(nn, "_Dropout", Recorded)
+    rng = np.random.default_rng(0)
+    spec = parse_architecture("DSG4-DSG2")
+    params = init_parameters(spec, 3, 2, rng)
+    supports = [np.eye(5), np.ones((5, 5)) / 5]
+    gc.disable()
+    try:
+        model_forward(spec, params, rng.standard_normal((5, 3)), supports, train=True,
+                      rng=rng, input_dropout=0.5, kernel_dropout=0.5)
+        assert len(alive) == 1 and alive[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_param_count_cora_table_model():
