@@ -266,15 +266,20 @@ def _tu_integers(path, conv) -> np.ndarray:
 
 def _tu_floats(path) -> np.ndarray:
     """One float row per non-blank line, its cells split by commas or
-    whitespace; an unparsable cell, or another field count than the first
-    row's, is named with its line."""
+    whitespace; an unparsable or non-finite cell (nan, inf, an overflow such
+    as 1e999), or another field count than the first row's, is named with
+    its line."""
     name = os.path.basename(path)
     rows = []
     for lineno, text in _tu_lines(path):
+        cells = text.replace(",", " ").split()
         try:
-            row = [float(v) for v in text.replace(",", " ").split()]
+            row = [float(v) for v in cells]
         except ValueError as exc:
             raise ValueError(f"{name} line {lineno}: {exc}") from None
+        for cell, value in zip(cells, row):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} line {lineno}: expected a finite number, got {cell!r}")
         if rows and len(row) != len(rows[0]):
             raise ValueError(f"{name} line {lineno}: {len(row)} fields, "
                              f"the first row has {len(rows[0])}")

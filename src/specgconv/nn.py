@@ -8,11 +8,13 @@ the optimizer is Adam with a fixed learning rate.
 
 Training is deterministic per seed: one Generator drives initialization and
 both dropout kinds (input dropout on layer inputs, kernel dropout as Bernoulli
-masking of support entries with inverted scaling). Kernel dropout of a large
-support is drawn by the calling thread and one helper thread, each filling
-half of the rows from its own position in the same PCG64 stream; the dropped
-support and the Generator's state are bit for bit those of one sequential
-draw, so results do not depend on the split.
+masking of support entries with inverted scaling). Kernel dropout keeps one
+boolean mask per support and applies it block by block while multiplying by
+the support, so no dropped copy of a support is stored. A large mask is drawn
+by the calling thread and one helper thread, each filling half of the rows
+from its own position in the same PCG64 stream; the mask and the Generator's
+state are bit for bit those of one sequential draw, so results do not depend
+on the split.
 """
 from __future__ import annotations
 
@@ -311,9 +313,11 @@ def stack_graphs(features: Sequence[np.ndarray], kernels: Sequence) -> tuple:
 
 
 class _Dropout:
-    """Dropout of one training forward over a batch: input masks as booleans
-    (True = kept), which the layer applies with inverted scaling, and kernel
-    dropout as the dropped supports themselves (see _dropped).
+    """Dropout of one training forward over a batch, as boolean masks (True =
+    kept) with their keep probability: an input mask per layer, which the
+    layer applies to its input with inverted scaling, and a kernel mask per
+    support (see _kernel_mask), which _propagate applies block by block as
+    it multiplies by the support. No dropped support is ever stored.
 
     Graph by graph, and layer by layer within a graph, each layer draws an
     input mask and then one kernel mask per support. The forward runs layer
@@ -326,24 +330,25 @@ class _Dropout:
     def __init__(self, rng, input_dropout: float, kernel_dropout: float,
                  spec: ModelSpec, f0: int, batch: GraphBatch):
         self.input_keep = 1.0 - input_dropout
+        self.kernel_keep = 1.0 - kernel_dropout
         draws = [_graph_masks(rng, spec, f0, b - a, supports, self.input_keep,
-                              1.0 - kernel_dropout)
+                              self.kernel_keep)
                  for supports, (a, b) in zip(batch.supports, batch.segments())]
         self._early = [list(d) for d in draws[:-1]]
         self._last = draws[-1]
 
     def layer(self, i: int) -> tuple:
-        """Dropout of layer i: (stacked input mask, keep) and the per-graph
-        dropped supports, each None where the layer draws none."""
+        """Dropout of layer i: (stacked input mask, keep) and (per-graph
+        kernel masks, keep), each None where the layer draws none."""
         drawn = [masks[i] for masks in self._early] + [next(self._last)]
         inputs, kernels = [d[0] for d in drawn], [d[1] for d in drawn]
         inp = None if inputs[0] is None else (
             np.concatenate(inputs, axis=0) if len(inputs) > 1 else inputs[0], self.input_keep)
-        return inp, None if kernels[0] is None else kernels
+        return inp, None if kernels[0] is None else (kernels, self.kernel_keep)
 
 
 def _graph_masks(rng, spec, f0, rows, supports, input_keep, kernel_keep):
-    """Yield one graph's (input mask, dropped supports) layer by layer, each
+    """Yield one graph's (input mask, kernel masks) layer by layer, each
     None where the layer draws none; a graph has one row after a readout.
     A module-level generator, so that its suspended frame holds no _Dropout."""
     for layer, f_in in zip(spec.layers, spec.widths(f0)):
@@ -355,7 +360,7 @@ def _graph_masks(rng, spec, f0, rows, supports, input_keep, kernel_keep):
         if input_keep < 1:
             inp = rng.random((rows, f_in)) < input_keep
         if isinstance(layer, _CONV) and kernel_keep < 1:
-            kern = [_dropped(rng, C, kernel_keep) for C in supports]
+            kern = [_kernel_mask(rng, C.shape, kernel_keep) for C in supports]
         yield inp, kern
 
 
@@ -366,39 +371,38 @@ def _scaled(x: np.ndarray, mask: np.ndarray, keep: float) -> np.ndarray:
     return out
 
 
-# Rows of C drawn, masked and scaled at a time by _dropped: about 1 MB per
-# block at Cora's 2708 columns, so each block is still in cache when it is
-# masked and scaled. A support of at least _DROP_SPLIT_BLOCKS blocks of rows
+# Rows of a kernel mask drawn at a time by _kernel_mask: the block of doubles
+# behind them is about 1 MB at Cora's 2708 columns, so it is still in cache
+# when it is compared. A mask of at least _DROP_SPLIT_BLOCKS blocks of rows
 # is split over two threads.
 _DROP_ROWS = 48
 _DROP_SPLIT_BLOCKS = 4
 
 
-def _dropped(rng: np.random.Generator, C: np.ndarray, keep: float) -> np.ndarray:
-    """_scaled(C, rng.random(C.shape) < keep, keep), bit for bit, leaving rng
-    in the state that draw leaves it, but drawn a row block at a time, so no
-    C-sized float or boolean temporary is made.
+def _kernel_mask(rng: np.random.Generator, shape: tuple, keep: float) -> np.ndarray:
+    """rng.random(shape) < keep, bit for bit, leaving rng in the state that
+    draw leaves it, but drawn a row block at a time, so no float temporary
+    of the mask's size is made.
 
-    With a PCG64 Generator, a support of at least _DROP_SPLIT_BLOCKS row
-    blocks is split at its middle row: a helper thread fills the second half
-    from a copy of the bit generator advanced past the first half (random()
-    takes one 64-bit output per double) while rng fills the first half; rng
-    then takes the copy's end state and keeps its own buffered 32-bit half,
-    which advance() clears."""
-    out = np.empty_like(C)
-    n_rows, n_cols = C.shape
+    With a PCG64 Generator, a mask of at least _DROP_SPLIT_BLOCKS row blocks
+    is split at its middle row: a helper thread fills the second half from a
+    copy of the bit generator advanced past the first half (random() takes
+    one 64-bit output per double) while rng fills the first half; rng then
+    takes the copy's end state and keeps its own buffered 32-bit half, which
+    advance() clears."""
+    out = np.empty(shape, dtype=bool)
+    n_rows, n_cols = shape
     bitgen = rng.bit_generator
     if n_rows < _DROP_SPLIT_BLOCKS * _DROP_ROWS or type(bitgen) is not np.random.PCG64:
-        _fill_dropped(rng, C, keep, out, 0, n_rows)
+        _fill_mask(rng, keep, out, 0, n_rows)
         return out
     mid = n_rows // 2
     ahead = np.random.PCG64()
     ahead.state = bitgen.state
     ahead.advance(mid * n_cols)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        second = helper.submit(_fill_dropped, np.random.Generator(ahead), C, keep, out,
-                               mid, n_rows)
-        _fill_dropped(rng, C, keep, out, 0, mid)
+        second = helper.submit(_fill_mask, np.random.Generator(ahead), keep, out, mid, n_rows)
+        _fill_mask(rng, keep, out, 0, mid)
         second.result()
     state, own = ahead.state, bitgen.state
     state["has_uint32"], state["uinteger"] = own["has_uint32"], own["uinteger"]
@@ -406,15 +410,44 @@ def _dropped(rng: np.random.Generator, C: np.ndarray, keep: float) -> np.ndarray
     return out
 
 
-def _fill_dropped(rng, C, keep, out, lo, hi) -> None:
-    """Rows lo:hi of _dropped's output, drawn from rng in row order."""
-    block = np.empty((min(_DROP_ROWS, hi - lo), C.shape[1]))
-    scale = 1.0 / keep
+def _fill_mask(rng, keep, out, lo, hi) -> None:
+    """Rows lo:hi of _kernel_mask's output, drawn from rng in row order."""
+    block = np.empty((min(_DROP_ROWS, hi - lo), out.shape[1]))
     for a in range(lo, hi, _DROP_ROWS):
         b = min(a + _DROP_ROWS, hi)
-        draw = rng.random(out=block[: b - a])
-        rows = np.multiply(C[a:b], draw < keep, out=out[a:b])
-        rows *= scale
+        np.less(rng.random(out=block[: b - a]), keep, out=out[a:b])
+
+
+# Bytes of the buffer in which _masked_product forms a block of a dropped
+# support: 96 rows at Cora's 2708 columns, a whole graph of up to 512 nodes.
+# It fits one core's 2 MB L2 on the 2-core x86 box the benchmark ran on,
+# where GEMMs of 96-row blocks ran as fast as the one-GEMM product and
+# 48-row blocks about 30 % slower (f_out = 160).
+_APPLY_BYTES = 1 << 21
+
+
+def _masked_product(C, mask, keep, X, out, add=False, transpose=False) -> None:
+    """out = D X (D^T X with transpose; added into out with add), where D =
+    _scaled(C, mask, keep), formed a block at a time in one reused buffer of
+    about _APPLY_BYTES: row blocks of D give the rows of D X, column blocks
+    give the rows of D^T X. Each block keeps the full inner dimension, so
+    every entry is one dot product over a whole row (column) of D, as in the
+    one-GEMM product."""
+    inner, outer = C.shape if transpose else C.shape[::-1]
+    step = max(1, min(outer, _APPLY_BYTES // (8 * inner)))
+    buf = np.empty((inner, step) if transpose else (step, inner))
+    scale = 1.0 / keep
+    for a in range(0, outer, step):
+        b = min(a + step, outer)
+        if transpose:
+            block = np.multiply(C[:, a:b], mask[:, a:b], out=buf[:, : b - a]).T
+        else:
+            block = np.multiply(C[a:b], mask[a:b], out=buf[: b - a])
+        block *= scale
+        if add:
+            out[a:b] += block @ X
+        else:
+            np.matmul(block, X, out=out[a:b])
 
 
 def _narrowing(layer, Hin) -> bool:
@@ -434,12 +467,19 @@ def _mixing(layer, lp):
     return lp.weights
 
 
-def _propagate(Cs, s, X, offsets, into=None, transpose=False) -> np.ndarray:
+def _propagate(Cs, s, X, offsets, into=None, transpose=False, dropout=None) -> np.ndarray:
     """Support s applied to every graph's rows of X, C_s X (C_s^T X with
     transpose), where Cs[g] holds graph g's supports; added into `into` when
-    given, which is then returned."""
+    given, which is then returned. With dropout, a layer's (per-graph kernel
+    masks, keep), graph g's support s is dropped by its mask on the fly (see
+    _masked_product)."""
     out = np.empty_like(X) if into is None else into
-    for supports, a, b in zip(Cs, offsets[:-1], offsets[1:]):
+    for g, (supports, a, b) in enumerate(zip(Cs, offsets[:-1], offsets[1:])):
+        if dropout is not None:
+            masks, keep = dropout
+            _masked_product(supports[s], masks[g][s], keep, X[a:b], out[a:b],
+                            add=into is not None, transpose=transpose)
+            continue
         C = supports[s].T if transpose else supports[s]
         if into is None:
             np.matmul(C, X[a:b], out=out[a:b])
@@ -471,21 +511,22 @@ def _layer_forward(layer, lp, H, batch, masks=None):
     if isinstance(layer, ReadoutMeanMax):
         return _readout_forward(H, batch)
 
-    input_mask, dropped = masks if masks is not None else (None, None)
+    input_mask, kernel = masks if masks is not None else (None, None)
     Hin = H if input_mask is None else _scaled(H, *input_mask)
     cache = {"Hin": Hin, "mask": input_mask, "offsets": batch.offsets}
 
     if isinstance(layer, Dense):
         Z = Hin @ lp.weights[0]
     elif isinstance(layer, _CONV):
-        Cs = batch.supports if dropped is None else dropped
-        cache["Cs"] = Cs
+        Cs = batch.supports
+        cache["Cs"], cache["kernel"] = Cs, kernel
         if _narrowing(layer, Hin):
             Z = None
             for s, A in enumerate(_mixing(layer, lp)):
-                Z = _propagate(Cs, s, Hin @ A, batch.offsets, into=Z)
+                Z = _propagate(Cs, s, Hin @ A, batch.offsets, into=Z, dropout=kernel)
         else:
-            PS = [_propagate(Cs, s, Hin, batch.offsets) for s in range(len(Cs[0]))]
+            PS = [_propagate(Cs, s, Hin, batch.offsets, dropout=kernel)
+                  for s in range(len(Cs[0]))]
             cache["PS"] = PS
             if isinstance(layer, DepthwiseSeparableConv):
                 M = sum(w[None, :] * P for w, P in zip(lp.depthwise, PS))
@@ -513,6 +554,7 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
         grads.bias = dZ.sum(axis=0)
 
     Hin, Cs, offsets = cache["Hin"], cache.get("Cs"), cache["offsets"]
+    kernel = cache.get("kernel")
     dHin = None
     if isinstance(layer, Dense):
         grads.weights = [Hin.T @ dZ]
@@ -523,7 +565,7 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
         # which is f_out wide; R_s = Hin^T G_s is the gradient for A_s
         RS = []
         for s, A in enumerate(_mixing(layer, lp)):
-            G = _propagate(Cs, s, dZ, offsets, transpose=True)
+            G = _propagate(Cs, s, dZ, offsets, transpose=True, dropout=kernel)
             RS.append(Hin.T @ G)
             if input_grad:
                 if dHin is None:
@@ -540,14 +582,16 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
         grads.weights = [P.T @ dZ for P in cache["PS"]]
         if input_grad:
             for s, W in enumerate(lp.weights):
-                dHin = _propagate(Cs, s, dZ @ W.T, offsets, into=dHin, transpose=True)
+                dHin = _propagate(Cs, s, dZ @ W.T, offsets, into=dHin, transpose=True,
+                                  dropout=kernel)
     else:  # DepthwiseSeparableConv
         grads.weights = [cache["M"].T @ dZ]
         dM = dZ @ lp.weights[0].T
         grads.depthwise = np.stack([(dM * P).sum(axis=0) for P in cache["PS"]])
         if input_grad:
             for s, w in enumerate(lp.depthwise):
-                dHin = _propagate(Cs, s, dM * w[None, :], offsets, into=dHin, transpose=True)
+                dHin = _propagate(Cs, s, dM * w[None, :], offsets, into=dHin, transpose=True,
+                                  dropout=kernel)
     if dHin is not None and cache["mask"] is not None:
         mask, keep = cache["mask"]
         dHin *= mask

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,34 @@ def test_unpaired_runs_are_left_out_of_the_summary():
                  "failed": 1, "attempted": 3, "step_s": 9.0})
     s = bench_pairs.summarize(runs)["cora-dsg"]
     assert s["step_s"]["pairs"] == 2 and s["failed"]["parent"] == 0
+
+
+def test_no_regression_verdict_reads_the_bound_of_each_metric(tmp_path):
+    doc = {"end_to_end": [{"name": "setup_s", "bound": 0.25, "better": "lower"},
+                          {"name": "step_s", "bound": 0.1, "better": "lower"}]}
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps(doc))
+    before = path.read_text()
+    bounds = bench_pairs.read_bounds(path)
+    assert bounds == {"setup_s": (0.25, "lower"), "step_s": (0.1, "lower")}
+    assert path.read_text() == before
+    parent = [2.0] * 10
+    assert bench_pairs.within_bound(_step_stats(parent, [2.19] * 10), 0.1)   # +9.5 %
+    assert not bench_pairs.within_bound(_step_stats(parent, [2.21] * 10), 0.1)
+    assert bench_pairs.within_bound(_step_stats(parent, [1.0] * 10), 0.1)
+    # a higher-is-better metric regresses when its median falls
+    assert not bench_pairs.within_bound(_step_stats(parent, [1.7] * 10), 0.1, better="higher")
+    assert bench_pairs.within_bound(_step_stats(parent, [2.5] * 10), 0.1, better="higher")
+
+
+def test_report_prints_both_verdicts_per_metric():
+    summary = bench_pairs.summarize(_runs([2.0] * 10, [2.3] * 10))
+    lines = bench_pairs.report(summary, {"step_s": (0.1, "lower"),
+                                         "peak_rss_mb": (0.1, "lower")}).splitlines()
+    step = next(line for line in lines if " step_s: " in line)
+    assert step.endswith("claim does not hold; no regression fails (bound 10%)")
+    rss = next(line for line in lines if " peak_rss_mb: " in line)
+    assert rss.endswith("claim does not hold; no regression holds (bound 10%)")
+    setup = next(line for line in lines if " setup_s: " in line)
+    assert setup.endswith("claim does not hold")       # no bound given for it
+    assert "no regression" not in bench_pairs.report(summary)

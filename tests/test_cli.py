@@ -355,6 +355,22 @@ def write_tu_config(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan", "1e999"])
+def test_train_non_finite_tu_attribute_is_config_error_naming_file_and_line(
+        tmp_path, capsys, cell):
+    path = write_tu_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["dataset"]["use_attributes"] = True
+    path.write_text(json.dumps(cfg))
+    cells = ["0.5"] * 66     # the toy set's 12 graphs hold 66 nodes
+    cells[20] = cell         # line 21: node 4 of graph 4
+    (tmp_path / "TOY" / "TOY_node_attributes.txt").write_text("\n".join(cells) + "\n")
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == ("config error: TOY_node_attributes.txt line 21: "
+                                       f"expected a finite number, got {cell!r}\n")
+    assert not (tmp_path / "cvrun").exists()
+
+
 @pytest.mark.parametrize("kind,arch,message", [
     ("single", "DSG8-meanmax-D2", "single-graph (node-level) model cannot contain a meanmax"),
     ("tu", "G6-D2", "graph-level model needs a meanmax readout"),

@@ -337,6 +337,11 @@ def test_tu_bad_list_file_is_refused(tmp_path, file, text, message):
     ("0.5, 1\n1.5, x\n", "TOY_node_attributes.txt line 2: could not convert string to float: 'x'"),
     ("0.5, 1\n\n1.5\n", "TOY_node_attributes.txt line 3: 1 fields, the first row has 2"),
     ("0.5\n1.5 2 3\n", "TOY_node_attributes.txt line 2: 3 fields, the first row has 1"),
+    ("0.5, 1\n1.5, nan\n", "TOY_node_attributes.txt line 2: expected a finite number, "
+     "got 'nan'"),
+    ("0.5, 1\n\n-inf 2\n", "TOY_node_attributes.txt line 3: expected a finite number, "
+     "got '-inf'"),
+    ("0.5, 1e999\n", "TOY_node_attributes.txt line 1: expected a finite number, got '1e999'"),
 ])
 def test_tu_bad_attribute_row_is_named_by_line(tmp_path, text, message):
     d = write_tu_fixture(tmp_path)

@@ -28,7 +28,8 @@ from specgconv.nn import (
     param_count,
     parse_architecture,
     softmax_cross_entropy,
-    _dropped,
+    _kernel_mask,
+    _masked_product,
     _scaled,
 )
 from specgconv.spectral import decompose
@@ -201,31 +202,38 @@ def _buffer_uint32(rng):
 ], ids=["under-one-block", "ragged-blocks", "split-odd-rows", "split-buffered-uint32",
         "mt19937"])
 def test_dropped_is_the_masked_scaled_support_bit_for_bit(rows, cols, keep, bitgen, before):
+    """The kernel mask is the sequential draw rng.random(shape) < keep and
+    leaves the Generator where that draw does; applied to the identity, the
+    masked product gives the masked, scaled support itself."""
     C = np.random.default_rng(4).standard_normal((rows, cols))
     rng, twin = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
     if before is not None:
         before(rng)
         before(twin)
-    got = _dropped(rng, C, keep)
-    want = _scaled(C, twin.random(C.shape) < keep, keep)
-    assert got.tobytes() == want.tobytes()
+    mask = _kernel_mask(rng, C.shape, keep)
+    want = twin.random(C.shape) < keep
+    assert mask.dtype == bool and mask.tobytes() == want.tobytes()
     assert rng.random() == twin.random()
     assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
                           twin.integers(0, 2**32, size=3, dtype=np.uint32))
+    dropped = _scaled(C, want, keep)
+    got, got_t = np.empty((rows, cols)), np.empty((cols, rows))
+    _masked_product(C, mask, keep, np.eye(cols), got)
+    _masked_product(C, mask, keep, np.eye(rows), got_t, transpose=True)
+    assert np.array_equal(got, dropped) and np.array_equal(got_t, dropped.T)
 
 
 def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
-    """Each call's two halves write disjoint rows of its own output; callers
+    """Each call's two halves write disjoint rows of its own mask; callers
     on more threads than cores, switching often, still get the sequential
     draw of their own Generator."""
-    rows = 2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 3
-    C = np.random.default_rng(5).standard_normal((rows, 17))
-    want = [_scaled(C, np.random.default_rng(s).random(C.shape) < 0.5, 0.5) for s in range(6)]
+    shape = (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 3, 17)
+    want = [np.random.default_rng(s).random(shape) < 0.5 for s in range(6)]
     got = [[] for _ in want]
 
     def draw(seed):
         for _ in range(5):
-            got[seed].append(_dropped(np.random.default_rng(seed), C, 0.5))
+            got[seed].append(_kernel_mask(np.random.default_rng(seed), shape, 0.5))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -238,8 +246,61 @@ def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for outs, w in zip(got, want):
-        assert len(outs) == 5 and all(out.tobytes() == w.tobytes() for out in outs)
+    for masks, w in zip(got, want):
+        assert len(masks) == 5 and all(m.tobytes() == w.tobytes() for m in masks)
+
+
+@pytest.mark.parametrize("n,apply_bytes,symmetric", [
+    (600, None, True),          # the real block size: 436 rows, then 164
+    (50, 8 * 50 * 7, False),    # blocks of 7 rows, the last of one row
+    (30, None, False),          # one block: the product is the one-GEMM one
+], ids=["ragged-last-block", "one-row-last-block", "below-one-block"])
+def test_masked_products_match_the_dropped_support_product(n, apply_bytes, symmetric,
+                                                           monkeypatch):
+    """Forward, transposed and accumulated products of a dropped support,
+    formed block by block from C and its mask, against the products of the
+    masked, scaled copy: within 1e-12 relative, and bit for bit when the
+    support is one block."""
+    if apply_bytes is not None:
+        monkeypatch.setattr(nn, "_APPLY_BYTES", apply_bytes)
+    rng = np.random.default_rng(11)
+    C = rng.standard_normal((n, n))
+    if symmetric:
+        C = C + C.T
+    mask = rng.random((n, n)) < 0.3
+    X, base = rng.standard_normal((n, 6)), rng.standard_normal((n, 6))
+    D = _scaled(C, mask, 0.3)
+    one_block = nn._APPLY_BYTES >= 8 * n * n
+    for transpose in (False, True):
+        want = (D.T if transpose else D) @ X
+        got, acc = np.empty_like(X), base.copy()
+        _masked_product(C, mask, 0.3, X, got, transpose=transpose)
+        _masked_product(C, mask, 0.3, X, acc, add=True, transpose=transpose)
+        if one_block:
+            assert got.tobytes() == want.tobytes()
+            assert acc.tobytes() == (base + want).tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(acc - (base + want))) <= 1e-12 * np.max(np.abs(base + want))
+
+
+def test_propagate_applies_each_graphs_own_masks():
+    """_propagate over a two-graph batch with kernel dropout uses graph g's
+    mask of support s on graph g's rows, in all three product forms."""
+    rng = np.random.default_rng(12)
+    sizes = (5, 8)
+    Cs = [[rng.standard_normal((m, m)) for _ in range(2)] for m in sizes]
+    masks = [[rng.random((m, m)) < 0.5 for _ in range(2)] for m in sizes]
+    offsets = np.array([0, 5, 13])
+    X, base = rng.standard_normal((13, 3)), rng.standard_normal((13, 3))
+    for transpose in (False, True):
+        want = np.concatenate([
+            (_scaled(C[1], M[1], 0.5).T if transpose else _scaled(C[1], M[1], 0.5))
+            @ X[a:b] for C, M, a, b in zip(Cs, masks, offsets[:-1], offsets[1:])])
+        got = nn._propagate(Cs, 1, X, offsets, transpose=transpose, dropout=(masks, 0.5))
+        acc = nn._propagate(Cs, 1, X, offsets, into=base.copy(), transpose=transpose,
+                            dropout=(masks, 0.5))
+        assert got.tobytes() == want.tobytes()
+        assert acc.tobytes() == (base + want).tobytes()
 
 
 def test_dropout_state_is_freed_when_the_forward_returns(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,29 @@ def test_forward_deterministic_with_dropout_off():
     a, _ = model_forward(spec, params, data.graph.features, ks)
     b, _ = model_forward(spec, params, data.graph.features, ks)
     assert np.array_equal(a, b)
+
+
+def test_kernel_dropout_epoch_holds_no_float_copy_of_the_supports():
+    """One training epoch with kernel dropout on a 200-node graph with four
+    supports allocates less than one layer's supports would take as float
+    copies (S n^2 doubles): kernel dropout keeps 1-byte masks and applies
+    them as it multiplies."""
+    n, S = 200, 4
+    rng = np.random.default_rng(3)
+    g = random_graph(n, 0.05, seed=3).with_features(rng.standard_normal((n, 8)))
+    labels = rng.integers(0, 3, n)
+    masks = {"train": np.arange(n) < 60, "val": np.zeros(n, bool), "test": np.zeros(n, bool)}
+    data = SingleGraphDataset(graph=g, labels=labels, masks=masks)
+    supports = [rng.standard_normal((n, n)) for _ in range(S)]
+    spec = nn.parse_architecture("DSG16-DSG3")
+    cfg = TrainConfig(epochs=1, seed=5, input_dropout=0.5, kernel_dropout=0.75)
+    tracemalloc.start()
+    try:
+        train(spec, supports, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S * n * n * 8
 
 
 def test_depthwise_init_ignores_later_supports_exactly():

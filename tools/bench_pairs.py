@@ -17,7 +17,11 @@ Usage:
 
 A metric passes the claim rule when the change is lower in at least 9 of 10
 pairs and its median lies below the parent's by more than the parent's
-interquartile range; the script prints that verdict for every metric.
+interquartile range; the script prints that verdict for every metric. It
+also prints a no-regression verdict: whether the change's median is worse
+than the parent's by at most the metric's "end_to_end" bound, a share of the
+parent's median, as read from BENCHMARK.json (by default the parent
+checkout's; --benchmark names another).
 """
 import argparse
 import json
@@ -114,17 +118,40 @@ def claim_holds(stats):
     return enough and stats["parent_median"] - stats["change_median"] > stats["parent_iqr"]
 
 
-def report(summary):
+def read_bounds(path):
+    """{metric: (bound, better)} of the "end_to_end" metrics of a
+    BENCHMARK.json file."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return {m["name"]: (float(m["bound"]), m.get("better", "lower")) for m in doc["end_to_end"]}
+
+
+def within_bound(stats, bound, better="lower"):
+    """Whether the change's median is worse than the parent's by at most
+    bound, as a share of the parent's median."""
+    worse = stats["rel_change"] if better == "lower" else -stats["rel_change"]
+    return worse <= bound
+
+
+def report(summary, bounds=None):
+    """One line per workload and metric with its claim verdict, and its
+    no-regression verdict where bounds ({metric: (bound, better)}) has the
+    metric; then one line of failed operations per workload."""
     lines = []
     for workload, entry in summary.items():
         for name in METRICS:
             if name in entry:
                 s = entry[name]
-                lines.append(
+                line = (
                     f"{workload} {name}: {s['parent_median']:.4g} -> {s['change_median']:.4g} "
                     f"({s['rel_change']:+.1%}), lower in {s['change_lower_in']}/{s['pairs']}, "
                     f"parent IQR {s['parent_iqr']:.3g}: claim "
                     f"{'holds' if claim_holds(s) else 'does not hold'}")
+                if bounds and name in bounds:
+                    bound, better = bounds[name]
+                    verdict = "holds" if within_bound(s, bound, better) else "fails"
+                    line += f"; no regression {verdict} (bound {bound:.0%})"
+                lines.append(line)
         f = entry["failed"]
         lines.append(f"{workload} failed: parent {f['parent']}/{f['attempted_parent']}, "
                      f"change {f['change']}/{f['attempted_change']}")
@@ -139,7 +166,10 @@ def main(argv=None):
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--seconds", type=float, default=22)
     p.add_argument("--out", required=True, help="BENCH_<n>.json to write or extend")
+    p.add_argument("--benchmark", help="BENCHMARK.json whose end_to_end bounds the "
+                                       "no-regression verdict uses (default: the parent's)")
     args = p.parse_args(argv)
+    bounds = read_bounds(args.benchmark or os.path.join(args.parent, "BENCHMARK.json"))
 
     doc = {}
     if os.path.exists(args.out):
@@ -170,7 +200,7 @@ def main(argv=None):
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-    print(report(doc["summary"]))
+    print(report(doc["summary"], bounds))
 
 
 if __name__ == "__main__":
