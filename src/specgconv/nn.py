@@ -421,28 +421,27 @@ def _fill_mask(rng, keep, out, lo, hi) -> None:
 # Bytes of the buffer in which _masked_product forms a block of a dropped
 # support: 96 rows at Cora's 2708 columns, a whole graph of up to 512 nodes.
 # It fits one core's 2 MB L2 on the 2-core x86 box the benchmark ran on,
-# where GEMMs of 96-row blocks ran as fast as the one-GEMM product and
-# 48-row blocks about 30 % slower (f_out = 160).
+# where the GEMMs of 96-row blocks ran as fast as the one-GEMM product and
+# those of 48-row blocks about a third slower (n = 2708, f_out = 160).
 _APPLY_BYTES = 1 << 21
 
 
 def _masked_product(C, mask, keep, X, out, add=False, transpose=False) -> None:
     """out = D X (D^T X with transpose; added into out with add), where D =
-    _scaled(C, mask, keep), formed a block at a time in one reused buffer of
-    about _APPLY_BYTES: row blocks of D give the rows of D X, column blocks
-    give the rows of D^T X. Each block keeps the full inner dimension, so
-    every entry is one dot product over a whole row (column) of D, as in the
-    one-GEMM product."""
-    inner, outer = C.shape if transpose else C.shape[::-1]
-    step = max(1, min(outer, _APPLY_BYTES // (8 * inner)))
-    buf = np.empty((inner, step) if transpose else (step, inner))
+    _scaled(C, mask, keep), formed a row block of D (of D^T, i.e. a column
+    block of D) at a time in one reused buffer of about _APPLY_BYTES, laid
+    out as C is. Each block keeps the full inner dimension, so every entry is
+    one dot product over a whole row (column) of D, as in the one-GEMM
+    product."""
+    if transpose:
+        C, mask = C.T, mask.T
+    rows, inner = C.shape
+    step = max(1, min(rows, _APPLY_BYTES // (8 * inner)))
+    buf = np.empty_like(C[:step])
     scale = 1.0 / keep
-    for a in range(0, outer, step):
-        b = min(a + step, outer)
-        if transpose:
-            block = np.multiply(C[:, a:b], mask[:, a:b], out=buf[:, : b - a]).T
-        else:
-            block = np.multiply(C[a:b], mask[a:b], out=buf[: b - a])
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        block = np.multiply(C[a:b], mask[a:b], out=buf[: b - a])
         block *= scale
         if add:
             out[a:b] += block @ X
@@ -474,9 +473,9 @@ def _propagate(Cs, s, X, offsets, into=None, transpose=False, dropout=None) -> n
     masks, keep), graph g's support s is dropped by its mask on the fly (see
     _masked_product)."""
     out = np.empty_like(X) if into is None else into
+    masks, keep = (None, None) if dropout is None else dropout
     for g, (supports, a, b) in enumerate(zip(Cs, offsets[:-1], offsets[1:])):
-        if dropout is not None:
-            masks, keep = dropout
+        if masks is not None:
             _masked_product(supports[s], masks[g][s], keep, X[a:b], out[a:b],
                             add=into is not None, transpose=transpose)
             continue
