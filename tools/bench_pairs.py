@@ -20,8 +20,7 @@ pairs and its median lies below the parent's by more than the parent's
 interquartile range; the script prints that verdict for every metric. It
 also prints a no-regression verdict: whether the change's median is worse
 than the parent's by at most the metric's "end_to_end" bound, a share of the
-parent's median, as read from BENCHMARK.json (by default the parent
-checkout's; --benchmark names another).
+parent's median, as read from the parent checkout's BENCHMARK.json.
 """
 import argparse
 import json
@@ -166,10 +165,8 @@ def main(argv=None):
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--seconds", type=float, default=22)
     p.add_argument("--out", required=True, help="BENCH_<n>.json to write or extend")
-    p.add_argument("--benchmark", help="BENCHMARK.json whose end_to_end bounds the "
-                                       "no-regression verdict uses (default: the parent's)")
     args = p.parse_args(argv)
-    bounds = read_bounds(args.benchmark or os.path.join(args.parent, "BENCHMARK.json"))
+    bounds = read_bounds(os.path.join(args.parent, "BENCHMARK.json"))
 
     doc = {}
     if os.path.exists(args.out):
