@@ -436,7 +436,7 @@ def _masked_product(C, mask, keep, X, out, add=False, transpose=False) -> None:
     if transpose:
         C, mask = C.T, mask.T
     rows, inner = C.shape
-    step = max(1, min(rows, _APPLY_BYTES // (8 * inner)))
+    step = max(1, min(rows, _APPLY_BYTES // (8 * max(inner, 1))))
     buf = np.empty_like(C[:step])
     scale = 1.0 / keep
     for a in range(0, rows, step):

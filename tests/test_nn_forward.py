@@ -283,6 +283,14 @@ def test_masked_products_match_the_dropped_support_product(n, apply_bytes, symme
         assert np.max(np.abs(acc - (base + want))) <= 1e-12 * np.max(np.abs(base + want))
 
 
+def test_kernel_dropout_on_an_empty_graph_gives_an_empty_output():
+    spec = parse_architecture("DSG4-DSG2")
+    params = init_parameters(spec, 3, 2, np.random.default_rng(0))
+    out, _ = model_forward(spec, params, np.zeros((0, 3)), [np.zeros((0, 0))] * 2, train=True,
+                           rng=np.random.default_rng(0), input_dropout=0.5, kernel_dropout=0.5)
+    assert out.shape == (0, 2)
+
+
 def test_propagate_applies_each_graphs_own_masks():
     """_propagate over a two-graph batch with kernel dropout uses graph g's
     mask of support s on graph g's rows, in all three product forms."""
