@@ -419,11 +419,14 @@ def _fill_mask(rng, keep, out, lo, hi) -> None:
 
 
 # Bytes of the buffer in which _masked_product forms a block of a dropped
-# support: 96 rows at Cora's 2708 columns, a whole graph of up to 512 nodes.
-# It fits one core's 2 MB L2 on the 2-core x86 box the benchmark ran on,
-# where the GEMMs of 96-row blocks ran as fast as the one-GEMM product and
-# those of 48-row blocks about a third slower (n = 2708, f_out = 160).
-_APPLY_BYTES = 1 << 21
+# support: 387 rows at Cora's 2708 columns, a whole graph of up to 1024
+# nodes. Each block is one GEMM call, which waits for every BLAS thread, so
+# few long calls hold up best on a shared host: on a 2-core x86 box (2 MB L2
+# per core) with a busy loop on the other core, a Cora-shaped epoch took
+# 1.85x its idle time with 8 MB blocks, 2.0x with 4 MB, 2.4x with 2 MB
+# (96 rows) and 1.5-2.0x with the one-GEMM products of stored dropped copies.
+# Idle, 8 MB blocks were the fastest of 2, 4, 8, 16 and 32 MB.
+_APPLY_BYTES = 1 << 23
 
 
 def _masked_product(C, mask, keep, X, out, add=False, transpose=False) -> None:

@@ -251,7 +251,7 @@ def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
 
 
 @pytest.mark.parametrize("n,apply_bytes,symmetric", [
-    (600, None, True),          # the real block size: 436 rows, then 164
+    (1100, None, True),         # the real block size: 953 rows, then 147
     (50, 8 * 50 * 7, False),    # blocks of 7 rows, the last of one row
     (30, None, False),          # one block: the product is the one-GEMM one
 ], ids=["ragged-last-block", "one-row-last-block", "below-one-block"])
