@@ -14,7 +14,7 @@ import numpy as np
 
 from .filters import ChebBasis, FilterDesign, evaluate
 from .graphs import Graph
-from .spectral import SpectralBasis, _synthesize
+from .spectral import SpectralBasis, _asymmetry, _synthesize
 
 DESIGNED_SYM_TOL = 1e-8
 
@@ -46,7 +46,8 @@ class KernelSet:
         for tag, C in zip(self.provenance, self.supports):
             if C.shape != (n, n):
                 raise ValueError(f"support shapes differ: {C.shape} vs ({n}, {n})")
-            if isinstance(tag, Designed) and np.max(np.abs(C - C.T)) > DESIGNED_SYM_TOL:
+            if (isinstance(tag, Designed)
+                    and _asymmetry(C, "designed support") > DESIGNED_SYM_TOL):
                 raise ValueError("designed support is not symmetric within 1e-8")
         object.__setattr__(self, "supports", tuple(self.supports))
         object.__setattr__(self, "provenance", tuple(self.provenance))

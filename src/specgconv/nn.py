@@ -10,11 +10,12 @@ Training is deterministic per seed: one Generator drives initialization and
 both dropout kinds (input dropout on layer inputs, kernel dropout as Bernoulli
 masking of support entries with inverted scaling). Kernel dropout keeps one
 boolean mask per support and applies it block by block while multiplying by
-the support, so no dropped copy of a support is stored. A large mask is drawn
-by the calling thread and one helper thread, each filling half of the rows
-from its own position in the same PCG64 stream; the mask and the Generator's
-state are bit for bit those of one sequential draw, so results do not depend
-on the split.
+the support, so no dropped copy of a support is stored; input dropout keeps
+the layer input and its mask, and forms the scaled input only where a product
+reads it. A large mask is drawn by the calling thread and one helper thread,
+each filling half of the rows from its own position in the same PCG64 stream;
+the mask and the Generator's state are bit for bit those of one sequential
+draw, so results do not depend on the split.
 """
 from __future__ import annotations
 
@@ -322,10 +323,12 @@ class _Dropout:
     Graph by graph, and layer by layer within a graph, each layer draws an
     input mask and then one kernel mask per support. The forward runs layer
     by layer over the whole batch, so every graph but the last draws all its
-    masks up front; the last graph draws each layer's masks when that layer
-    runs. The Generator stream is therefore consumed in the same order as
-    graph-by-graph passes would consume it, and a single graph draws nothing
-    ahead of time. layer(i) must be called once per layer, in order."""
+    masks up front; the last graph draws each mask when a layer asks for it.
+    The Generator stream is therefore consumed in the same order as
+    graph-by-graph passes would consume it, a single graph draws nothing
+    ahead of time, and a layer can let go of its scaled input before its
+    kernel masks are drawn. Each trainable layer, in order, calls inputs()
+    once and a conv layer then kernels() once."""
 
     def __init__(self, rng, input_dropout: float, kernel_dropout: float,
                  spec: ModelSpec, f0: int, batch: GraphBatch):
@@ -336,32 +339,40 @@ class _Dropout:
                  for supports, (a, b) in zip(batch.supports, batch.segments())]
         self._early = [list(d) for d in draws[:-1]]
         self._last = draws[-1]
+        self._taken = 0
 
-    def layer(self, i: int) -> tuple:
-        """Dropout of layer i: (stacked input mask, keep) and (per-graph
-        kernel masks, keep), each None where the layer draws none."""
-        drawn = [masks[i] for masks in self._early] + [next(self._last)]
-        inputs, kernels = [d[0] for d in drawn], [d[1] for d in drawn]
-        inp = None if inputs[0] is None else (
-            np.concatenate(inputs, axis=0) if len(inputs) > 1 else inputs[0], self.input_keep)
-        return inp, None if kernels[0] is None else (kernels, self.kernel_keep)
+    def _next(self) -> list:
+        """Every graph's next draw: the early graphs' as drawn, the last's now."""
+        drawn = [masks[self._taken] for masks in self._early] + [next(self._last)]
+        self._taken += 1
+        return drawn
+
+    def inputs(self):
+        """The next layer's stacked input mask and keep, or None."""
+        masks = self._next()
+        if masks[0] is None:
+            return None
+        return (np.concatenate(masks, axis=0) if len(masks) > 1 else masks[0]), self.input_keep
+
+    def kernels(self):
+        """The conv layer's per-graph kernel masks and keep, or None."""
+        masks = self._next()
+        return None if masks[0] is None else (masks, self.kernel_keep)
 
 
 def _graph_masks(rng, spec, f0, rows, supports, input_keep, kernel_keep):
-    """Yield one graph's (input mask, kernel masks) layer by layer, each
-    None where the layer draws none; a graph has one row after a readout.
-    A module-level generator, so that its suspended frame holds no _Dropout."""
+    """Yield one graph's masks in draw order: per trainable layer its input
+    mask, then for a conv layer its kernel masks, each None where the layer
+    draws none; a graph has one row after a readout. A module-level
+    generator, so that its suspended frame holds no _Dropout."""
     for layer, f_in in zip(spec.layers, spec.widths(f0)):
         if isinstance(layer, ReadoutMeanMax):
             rows = 1
-            yield None, None
             continue
-        inp = kern = None
-        if input_keep < 1:
-            inp = rng.random((rows, f_in)) < input_keep
-        if isinstance(layer, _CONV) and kernel_keep < 1:
-            kern = [_kernel_mask(rng, C.shape, kernel_keep) for C in supports]
-        yield inp, kern
+        yield _kernel_mask(rng, (rows, f_in), input_keep) if input_keep < 1 else None
+        if isinstance(layer, _CONV):
+            yield ([_kernel_mask(rng, C.shape, kernel_keep) for C in supports]
+                   if kernel_keep < 1 else None)
 
 
 def _scaled(x: np.ndarray, mask: np.ndarray, keep: float) -> np.ndarray:
@@ -371,9 +382,14 @@ def _scaled(x: np.ndarray, mask: np.ndarray, keep: float) -> np.ndarray:
     return out
 
 
-# Rows of a kernel mask drawn at a time by _kernel_mask: the block of doubles
-# behind them is about 1 MB at Cora's 2708 columns, so it is still in cache
-# when it is compared. A mask of at least _DROP_SPLIT_BLOCKS blocks of rows
+def _layer_input(H: np.ndarray, input_mask) -> np.ndarray:
+    """A layer's input after input dropout: H itself without it."""
+    return H if input_mask is None else _scaled(H, *input_mask)
+
+
+# Rows of a mask drawn at a time by _kernel_mask: the block of doubles behind
+# them is about 1 MB at Cora's 2708 columns, so it is still in cache when it
+# is compared. A mask of at least _DROP_SPLIT_BLOCKS blocks of rows
 # is split over two threads.
 _DROP_ROWS = 48
 _DROP_SPLIT_BLOCKS = 4
@@ -382,7 +398,7 @@ _DROP_SPLIT_BLOCKS = 4
 def _kernel_mask(rng: np.random.Generator, shape: tuple, keep: float) -> np.ndarray:
     """rng.random(shape) < keep, bit for bit, leaving rng in the state that
     draw leaves it, but drawn a row block at a time, so no float temporary
-    of the mask's size is made.
+    of the mask's size is made. Draws kernel masks and input masks alike.
 
     With a PCG64 Generator, a mask of at least _DROP_SPLIT_BLOCKS row blocks
     is split at its middle row: a helper thread fills the second half from a
@@ -391,7 +407,7 @@ def _kernel_mask(rng: np.random.Generator, shape: tuple, keep: float) -> np.ndar
     takes the copy's end state and keeps its own buffered 32-bit half, which
     advance() clears."""
     out = np.empty(shape, dtype=bool)
-    n_rows, n_cols = shape
+    n_rows, n_cols = out.shape   # Python ints: advance() refuses a numpy integer
     bitgen = rng.bit_generator
     if n_rows < _DROP_SPLIT_BLOCKS * _DROP_ROWS or type(bitgen) is not np.random.PCG64:
         _fill_mask(rng, keep, out, 0, n_rows)
@@ -507,26 +523,33 @@ def _readout_backward(cache, dout):
     return dH
 
 
-def _layer_forward(layer, lp, H, batch, masks=None):
-    """One layer over a batch; masks is _Dropout.layer's pair when training.
-    Returns (output, cache for the backward pass)."""
+def _layer_forward(layer, lp, H, batch, drop=None):
+    """One layer over a batch; drop is the training forward's _Dropout.
+    Returns (output, cache for the backward pass). The cache holds the input
+    H and its input mask, not the scaled input."""
     if isinstance(layer, ReadoutMeanMax):
         return _readout_forward(H, batch)
 
-    input_mask, kernel = masks if masks is not None else (None, None)
-    Hin = H if input_mask is None else _scaled(H, *input_mask)
-    cache = {"Hin": Hin, "mask": input_mask, "offsets": batch.offsets}
+    input_mask = None if drop is None else drop.inputs()
+    Hin = _layer_input(H, input_mask)
+    cache = {"H": H, "mask": input_mask, "offsets": batch.offsets}
 
     if isinstance(layer, Dense):
         Z = Hin @ lp.weights[0]
     elif isinstance(layer, _CONV):
         Cs = batch.supports
-        cache["Cs"], cache["kernel"] = Cs, kernel
+        cache["Cs"] = Cs
         if _narrowing(layer, Hin):
+            # the scaled input is let go before the kernel masks are drawn,
+            # so the two are never alive together
+            HA = [Hin @ A for A in _mixing(layer, lp)]
+            del Hin
+            kernel = cache["kernel"] = None if drop is None else drop.kernels()
             Z = None
-            for s, A in enumerate(_mixing(layer, lp)):
-                Z = _propagate(Cs, s, Hin @ A, batch.offsets, into=Z, dropout=kernel)
+            for s, X in enumerate(HA):
+                Z = _propagate(Cs, s, X, batch.offsets, into=Z, dropout=kernel)
         else:
+            kernel = cache["kernel"] = None if drop is None else drop.kernels()
             PS = [_propagate(Cs, s, Hin, batch.offsets, dropout=kernel)
                   for s in range(len(Cs[0]))]
             cache["PS"] = PS
@@ -546,7 +569,8 @@ def _layer_forward(layer, lp, H, batch, masks=None):
 
 def _layer_backward(layer, lp, cache, dout, input_grad=True):
     """Parameter gradients of one layer, and the gradient with respect to its
-    input (None when input_grad is false)."""
+    input (None when input_grad is false). Consumes the cache: its kernel
+    masks are let go once the products that read them are formed."""
     if isinstance(layer, ReadoutMeanMax):
         return (_readout_backward(cache, dout) if input_grad else None), LayerParams()
 
@@ -555,21 +579,26 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
     if lp.bias is not None:
         grads.bias = dZ.sum(axis=0)
 
-    Hin, Cs, offsets = cache["Hin"], cache.get("Cs"), cache["offsets"]
-    kernel = cache.get("kernel")
+    H, Cs, offsets = cache["H"], cache.get("Cs"), cache["offsets"]
+    kernel = cache.pop("kernel", None)
     dHin = None
     if isinstance(layer, Dense):
-        grads.weights = [Hin.T @ dZ]
+        grads.weights = [_layer_input(H, cache["mask"]).T @ dZ]
         if input_grad:
             dHin = dZ @ lp.weights[0].T
-    elif _narrowing(layer, Hin):
+    elif _narrowing(layer, H):
         # every gradient of Z = sum_s C_s Hin A_s follows from G_s = C_s^T dZ,
-        # which is f_out wide; R_s = Hin^T G_s is the gradient for A_s
-        RS = []
-        for s, A in enumerate(_mixing(layer, lp)):
-            G = _propagate(Cs, s, dZ, offsets, transpose=True, dropout=kernel)
-            RS.append(Hin.T @ G)
-            if input_grad:
+        # which is f_out wide; R_s = Hin^T G_s is the gradient for A_s. The
+        # scaled input is rebuilt only after every G_s is formed and the
+        # kernel masks are let go, and let go before dHin, of its shape.
+        GS = [_propagate(Cs, s, dZ, offsets, transpose=True, dropout=kernel)
+              for s in range(len(Cs[0]))]
+        del kernel
+        Hin = _layer_input(H, cache["mask"])
+        RS = [Hin.T @ G for G in GS]
+        del Hin
+        if input_grad:
+            for G, A in zip(GS, _mixing(layer, lp)):
                 if dHin is None:
                     dHin = G @ A.T
                 else:
@@ -624,8 +653,8 @@ def model_forward(
     if train and (input_dropout > 0 or kernel_dropout > 0):
         drop = _Dropout(rng, input_dropout, kernel_dropout, spec, H.shape[1], batch)
     caches = []
-    for i, (layer, lp) in enumerate(zip(spec.layers, params)):
-        H, cache = _layer_forward(layer, lp, H, batch, None if drop is None else drop.layer(i))
+    for layer, lp in zip(spec.layers, params):
+        H, cache = _layer_forward(layer, lp, H, batch, drop)
         if isinstance(layer, ReadoutMeanMax):
             batch = batch.pooled()
         caches.append(cache)

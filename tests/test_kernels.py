@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from specgconv.filters import AllPass, BandPass, ChebBasis, Tabulated, evaluate
+from specgconv.filters import AllPass, BandPass, ChebBasis, Tabulated, evaluate, parse_design
 from specgconv.graphs import Graph, LaplacianKind, build_laplacian, make_ring, random_graph
 from specgconv.kernels import (
     Chebyshev,
@@ -200,6 +202,31 @@ def test_kernelset_validation():
     KernelSet(supports=(near,), provenance=(Designed(AllPass()),))
     with pytest.raises(ValueError, match="symmetric"):
         KernelSet(supports=(far,), provenance=(Designed(AllPass()),))
+    for bad in (np.nan, np.inf):
+        nonfinite = C.copy()
+        nonfinite[2, 2] = bad
+        with pytest.raises(ValueError, match="^designed support has an entry that is not finite$"):
+            KernelSet(supports=(C, nonfinite), provenance=(Designed(AllPass()),) * 2)
+
+
+def test_design_kernelset_allocates_its_supports_and_one_n_by_n_temporary():
+    """design_kernelset of the four Cora designs (no negative response) at
+    n = 500 allocates at most its supports and one n x n array, the scaled
+    eigenvectors V of the support being formed, plus 5 % of an n x n array
+    for small arrays: the symmetry check works in row blocks of about 1 MB,
+    formed after V is freed."""
+    n = 500
+    basis = sym_basis(random_graph(n, 0.02, seed=3))
+    designs = [parse_design(t) for t in ("lowpass(eta=5)", "bandpass(c=0.25,gamma=0.25)",
+                                         "bandpass(c=0.5,gamma=0.25)",
+                                         "bandpass(c=0.75,gamma=0.25)")]
+    tracemalloc.start()
+    try:
+        ks = design_kernelset(basis, designs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(C.nbytes for C in ks) + 1.05 * 8 * n * n
 
 
 def _basis(n):

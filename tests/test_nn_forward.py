@@ -199,8 +199,9 @@ def _buffer_uint32(rng):
     (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.25, np.random.PCG64, None),
     (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.9, np.random.PCG64, _buffer_uint32),
     (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.25, np.random.MT19937, None),
+    (300, 1433, 0.25, np.random.PCG64, None),
 ], ids=["under-one-block", "ragged-blocks", "split-odd-rows", "split-buffered-uint32",
-        "mt19937"])
+        "mt19937", "input-shaped"])
 def test_dropped_is_the_masked_scaled_support_bit_for_bit(rows, cols, keep, bitgen, before):
     """The kernel mask is the sequential draw rng.random(shape) < keep and
     leaves the Generator where that draw does; applied to the identity, the
@@ -333,6 +334,71 @@ def test_dropout_state_is_freed_when_the_forward_returns(monkeypatch):
         assert len(alive) == 1 and alive[0]() is None
     finally:
         gc.enable()
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _arrays(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _arrays(v)
+
+
+def test_input_dropout_caches_the_input_and_its_mask_not_a_scaled_copy():
+    """With input dropout, the only float array of the input's shape in a
+    DSG layer's cache is the input itself; the backward rebuilds the scaled
+    input from it and the boolean mask."""
+    rng = np.random.default_rng(2)
+    spec = parse_architecture("DSG4-DSG2")
+    H0 = rng.standard_normal((30, 9))
+    supports = [np.eye(30), rng.standard_normal((30, 30))]
+    params = init_parameters(spec, 9, 2, rng)
+    _, caches = model_forward(spec, params, H0, supports, train=True,
+                              rng=np.random.default_rng(3), input_dropout=0.5,
+                              kernel_dropout=0.5)
+    same_shape = [a for a in _arrays(caches[0]) if a.shape == H0.shape and a.dtype.kind == "f"]
+    assert len(same_shape) == 1 and same_shape[0] is H0
+    assert any(a.shape == H0.shape and a.dtype == bool for a in _arrays(caches[0]))
+
+
+def test_scaled_input_and_kernel_masks_are_never_alive_together(monkeypatch):
+    """A narrowing layer lets go of its scaled input before it draws its
+    kernel masks, and its backward lets go of the masks before it rebuilds
+    the scaled input."""
+    n, f0, S = 12, 9, 3
+    scaled, kernel_masks, overlaps = [], [], []
+    real_scaled, real_mask = nn._scaled, nn._kernel_mask
+
+    def alive(refs):
+        return any(r() is not None for r in refs)
+
+    def recorded_scaled(x, mask, keep):
+        out = real_scaled(x, mask, keep)
+        if out.shape == (n, f0):
+            overlaps.append(alive(kernel_masks))
+            scaled.append(weakref.ref(out))
+        return out
+
+    def recorded_mask(rng, shape, keep):
+        out = real_mask(rng, shape, keep)
+        if shape == (n, n):
+            overlaps.append(alive(scaled))
+            kernel_masks.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(nn, "_scaled", recorded_scaled)
+    monkeypatch.setattr(nn, "_kernel_mask", recorded_mask)
+    rng = np.random.default_rng(4)
+    spec = parse_architecture("DSG2")
+    params = init_parameters(spec, f0, S, rng)
+    supports = [rng.standard_normal((n, n)) for _ in range(S)]
+    out, caches = model_forward(spec, params, rng.standard_normal((n, f0)), supports,
+                                train=True, rng=rng, input_dropout=0.5, kernel_dropout=0.5)
+    model_backward(spec, params, caches, np.ones_like(out))
+    assert len(scaled) == 2 and len(kernel_masks) == S and not any(overlaps)
 
 
 def test_param_count_cora_table_model():

@@ -1,11 +1,15 @@
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specgconv import spectral
 from specgconv.graphs import LaplacianKind, build_laplacian, make_ring, random_graph
-from specgconv.spectral import _apply_sign_rule, decompose, fourier, inverse_fourier
+from specgconv.spectral import (
+    SpectralBasis, _apply_sign_rule, _asymmetry, _validate, decompose, fourier, inverse_fourier,
+)
 
 SYM = LaplacianKind.SYM_NORMALIZED
 COMB = LaplacianKind.COMBINATORIAL
@@ -109,6 +113,71 @@ def test_non_symmetric_rejected():
     L = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         decompose(L, COMB)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_laplacian_is_refused_by_the_symmetry_check(bad, where):
+    """A NaN would pass a tolerance comparison and an infinity would read as
+    asymmetry; either is refused as what it is, before eigh."""
+    L = build_laplacian(make_ring(6), SYM)
+    L[where] = bad
+    with pytest.raises(ValueError, match="^Laplacian has an entry that is not finite$"):
+        decompose(L, SYM)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 50])
+def test_asymmetry_is_the_plain_maximum(n, monkeypatch):
+    """Formed in row blocks (here of 3 rows, the last one ragged), the
+    maximum is that of |M - M^T|, bit for bit, on C- and F-ordered input."""
+    monkeypatch.setattr(spectral, "_ASYM_BYTES", 8 * n * 3)
+    M = np.random.default_rng(n).standard_normal((n, n))
+    M = M + M.T + 1e-9 * np.random.default_rng(n + 1).standard_normal((n, n))
+    for m in (M, np.asfortranarray(M)):
+        assert _asymmetry(m, "M") == np.max(np.abs(m - m.T), initial=0.0)
+
+
+@pytest.mark.parametrize("perturb", ["eigenvectors", "eigenvalues"])
+def test_validate_verdicts_turn_at_the_plain_residuals(perturb, monkeypatch):
+    """Each residual, formed in place in its product, has the maximum of the
+    plain expression bit for bit: the check passes at a tolerance equal to
+    that maximum and fails at the next float below it."""
+    L = build_laplacian(random_graph(40, 0.2, seed=5), COMB)
+    basis = decompose(L, COMB)
+    U, lam = basis.eigenvectors.copy(), basis.eigenvalues.copy()
+    if perturb == "eigenvectors":
+        U[:, 0] *= 1 + 1e-6     # lambda_1 = 0: L is still reconstructed
+    else:
+        lam[3] += 1e-6
+    gram = np.max(np.abs(U.T @ U - np.eye(40)))
+    recon = np.max(np.abs((U * lam) @ U.T - L))
+    worst, message = ((gram, "orthonormal") if perturb == "eigenvectors" else
+                      (recon, "reconstruct"))
+    assert worst == max(gram, recon) > 1e-12
+    bad = SpectralBasis(eigenvalues=lam, eigenvectors=U, kind=COMB)
+    monkeypatch.setattr(spectral, "ORTHO_TOL", worst)
+    _validate(bad, L)
+    monkeypatch.setattr(spectral, "ORTHO_TOL", np.nextafter(worst, 0.0))
+    with pytest.raises(ArithmeticError, match=message):
+        _validate(bad, L)
+
+
+def test_decompose_allocates_its_outputs_and_two_n_by_n_temporaries():
+    """decompose at n = 500 allocates at most its outputs, U diag(lambda) and
+    the product of the reconstruction check (one GEMM, so that its residual
+    keeps its bits), plus 2 % of an n x n array for small arrays. The
+    symmetry check, the symmetrized copy of an exactly symmetric L, and the
+    residuals' identity, difference and absolute value take no n x n array."""
+    n = 500
+    L = build_laplacian(random_graph(n, 0.02, seed=3), SYM)
+    tracemalloc.start()
+    try:
+        basis = decompose(L, SYM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = basis.eigenvectors.nbytes + basis.eigenvalues.nbytes
+    assert peak <= outputs + 2.02 * 8 * n * n
 
 
 def _entry_path(cache_dir, L):
