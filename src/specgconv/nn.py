@@ -192,16 +192,10 @@ def init_parameters(
 
 
 def zero_like_params(params: Sequence[LayerParams]) -> list:
-    out = []
-    for lp in params:
-        out.append(
-            LayerParams(
-                weights=[np.zeros_like(w) for w in lp.weights],
-                depthwise=None if lp.depthwise is None else np.zeros_like(lp.depthwise),
-                bias=None if lp.bias is None else np.zeros_like(lp.bias),
-            )
-        )
-    return out
+    return [LayerParams(weights=[np.zeros_like(w) for w in lp.weights],
+                        depthwise=None if lp.depthwise is None else np.zeros_like(lp.depthwise),
+                        bias=None if lp.bias is None else np.zeros_like(lp.bias))
+            for lp in params]
 
 
 def flatten_params(params: Sequence[LayerParams]) -> list:
@@ -245,9 +239,7 @@ def param_count(
             width = 2 * width
             continue
         if isinstance(layer, _CONV):
-            dsg = separable if separable is not None else isinstance(
-                layer, DepthwiseSeparableConv
-            )
+            dsg = isinstance(layer, DepthwiseSeparableConv) if separable is None else separable
             if dsg:
                 total += n_supports * width + width * layer.out
             else:
@@ -434,7 +426,7 @@ def _fill_mask(rng, keep, out, lo, hi) -> None:
         np.less(rng.random(out=block[: b - a]), keep, out=out[a:b])
 
 
-# Bytes of the buffer in which _masked_product forms a block of a dropped
+# Bytes of the buffer in which _masked_product forms a row block of a dropped
 # support: 387 rows at Cora's 2708 columns, a whole graph of up to 1024
 # nodes. Each block is one GEMM call, which waits for every BLAS thread, so
 # few long calls hold up best on a shared host: on a 2-core x86 box (2 MB L2
@@ -447,25 +439,40 @@ _APPLY_BYTES = 1 << 23
 
 def _masked_product(C, mask, keep, X, out, add=False, transpose=False) -> None:
     """out = D X (D^T X with transpose; added into out with add), where D =
-    _scaled(C, mask, keep), formed a row block of D (of D^T, i.e. a column
-    block of D) at a time in one reused buffer of about _APPLY_BYTES, laid
-    out as C is. Each block keeps the full inner dimension, so every entry is
-    one dot product over a whole row (column) of D, as in the one-GEMM
-    product."""
-    if transpose:
-        C, mask = C.T, mask.T
-    rows, inner = C.shape
-    step = max(1, min(rows, _APPLY_BYTES // (8 * max(inner, 1))))
-    buf = np.empty_like(C[:step])
-    scale = 1.0 / keep
+    _scaled(C, mask, keep), reading C and its mask in row blocks only. Each
+    D_b = mask_b C_b (the mask cast to 0/1 first: faster, same bits) is formed
+    in one reused buffer of about _APPLY_BYTES. D X is one GEMM per block; D^T
+    X sums D_b^T X_b, as sum_b X_b^T D_b over many blocks. 1/keep scales the
+    narrower side: the product when C is wider than X, else each block. A
+    block's GEMM has the dropped copy's bits when 1/keep is a power of two or
+    scales the block; other products moved by up to 3e-15 relative."""
+    rows, cols = C.shape
+    step = max(1, min(rows, _APPLY_BYTES // (8 * max(cols, 1))))
+    buf = np.empty((step, cols))
+    scale_blocks = cols <= X.shape[1]
+    acc = np.empty((X.shape[1], cols)) if transpose and rows > step else None
     for a in range(0, rows, step):
         b = min(a + step, rows)
-        block = np.multiply(C[a:b], mask[a:b], out=buf[: b - a])
-        block *= scale
-        if add:
-            out[a:b] += block @ X
+        block = buf[: b - a]
+        np.copyto(block, mask[a:b])
+        block *= C[a:b]
+        if scale_blocks:
+            block *= 1.0 / keep
+        if acc is None:
+            target, lhs = (out, block.T) if transpose else (out[a:b], block)
+            part = lhs @ X if add else np.matmul(lhs, X, out=target)
+            if not scale_blocks:
+                part *= 1.0 / keep
+            if add:
+                target += part
+        elif a == 0:
+            np.matmul(X[a:b].T, block, out=acc)
         else:
-            np.matmul(block, X, out=out[a:b])
+            acc += X[a:b].T @ block
+    if acc is not None:
+        if not scale_blocks:
+            acc *= 1.0 / keep
+        out[...] = out + acc.T if add else acc.T
 
 
 def _narrowing(layer, Hin) -> bool:
@@ -489,8 +496,8 @@ def _propagate(Cs, s, X, offsets, into=None, transpose=False, dropout=None) -> n
     """Support s applied to every graph's rows of X, C_s X (C_s^T X with
     transpose), where Cs[g] holds graph g's supports; added into `into` when
     given, which is then returned. With dropout, a layer's (per-graph kernel
-    masks, keep), graph g's support s is dropped by its mask on the fly (see
-    _masked_product)."""
+    masks, keep), graph g's support s is dropped by its mask on the fly, read
+    in row blocks whichever the product (see _masked_product)."""
     out = np.empty_like(X) if into is None else into
     masks, keep = (None, None) if dropout is None else dropout
     for g, (supports, a, b) in enumerate(zip(Cs, offsets[:-1], offsets[1:])):
@@ -1104,13 +1111,9 @@ def save_checkpoint(params: Sequence[LayerParams], path) -> None:
     """Serialize trained parameters as JSON (nested lists per layer)."""
     import json
 
-    doc = []
-    for lp in params:
-        doc.append({
-            "weights": [w.tolist() for w in lp.weights],
+    doc = [{"weights": [w.tolist() for w in lp.weights],
             "depthwise": None if lp.depthwise is None else lp.depthwise.tolist(),
-            "bias": None if lp.bias is None else lp.bias.tolist(),
-        })
+            "bias": None if lp.bias is None else lp.bias.tolist()} for lp in params]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -1120,15 +1123,12 @@ def load_checkpoint(path) -> list:
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    params = []
-    for entry in doc:
-        params.append(LayerParams(
-            weights=[np.array(w, dtype=np.float64) for w in entry["weights"]],
-            depthwise=None if entry["depthwise"] is None
-            else np.array(entry["depthwise"], dtype=np.float64),
-            bias=None if entry["bias"] is None else np.array(entry["bias"], dtype=np.float64),
-        ))
-    return params
+    return [LayerParams(weights=[np.array(w, dtype=np.float64) for w in entry["weights"]],
+                        depthwise=None if entry["depthwise"] is None
+                        else np.array(entry["depthwise"], dtype=np.float64),
+                        bias=None if entry["bias"] is None
+                        else np.array(entry["bias"], dtype=np.float64))
+            for entry in doc]
 
 
 # ---------------------------------------------------------------------------

@@ -91,3 +91,27 @@ def test_report_prints_both_verdicts_per_metric():
     setup = next(line for line in lines if " setup_s: " in line)
     assert setup.endswith("claim does not hold")       # no bound given for it
     assert "no regression" not in bench_pairs.report(summary)
+
+
+def test_run_record_keeps_the_host_calibration():
+    """The "perfbench" line before the result carries the host's calibration;
+    the run record keeps both figures beside the metrics it measured."""
+    fingerprint = {"workload": "enzymes-cv", "seed": 5, "fingerprint": {"cpu": "x"},
+                   "calibration": {"gemm_gflop_per_s": 61.5, "py_loop_mops": 22.25},
+                   "setup_s": [0.7], "step_s": [1.1, 1.2]}
+    result = {"correct": True, "attempted": 4, "failed": 0,
+              "metrics": {"setup_s": {"value": 0.7, "unit": "s"},
+                          "step_s": {"value": 1.15, "unit": "s"},
+                          "peak_rss_mb": {"value": 98.5, "unit": "MB"},
+                          "machine.gemm_gflop_per_s": {"value": 61.5, "unit": "GFLOP/s"}}}
+    lines = ["a progress line", json.dumps({"perfbench": fingerprint}), json.dumps(result)]
+    record = bench_pairs.read_record(lines)
+    assert record == {"failed": 0, "attempted": 4, "setup_s": 0.7, "step_s": 1.15,
+                      "peak_rss_mb": 98.5,
+                      "calibration": {"gemm_gflop_per_s": 61.5, "py_loop_mops": 22.25}}
+    with pytest.raises(IndexError):
+        bench_pairs.read_record(lines[-1:])       # no line before the result
+    runs = _runs([2.0, 2.1], [1.0, 1.1])
+    for run in runs:
+        run["calibration"] = record["calibration"]
+    assert set(bench_pairs.summarize(runs)["cora-dsg"]) == {*bench_pairs.METRICS, "failed"}

@@ -251,37 +251,70 @@ def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
         assert len(masks) == 5 and all(m.tobytes() == w.tobytes() for m in masks)
 
 
-@pytest.mark.parametrize("n,apply_bytes,symmetric", [
-    (1100, None, True),         # the real block size: 953 rows, then 147
-    (50, 8 * 50 * 7, False),    # blocks of 7 rows, the last of one row
-    (30, None, False),          # one block: the product is the one-GEMM one
-], ids=["ragged-last-block", "one-row-last-block", "below-one-block"])
-def test_masked_products_match_the_dropped_support_product(n, apply_bytes, symmetric,
+@pytest.mark.parametrize("n,width,apply_bytes,symmetric", [
+    (1100, 6, None, True),          # the real block size: 953 rows, then 147
+    (50, 6, 8 * 50 * 7, False),     # blocks of 7 rows, the last of one row
+    (30, 6, None, False),           # one block wider than X: 1/keep scales the product
+    (30, 40, None, False),          # one block no wider than X: 1/keep scales the block
+], ids=["ragged-last-block", "one-row-last-block", "below-one-block", "narrower-than-x"])
+def test_masked_products_match_the_dropped_support_product(n, width, apply_bytes, symmetric,
                                                            monkeypatch):
     """Forward, transposed and accumulated products of a dropped support,
     formed block by block from C and its mask, against the products of the
-    masked, scaled copy: within 1e-12 relative, and bit for bit when the
-    support is one block."""
+    masked, scaled copy: within 1e-12 relative. A support of one block gives
+    the one-GEMM products bit for bit at keep 0.25, whose 1/keep is exact,
+    and at any keep when it is no wider than X, so that 1/keep scales the
+    block as the copy does."""
     if apply_bytes is not None:
         monkeypatch.setattr(nn, "_APPLY_BYTES", apply_bytes)
     rng = np.random.default_rng(11)
     C = rng.standard_normal((n, n))
     if symmetric:
         C = C + C.T
-    mask = rng.random((n, n)) < 0.3
-    X, base = rng.standard_normal((n, 6)), rng.standard_normal((n, 6))
-    D = _scaled(C, mask, 0.3)
+    X, base = rng.standard_normal((n, width)), rng.standard_normal((n, width))
     one_block = nn._APPLY_BYTES >= 8 * n * n
-    for transpose in (False, True):
-        want = (D.T if transpose else D) @ X
-        got, acc = np.empty_like(X), base.copy()
-        _masked_product(C, mask, 0.3, X, got, transpose=transpose)
-        _masked_product(C, mask, 0.3, X, acc, add=True, transpose=transpose)
-        if one_block:
-            assert got.tobytes() == want.tobytes()
-            assert acc.tobytes() == (base + want).tobytes()
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.max(np.abs(acc - (base + want))) <= 1e-12 * np.max(np.abs(base + want))
+    for keep in (0.3, 0.25):
+        mask = rng.random((n, n)) < keep
+        D = _scaled(C, mask, keep)
+        for transpose in (False, True):
+            want = (D.T if transpose else D) @ X
+            got, acc = np.empty_like(X), base.copy()
+            _masked_product(C, mask, keep, X, got, transpose=transpose)
+            _masked_product(C, mask, keep, X, acc, add=True, transpose=transpose)
+            if one_block and (keep == 0.25 or n <= width):
+                assert got.tobytes() == want.tobytes()
+                assert acc.tobytes() == (base + want).tobytes()
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(acc - (base + want))) <= 1e-12 * np.max(np.abs(base + want))
+
+
+@pytest.mark.parametrize("n,width,apply_bytes", [
+    (0, 3, None),
+    (1, 3, None),
+    (15, 3, 8 * 15 * 7),        # blocks of 7, 7 and 1 rows; C wider than X
+    (15, 20, 8 * 15 * 7),       # the same blocks; C no wider than X
+], ids=["0-node", "1-node", "one-row-last-block", "one-row-last-block-wide-x"])
+def test_transposed_masked_product_writes_every_entry_of_out(n, width, apply_bytes,
+                                                             monkeypatch):
+    """C^T X is summed from its first row block on, so no entry of out may be
+    left as it was: a NaN-filled out is overwritten, add adds onto out as it
+    was, and an all-false mask writes zeros or leaves out bit for bit. C is
+    not symmetric, so a product with C in place of C^T would show."""
+    if apply_bytes is not None:
+        monkeypatch.setattr(nn, "_APPLY_BYTES", apply_bytes)
+    rng = np.random.default_rng(17)
+    C = rng.standard_normal((n, n))
+    X, base = rng.standard_normal((n, width)), rng.standard_normal((n, width))
+    for mask in (rng.random((n, n)) < 0.6, np.zeros((n, n), dtype=bool)):
+        want = _scaled(C, mask, 0.6).T @ X
+        got, acc = np.full((n, width), np.nan), base.copy()
+        _masked_product(C, mask, 0.6, X, got, transpose=True)
+        _masked_product(C, mask, 0.6, X, acc, add=True, transpose=True)
+        scale = np.max(np.abs(want), initial=1.0)
+        assert not np.isnan(got).any()
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+        assert np.max(np.abs(acc - (base + want)), initial=0.0) <= 1e-12 * scale
+    assert not got.any() and acc.tobytes() == base.tobytes()
 
 
 def test_kernel_dropout_on_an_empty_graph_gives_an_empty_output():

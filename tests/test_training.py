@@ -372,3 +372,65 @@ def test_train_config_validation():
         TrainConfig(loss="hinge")
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+def _pinned_dsg_run():
+    """DSG8-DSG3 on a 60-node graph with non-symmetric supports and dual
+    dropout 0.75, whose 1/keep = 4 is exact."""
+    rng = np.random.default_rng(21)
+    n = 60
+    g = random_graph(n, 0.1, seed=21).with_features(rng.standard_normal((n, 12)))
+    labels = rng.integers(0, 3, n)
+    split = rng.permutation(n)
+    masks = {name: np.isin(np.arange(n), split[a:b])
+             for name, (a, b) in {"train": (0, 30), "val": (30, 45), "test": (45, 60)}.items()}
+    data = SingleGraphDataset(graph=g, labels=labels, masks=masks)
+    supports = [rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(3)]
+    cfg = TrainConfig(learning_rate=0.02, epochs=3, seed=5, input_dropout=0.75,
+                      kernel_dropout=0.75)
+    return train(nn.parse_architecture("DSG8-DSG3"), supports, data, cfg)
+
+
+def _pinned_graph_run():
+    """G6-G8-G5-meanmax-D3 on eight graphs of 5 to 14 nodes, four per
+    mini-batch (one chunk), with dual dropout 0.1, whose 1/keep is inexact.
+    The G8 layer widens, so its backward adds C_s^T products into dHin; the
+    G5 layer narrows; graphs wider and narrower than X meet both scalings."""
+    rng = np.random.default_rng(22)
+    sizes = (5, 14, 7, 11, 9, 6, 13, 8)
+    graphs = tuple(random_graph(m, 0.4, seed=30 + i).with_features(rng.standard_normal((m, 4)))
+                   for i, m in enumerate(sizes))
+    kernelsets = [[rng.standard_normal((m, m)) / np.sqrt(m) for _ in range(2)] for m in sizes]
+    data = MultiGraphDataset(graphs=graphs, labels=rng.integers(0, 3, len(sizes)), n_classes=3)
+    cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=4, seed=6, input_dropout=0.1,
+                      kernel_dropout=0.1)
+    return train(nn.parse_architecture("G6-G8-G5-meanmax-D3"), kernelsets, data, cfg,
+                 train_idx=[0, 1, 2, 3, 4, 5], val_idx=[6, 7])
+
+
+# (train_loss, val_loss) per epoch, as recorded from the code that formed
+# C_s^T dZ from column blocks and scaled each block of the dropped support
+_PINNED_DSG = [(1.3108988553681937, 1.436085181116386),
+               (1.2760474797835202, 1.383869891693818),
+               (1.2413026204182886, 1.3403846037964622)]
+_PINNED_DSG_7_ROW_BLOCKS = [(1.3108988553681937, 1.4360851811163855),
+                            (1.2760474797835202, 1.383869891693818),
+                            (1.2413026204182886, 1.340384603796462)]
+_PINNED_GRAPHS = [(1.220706459767935, 0.7499025202482272),
+                  (0.8837521708447404, 1.1316715726183166),
+                  (0.7403700937346106, 1.6028499013937005)]
+
+
+@pytest.mark.parametrize("run,apply_bytes,want", [
+    (_pinned_dsg_run, None, _PINNED_DSG),
+    (_pinned_dsg_run, 8 * 60 * 7, _PINNED_DSG_7_ROW_BLOCKS),
+    (_pinned_graph_run, None, _PINNED_GRAPHS),
+], ids=["dsg-dropout-0.75", "dsg-dropout-0.75-7-row-blocks", "graphs-dropout-0.1"])
+def test_training_trajectories_match_the_recorded_ones(run, apply_bytes, want, monkeypatch):
+    """Three epochs of training with kernel and input dropout stay within
+    1e-10 relative of the recorded losses: a rewrite of the masked products
+    may move their rounding, not the seed -> trajectory mapping."""
+    if apply_bytes is not None:
+        monkeypatch.setattr(nn, "_APPLY_BYTES", apply_bytes)
+    got = [(row["train_loss"], row["val_loss"]) for row in run().metrics]
+    assert np.allclose(got, want, rtol=1e-10, atol=0)

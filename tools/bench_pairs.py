@@ -4,7 +4,8 @@
 Each seed is one pair: perfbench/run.py runs once in each checkout with that
 seed, the side that runs first alternating from pair to pair. Result lines go
 to a BENCH_<n>.json file in the layout of the earlier ones: "runs" holds one
-record per run, "summary" per workload and end-to-end metric the medians,
+record per run, with the host's GEMM and Python-loop calibration measured in
+that run, "summary" per workload and end-to-end metric the medians,
 quartiles (numpy's weibull method), the parent's interquartile range, the
 number of pairs in which the change is lower (a tie counts for neither side)
 and the relative change of the medians, plus the failed operations per side.
@@ -32,24 +33,34 @@ import sys
 import numpy as np
 
 METRICS = ("setup_s", "step_s", "peak_rss_mb")
+CALIBRATION = ("gemm_gflop_per_s", "py_loop_mops")
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
 
 
 def run_once(checkout, workload, seed, seconds):
-    """The result line of one benchmark run in checkout, as a dict."""
+    """The record of one benchmark run in checkout (see read_record)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
     try:
-        result = json.loads(lines[-1])
-        metrics = result["metrics"]
+        return read_record(proc.stdout.strip().splitlines())
     except (IndexError, ValueError, KeyError, TypeError):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}: {tail}")
+
+
+def read_record(lines):
+    """A run's record from the output lines of perfbench/run.py: the failed
+    and attempted operations and the METRICS of its last line (the result),
+    and the host's CALIBRATION from the "perfbench" line before it, so that
+    a drift of the host shows beside the timings it moved."""
+    result = json.loads(lines[-1])
+    metrics = result["metrics"]
     record = {"failed": result["failed"], "attempted": result["attempted"]}
     record.update({name: metrics[name]["value"] for name in METRICS if name in metrics})
+    calibration = json.loads(lines[-2])["perfbench"]["calibration"]
+    record["calibration"] = {name: calibration[name] for name in CALIBRATION}
     return record
 
 
@@ -190,7 +201,8 @@ def main(argv=None):
             runs.append({"side": side, "workload": args.workload, "seed": seed,
                          "first": order[0], **record})
             print(f"{args.workload} seed {seed} {side}: "
-                  + ", ".join(f"{m} {record[m]:.4g}" for m in METRICS if m in record),
+                  + ", ".join(f"{m} {record[m]:.4g}" for m in METRICS if m in record)
+                  + ", " + ", ".join(f"{m} {v:.4g}" for m, v in record["calibration"].items()),
                   flush=True)
         doc["summary"] = summarize(runs)
         doc["runs"] = doc.pop("runs")     # the long list last
