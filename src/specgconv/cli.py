@@ -102,14 +102,26 @@ def _build_kernels(arg: str, graph, basis):
         ks = design_kernelset(basis, designs)
         return list(ks.supports), [format_design(d) for d in designs]
     if head == "gat":
-        kernels = gat_sample_kernel(graph, heads=1, seed=int(rest))
-        return kernels, [f"gat_{rest}"]
+        seed = _gat_seed(arg)
+        return gat_sample_kernel(graph, heads=1, seed=seed), [f"gat_{seed}"]
     raise ConfigError(f"unknown kernel spec {arg!r}")
+
+
+def _gat_seed(arg: str):
+    """The seed of a gat:<seed> kernel spec; None for a spec of another head."""
+    head, _, rest = arg.partition(":")
+    if head != "gat":
+        return None
+    try:
+        return int(rest)
+    except ValueError:
+        raise ConfigError(f"gat kernel needs an integer seed, gat:<seed>; got {arg!r}") from None
 
 
 def cmd_analyze(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    gat_seed = _gat_seed(args.kernel)
     graph = _load_graph(args.graph)
     kind = _laplacian_kind(args.laplacian)
     basis = decompose(build_laplacian(graph, kind), kind, cache_dir=_cache_dir())
@@ -127,9 +139,8 @@ def cmd_analyze(args) -> int:
         "version": __version__,
     }
 
-    if args.kernel.startswith("gat") and args.trials > 1:
-        seed = int(args.kernel.partition(":")[2] or 0)
-        stats = gat_profile_stats(graph, trials=args.trials, seed=seed, basis=basis)
+    if gat_seed is not None and args.trials > 1:
+        stats = gat_profile_stats(graph, trials=args.trials, seed=gat_seed, basis=basis)
         save_matrix_csv(os.path.join(args.out, "gat_mean_standard.csv"),
                         np.column_stack([stats["lambda"], stats["mean_standard"]]))
         save_matrix_csv(os.path.join(args.out, "gat_std_standard.csv"),
@@ -164,13 +175,14 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true o
 
 
 def _field(section: dict, key: str, kind, default=_REQUIRED):
-    """section[key], refused unless it is of the JSON kind given (a Python type)."""
+    """section[key], refused unless it is of the JSON kind given (a Python
+    type); true and false are no integers."""
     value = section.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"config is missing field {key!r}")
         return default
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
     return value
 
@@ -262,7 +274,7 @@ def _write_metrics_csv(path, metrics):
 
 def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
     sweep = _field(cfg, "sweep_eta", list, [])
-    if not all(isinstance(eta, (int, float)) for eta in sweep):
+    if not all(isinstance(eta, (int, float)) and not isinstance(eta, bool) for eta in sweep):
         raise ConfigError(f"sweep_eta must be a list of numbers, got {json.dumps(sweep)}")
     if sweep and not dataset.masks["val"].any():
         raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")

@@ -189,6 +189,9 @@ class Tabulated(FilterDesign, key="tabulated"):
         v = np.array(self.values, dtype=np.float64).ravel()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"design {self.text()}: entry {bad[0]} is {v[bad[0]]}, not finite")
 
     def response(self, lam, lambda_max):
         if self.values.shape[0] != lam.shape[0]:
@@ -208,7 +211,10 @@ class Tabulated(FilterDesign, key="tabulated"):
         if m.shape[1] != 1:
             raise ValueError(f"tabulated response file {path} has {m.shape[1]} columns, "
                              "expected one value per row")
-        return cls(values=m[:, 0])
+        try:
+            return cls(values=m[:, 0])
+        except ValueError as exc:
+            raise ValueError(f"tabulated response file {path}: {exc}") from None
 
 
 # text key -> family

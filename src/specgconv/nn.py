@@ -492,6 +492,17 @@ def _mixing(layer, lp):
     return lp.weights
 
 
+def _mixing_grads(layer, lp, RS) -> tuple:
+    """(weight gradients, depthwise gradient) of a conv layer from R_s, the
+    gradient for its A_s: dW_s = R_s; for DSG dW = sum_s diag(w_s) R_s and
+    dw_s = rowsum(R_s * W)."""
+    if isinstance(layer, DepthwiseSeparableConv):
+        W = lp.weights[0]
+        return ([sum(w[:, None] * R for w, R in zip(lp.depthwise, RS))],
+                np.stack([(R * W).sum(axis=1) for R in RS]))
+    return RS, None
+
+
 def _propagate(Cs, s, X, offsets, into=None, transpose=False, dropout=None) -> np.ndarray:
     """Support s applied to every graph's rows of X, C_s X (C_s^T X with
     transpose), where Cs[g] holds graph g's supports; added into `into` when
@@ -532,8 +543,10 @@ def _readout_backward(cache, dout):
 
 def _layer_forward(layer, lp, H, batch, drop=None):
     """One layer over a batch; drop is the training forward's _Dropout.
-    Returns (output, cache for the backward pass). The cache holds the input
-    H and its input mask, not the scaled input."""
+    Returns (output, cache for the backward pass). A conv layer forms sum_s
+    C_s Hin A_s (see _mixing) as sum_s C_s (Hin A_s) when it narrows, else as
+    sum_s P_s A_s with P_s = C_s Hin cached. The cache holds the input H and
+    its input mask, not the scaled input."""
     if isinstance(layer, ReadoutMeanMax):
         return _readout_forward(H, batch)
 
@@ -557,15 +570,9 @@ def _layer_forward(layer, lp, H, batch, drop=None):
                 Z = _propagate(Cs, s, X, batch.offsets, into=Z, dropout=kernel)
         else:
             kernel = cache["kernel"] = None if drop is None else drop.kernels()
-            PS = [_propagate(Cs, s, Hin, batch.offsets, dropout=kernel)
-                  for s in range(len(Cs[0]))]
-            cache["PS"] = PS
-            if isinstance(layer, DepthwiseSeparableConv):
-                M = sum(w[None, :] * P for w, P in zip(lp.depthwise, PS))
-                Z = M @ lp.weights[0]
-                cache["M"] = M
-            else:
-                Z = sum(P @ W for P, W in zip(PS, lp.weights))
+            PS = cache["PS"] = [_propagate(Cs, s, Hin, batch.offsets, dropout=kernel)
+                                for s in range(len(Cs[0]))]
+            Z = sum(P @ A for P, A in zip(PS, _mixing(layer, lp)))
     else:
         raise TypeError(f"not a LayerSpec: {layer!r}")
     if lp.bias is not None:
@@ -577,7 +584,9 @@ def _layer_forward(layer, lp, H, batch, drop=None):
 def _layer_backward(layer, lp, cache, dout, input_grad=True):
     """Parameter gradients of one layer, and the gradient with respect to its
     input (None when input_grad is false). Consumes the cache: its kernel
-    masks are let go once the products that read them are formed."""
+    masks are let go once the products that read them are formed. A conv
+    layer's R_s, the gradient for its A_s (see _mixing_grads), is Hin^T G_s
+    with G_s = C_s^T dZ when it narrows, and P_s^T dZ otherwise."""
     if isinstance(layer, ReadoutMeanMax):
         return (_readout_backward(cache, dout) if input_grad else None), LayerParams()
 
@@ -594,10 +603,9 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
         if input_grad:
             dHin = dZ @ lp.weights[0].T
     elif _narrowing(layer, H):
-        # every gradient of Z = sum_s C_s Hin A_s follows from G_s = C_s^T dZ,
-        # which is f_out wide; R_s = Hin^T G_s is the gradient for A_s. The
-        # scaled input is rebuilt only after every G_s is formed and the
-        # kernel masks are let go, and let go before dHin, of its shape.
+        # G_s = C_s^T dZ is f_out wide, and R_s = Hin^T G_s. The scaled input
+        # is rebuilt only after every G_s is formed and the kernel masks are
+        # let go, and let go before dHin, of its shape.
         GS = [_propagate(Cs, s, dZ, offsets, transpose=True, dropout=kernel)
               for s in range(len(Cs[0]))]
         del kernel
@@ -610,26 +618,14 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
                     dHin = G @ A.T
                 else:
                     dHin += G @ A.T
-        if isinstance(layer, MultiSupportConv):
-            grads.weights = RS
-        else:
-            W = lp.weights[0]
-            grads.weights = [sum(w[:, None] * R for w, R in zip(lp.depthwise, RS))]
-            grads.depthwise = np.stack([(R * W).sum(axis=1) for R in RS])
-    elif isinstance(layer, MultiSupportConv):
-        grads.weights = [P.T @ dZ for P in cache["PS"]]
+    else:
+        RS = [P.T @ dZ for P in cache["PS"]]
         if input_grad:
-            for s, W in enumerate(lp.weights):
-                dHin = _propagate(Cs, s, dZ @ W.T, offsets, into=dHin, transpose=True,
+            for s, A in enumerate(_mixing(layer, lp)):
+                dHin = _propagate(Cs, s, dZ @ A.T, offsets, into=dHin, transpose=True,
                                   dropout=kernel)
-    else:  # DepthwiseSeparableConv
-        grads.weights = [cache["M"].T @ dZ]
-        dM = dZ @ lp.weights[0].T
-        grads.depthwise = np.stack([(dM * P).sum(axis=0) for P in cache["PS"]])
-        if input_grad:
-            for s, w in enumerate(lp.depthwise):
-                dHin = _propagate(Cs, s, dM * w[None, :], offsets, into=dHin, transpose=True,
-                                  dropout=kernel)
+    if isinstance(layer, _CONV):
+        grads.weights, grads.depthwise = _mixing_grads(layer, lp, RS)
     if dHin is not None and cache["mask"] is not None:
         mask, keep = cache["mask"]
         dHin *= mask
@@ -859,13 +855,16 @@ class TrainConfig:
     loss: str = "softmax_ce"
 
     def __post_init__(self):
+        # a bool is an Integral, but True is no epoch count or rate
         for name in ("epochs", "batch_size", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "weight_decay", "depthwise_decay",
                      "input_dropout", "kernel_dropout"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
         for name in ("input_dropout", "kernel_dropout"):

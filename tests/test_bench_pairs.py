@@ -93,6 +93,24 @@ def test_report_prints_both_verdicts_per_metric():
     assert "no regression" not in bench_pairs.report(summary)
 
 
+def test_no_regression_is_unresolved_when_the_parent_spread_exceeds_the_bound():
+    parent = [1.5, 1.8, 2.0, 2.2, 2.5] * 2          # IQR 0.55, 27.5 % of the median 2.0
+    wide = _step_stats(parent, [p + 0.01 for p in parent])
+    assert bench_pairs.within_bound(wide, 0.25)
+    assert bench_pairs.no_regression(wide, 0.25) == "unresolved"
+    assert bench_pairs.no_regression(wide, 0.35) == "holds"        # bound above the spread
+    assert bench_pairs.no_regression(_step_stats(parent, [3.0] * 10), 0.25) == "fails"
+    # every change run below every parent run settles it
+    assert bench_pairs.no_regression(_step_stats(parent, [1.4] * 10), 0.25) == "holds"
+    assert bench_pairs.no_regression(_step_stats(parent, [1.4] * 9 + [1.5]), 0.25) == \
+        "unresolved"                                                # a tie with the best
+    assert bench_pairs.no_regression(_step_stats(parent, [2.6] * 10), 0.25,
+                                     better="higher") == "holds"
+    line = bench_pairs.report(bench_pairs.summarize(_runs(parent, [p + 0.01 for p in parent])),
+                              {"step_s": (0.25, "lower")}).splitlines()[1]
+    assert line.endswith("no regression unresolved (bound 25%)")
+
+
 def test_run_record_keeps_the_host_calibration():
     """The "perfbench" line before the result carries the host's calibration;
     the run record keeps both figures beside the metrics it measured."""

@@ -106,6 +106,17 @@ def test_analyze_gat_stats(tmp_path):
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize("trials", ["1", "2"])
+@pytest.mark.parametrize("kernel", ["gat", "gat:", "gatfoo", "gat:x", "gat:5:1"])
+def test_analyze_gat_without_integer_seed_is_config_error(tmp_path, capsys, kernel, trials):
+    out = tmp_path / "g"
+    assert main(["analyze", "--graph", "ring12", "--kernel", kernel, "--trials", trials,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("**/gat_*.csv"))
+
+
 def test_analyze_on_dataset_directory(tmp_path):
     write_toy_dataset(tmp_path / "toyds")
     out = tmp_path / "o"
@@ -404,6 +415,12 @@ def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, kind, arch,
     ("tu", {"cv": {"folds": 2.5}}, "folds must be an integer, got 2.5"),
     ("tu", {"cv": {"folds": 1}}, "needs at least 2 folds, got 1"),
     ("single", {"output_dir": "toyds/edges.csv"}, "edges.csv' exists and is not a directory"),
+    ("single", {"train": {"epochs": True}}, "epochs must be an integer, got True"),
+    ("single", {"train": {"epochs": 2, "learning_rate": True}},
+     "learning_rate must be a number, got True"),
+    ("single", {"sweep_eta": [1, True]}, "sweep_eta must be a list of numbers, got [1, true]"),
+    ("tu", {"cv": {"folds": True}}, "folds must be an integer, got true"),
+    ("tu", {"cv": {"repeats": True}}, "repeats must be an integer, got true"),
 ])
 def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overrides, message):
     write = write_toy_config if kind == "single" else write_tu_config

@@ -201,6 +201,17 @@ def test_tabulated_file_with_two_columns_is_refused(tmp_path, basis):
         parse_design("tabulated(file=resp.csv)", base_dir=tmp_path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tabulated_non_finite_value_is_refused(tmp_path, basis, bad):
+    vals = np.linspace(0, 1, basis.n)
+    vals[3] = bad
+    with pytest.raises(ValueError, match=r"^design tabulated\(n=\d+\): entry 3 is .*not finite$"):
+        Tabulated(values=vals)
+    save_matrix_csv(tmp_path / "resp.csv", vals[:, None])
+    with pytest.raises(ValueError, match=r"^tabulated response file .*resp\.csv: .*entry 3"):
+        parse_design("tabulated(file=resp.csv)", base_dir=tmp_path)
+
+
 def test_coverage_diagnostic(basis):
     # full design set from the transductive experiments covers the spectrum
     full = [LowPass(eta=5.0), BandPass(center=0.25, gamma=0.25),

@@ -355,6 +355,10 @@ def test_checkpoint_roundtrip(tmp_path):
     ("learning_rate", "fast", "learning_rate must be a number"),
     ("weight_decay", [0.1], "weight_decay must be a number"),
     ("kernel_dropout", None, "kernel_dropout must be a number"),
+    ("epochs", True, "epochs must be an integer, got True"),
+    ("seed", False, "seed must be an integer, got False"),
+    ("learning_rate", True, "learning_rate must be a number, got True"),
+    ("input_dropout", False, "input_dropout must be a number, got False"),
 ])
 def test_train_config_refuses_wrong_types(field, value, message):
     with pytest.raises(ValueError, match=message):

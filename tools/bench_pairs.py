@@ -21,7 +21,9 @@ pairs and its median lies below the parent's by more than the parent's
 interquartile range; the script prints that verdict for every metric. It
 also prints a no-regression verdict: whether the change's median is worse
 than the parent's by at most the metric's "end_to_end" bound, a share of the
-parent's median, as read from the parent checkout's BENCHMARK.json.
+parent's median, as read from the parent checkout's BENCHMARK.json. Where
+the parent's interquartile range is wider than that bound, a metric within
+it is "unresolved" unless every change run beats every parent run.
 """
 import argparse
 import json
@@ -143,6 +145,22 @@ def within_bound(stats, bound, better="lower"):
     return worse <= bound
 
 
+def no_regression(stats, bound, better="lower"):
+    """The no-regression verdict: "fails" outside the bound; within it
+    "unresolved" when the parent's interquartile range, as a share of its
+    median, exceeds the bound and not every change run beats every parent
+    run; else "holds"."""
+    if not within_bound(stats, bound, better):
+        return "fails"
+    if better == "lower":
+        beats_all = max(stats["change"]) < min(stats["parent"])
+    else:
+        beats_all = min(stats["change"]) > max(stats["parent"])
+    if stats["parent_iqr"] > bound * abs(stats["parent_median"]) and not beats_all:
+        return "unresolved"
+    return "holds"
+
+
 def report(summary, bounds=None):
     """One line per workload and metric with its claim verdict, and its
     no-regression verdict where bounds ({metric: (bound, better)}) has the
@@ -159,8 +177,7 @@ def report(summary, bounds=None):
                     f"{'holds' if claim_holds(s) else 'does not hold'}")
                 if bounds and name in bounds:
                     bound, better = bounds[name]
-                    verdict = "holds" if within_bound(s, bound, better) else "fails"
-                    line += f"; no regression {verdict} (bound {bound:.0%})"
+                    line += f"; no regression {no_regression(s, bound, better)} (bound {bound:.0%})"
                 lines.append(line)
         f = entry["failed"]
         lines.append(f"{workload} failed: parent {f['parent']}/{f['attempted_parent']}, "
