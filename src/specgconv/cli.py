@@ -79,49 +79,68 @@ def _load_graph(spec: str):
 # analyze
 # ---------------------------------------------------------------------------
 
-def _build_kernels(arg: str, graph, basis):
-    """Kernel spec grammar: gcn | cheb:<k> | cayley:<h>:<r> | design:<expr> | gat:<seed>."""
-    head, _, rest = arg.partition(":")
-    if head == "gcn":
-        return [gcn_kernel(graph)], ["gcn"]
-    if head == "cheb":
-        ks = cheb_kernels(build_laplacian(graph, basis.kind), basis.lambda_max, int(rest))
-        return list(ks.supports), [f"cheb_{k + 1}" for k in range(ks.n_kernels)]
+def _parse_kernel_spec(arg: str) -> tuple:
+    """(head, argument) of a kernel spec, gcn | cheb:<k> | cayley:<h>:<r> |
+    design:<expr>[;<expr>...] | gat:<seed>: the argument is None for gcn, the
+    order for cheb, the designs for cayley and design, the seed for gat. Needs
+    no graph, so a bad spec is refused before any decomposition; what depends
+    on the graph is checked by _build_kernels."""
+    head, colon, rest = arg.partition(":")
+    if head == "gcn" and not colon:
+        return head, None
+    if head in ("cheb", "gat"):
+        what = "order, cheb:<k>" if head == "cheb" else "seed, gat:<seed>"
+        try:
+            value = int(rest)
+        except ValueError:
+            raise ConfigError(f"{head} kernel needs an integer {what}; got {arg!r}") from None
+        if head == "cheb" and value < 1:
+            raise ConfigError(f"cheb kernel needs an order of at least 1; got {arg!r}")
+        return head, value
     if head == "cayley":
         h_str, _, r_str = rest.partition(":")
-        h, r = float(h_str), int(r_str)
-        designs = [CayleyBasis(s=s, h=h, r=r) for s in range(1, 2 * r + 2)]
-        ks = design_kernelset(basis, designs)
-        return list(ks.supports), [f"cayley_{s}" for s in range(1, 2 * r + 2)]
+        try:
+            h, r = float(h_str), int(r_str)
+        except ValueError:
+            raise ConfigError(f"cayley kernel needs a scale and an integer order, "
+                              f"cayley:<h>:<r>; got {arg!r}") from None
+        if r < 1:
+            raise ConfigError(f"cayley kernel needs an order of at least 1; got {arg!r}")
+        return head, [CayleyBasis(s=s, h=h, r=r) for s in range(1, 2 * r + 2)]
     if head == "design":
         designs = [parse_design(t) for t in rest.split(";") if t]
         if not designs:
             raise ConfigError("design: needs at least one filter expression")
-        for d in designs:
-            d.check_graph(graph.n)
-        ks = design_kernelset(basis, designs)
-        return list(ks.supports), [format_design(d) for d in designs]
-    if head == "gat":
-        seed = _gat_seed(arg)
-        return gat_sample_kernel(graph, heads=1, seed=seed), [f"gat_{seed}"]
+        return head, designs
     raise ConfigError(f"unknown kernel spec {arg!r}")
 
 
-def _gat_seed(arg: str):
-    """The seed of a gat:<seed> kernel spec; None for a spec of another head."""
-    head, _, rest = arg.partition(":")
-    if head != "gat":
-        return None
-    try:
-        return int(rest)
-    except ValueError:
-        raise ConfigError(f"gat kernel needs an integer seed, gat:<seed>; got {arg!r}") from None
+def _build_kernels(head: str, value, graph, basis):
+    """The supports of a parsed kernel spec (see _parse_kernel_spec) on a
+    graph, and their names."""
+    if head == "gcn":
+        return [gcn_kernel(graph)], ["gcn"]
+    if head == "cheb":
+        ks = cheb_kernels(build_laplacian(graph, basis.kind), basis.lambda_max, value)
+        return list(ks.supports), [f"cheb_{k + 1}" for k in range(ks.n_kernels)]
+    if head == "cayley":
+        ks = design_kernelset(basis, value)
+        return list(ks.supports), [f"cayley_{d.s}" for d in value]
+    if head == "design":
+        for d in value:
+            d.check_graph(graph.n)
+        ks = design_kernelset(basis, value)
+        return list(ks.supports), [format_design(d) for d in value]
+    return gat_sample_kernel(graph, heads=1, seed=value), [f"gat_{value}"]
 
 
 def cmd_analyze(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    gat_seed = _gat_seed(args.kernel)
+    head, value = _parse_kernel_spec(args.kernel)
+    if args.trials > 1 and head != "gat":
+        raise ConfigError(f"--trials applies to gat:<seed> kernels only; got --trials "
+                          f"{args.trials} with --kernel {args.kernel}")
     graph = _load_graph(args.graph)
     kind = _laplacian_kind(args.laplacian)
     basis = decompose(build_laplacian(graph, kind), kind, cache_dir=_cache_dir())
@@ -139,8 +158,8 @@ def cmd_analyze(args) -> int:
         "version": __version__,
     }
 
-    if gat_seed is not None and args.trials > 1:
-        stats = gat_profile_stats(graph, trials=args.trials, seed=gat_seed, basis=basis)
+    if args.trials > 1:
+        stats = gat_profile_stats(graph, trials=args.trials, seed=value, basis=basis)
         save_matrix_csv(os.path.join(args.out, "gat_mean_standard.csv"),
                         np.column_stack([stats["lambda"], stats["mean_standard"]]))
         save_matrix_csv(os.path.join(args.out, "gat_std_standard.csv"),
@@ -149,7 +168,7 @@ def cmd_analyze(args) -> int:
         save_matrix_csv(os.path.join(args.out, "gat_std_full.csv"), stats["std_full"])
         summary["trials"] = args.trials
     else:
-        supports, names = _build_kernels(args.kernel, graph, basis)
+        supports, names = _build_kernels(head, value, graph, basis)
         for i, (C, name) in enumerate(zip(supports, names), start=1):
             p = profile(C, basis)
             export_profile(p, os.path.join(args.out, f"standard_{i}.csv"),

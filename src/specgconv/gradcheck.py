@@ -15,23 +15,24 @@ from .nn import (
 )
 
 
-def _checked_forward(spec, params, H0, kernels, config, rng_factory):
-    """Forward pass for gradient checking; with rng_factory, dropout is
-    applied from a freshly seeded generator so the objective stays
-    deterministic across repeated evaluations."""
-    if rng_factory is None:
-        return model_forward(spec, params, H0, kernels)
-    return model_forward(
-        spec, params, H0, kernels, train=True, rng=rng_factory(),
-        input_dropout=config.input_dropout, kernel_dropout=config.kernel_dropout,
-    )
+def _checked_loss(spec, params, H0, kernels, y, mask, config, rng_factory):
+    """(caches, loss, loss gradient) of a forward pass for gradient
+    checking. With a node mask, the forward forms only the masked rows, as
+    train's training forward does; with rng_factory, dropout is applied from
+    a freshly seeded generator so the objective stays deterministic across
+    repeated evaluations."""
+    dropout = {} if rng_factory is None else dict(
+        train=True, rng=rng_factory(), input_dropout=config.input_dropout,
+        kernel_dropout=config.kernel_dropout)
+    out, caches = model_forward(spec, params, H0, kernels, rows=mask, **dropout)
+    loss, dout = LOSSES[config.loss](out, y if mask is None else y[mask])
+    return caches, loss, dout
 
 
 def analytic_gradients(spec, params, H0, kernels, y, mask, config: TrainConfig,
                        rng_factory=None):
     """Gradient of the full training objective (loss + decay) at params."""
-    out, caches = _checked_forward(spec, params, H0, kernels, config, rng_factory)
-    _, dout = LOSSES[config.loss](out, y, mask)
+    caches, _, dout = _checked_loss(spec, params, H0, kernels, y, mask, config, rng_factory)
     grads = model_backward(spec, params, caches, dout)
     add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
     return grads
@@ -39,8 +40,7 @@ def analytic_gradients(spec, params, H0, kernels, y, mask, config: TrainConfig,
 
 def objective_value(spec, params, H0, kernels, y, mask, config: TrainConfig,
                     rng_factory=None) -> float:
-    out, _ = _checked_forward(spec, params, H0, kernels, config, rng_factory)
-    loss, _ = LOSSES[config.loss](out, y, mask)
+    _, loss, _ = _checked_loss(spec, params, H0, kernels, y, mask, config, rng_factory)
     return loss + decay_value(params, config.weight_decay, config.depthwise_decay)
 
 
@@ -145,6 +145,19 @@ def _gradcheck_cases(seed: int) -> list:
                                kernel_dropout=0.3, **cfg),
             rng_factory=lambda: np.random.default_rng(seed + 5),
         ))
+    # a dense layer after the last conv layer: both run on the masked rows,
+    # with row-selected kernel and input dropout
+    spec = ModelSpec((DepthwiseSeparableConv(out=hidden, use_bias=True, activation="relu"),
+                      Dense(out=n_classes, use_bias=True, activation="linear")))
+    params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 9))
+    params[0].depthwise += 0.3 * np.random.default_rng(seed + 10).standard_normal(
+        params[0].depthwise.shape)
+    cases.append(GradCase(
+        name="dsg-dense/relu/binary_ce+dropout", spec=spec, params=params, H0=H0,
+        supports=supports, y=binary, mask=mask,
+        config=TrainConfig(loss="binary_ce", input_dropout=0.4, kernel_dropout=0.3, **cfg),
+        rng_factory=lambda: np.random.default_rng(seed + 11),
+    ))
     # a batch of two stacked graphs (the one above and a 5-node one) through
     # an equal-width DSG layer and the segment readout, with dropout
     extra = np.random.default_rng(seed + 6)

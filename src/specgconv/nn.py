@@ -15,7 +15,10 @@ the layer input and its mask, and forms the scaled input only where a product
 reads it. A large mask is drawn by the calling thread and one helper thread,
 each filling half of the rows from its own position in the same PCG64 stream;
 the mask and the Generator's state are bit for bit those of one sequential
-draw, so results do not depend on the split.
+draw, so results do not depend on the split. A node-level training forward
+forms its last conv layer, and any layer after it, on the rows its loss reads
+only, and draws just those rows of their masks, skipping the others in the
+stream.
 """
 from __future__ import annotations
 
@@ -310,7 +313,10 @@ class _Dropout:
     kept) with their keep probability: an input mask per layer, which the
     layer applies to its input with inverted scaling, and a kernel mask per
     support (see _kernel_mask), which _propagate applies block by block as
-    it multiplies by the support. No dropped support is ever stored.
+    it multiplies by the support. No dropped support is ever stored. Where a
+    layer forms only some rows of its output (layer_rows, see _loss_rows),
+    its kernel masks, or a row-wise layer's input mask, hold those rows
+    only, drawn so that the Generator ends where the whole masks leave it.
 
     Graph by graph, and layer by layer within a graph, each layer draws an
     input mask and then one kernel mask per support. The forward runs layer
@@ -323,11 +329,11 @@ class _Dropout:
     once and a conv layer then kernels() once."""
 
     def __init__(self, rng, input_dropout: float, kernel_dropout: float,
-                 spec: ModelSpec, f0: int, batch: GraphBatch):
+                 spec: ModelSpec, f0: int, batch: GraphBatch, layer_rows: list):
         self.input_keep = 1.0 - input_dropout
         self.kernel_keep = 1.0 - kernel_dropout
         draws = [_graph_masks(rng, spec, f0, b - a, supports, self.input_keep,
-                              self.kernel_keep)
+                              self.kernel_keep, layer_rows)
                  for supports, (a, b) in zip(batch.supports, batch.segments())]
         self._early = [list(d) for d in draws[:-1]]
         self._last = draws[-1]
@@ -352,18 +358,22 @@ class _Dropout:
         return None if masks[0] is None else (masks, self.kernel_keep)
 
 
-def _graph_masks(rng, spec, f0, rows, supports, input_keep, kernel_keep):
+def _graph_masks(rng, spec, f0, n, supports, input_keep, kernel_keep, layer_rows):
     """Yield one graph's masks in draw order: per trainable layer its input
     mask, then for a conv layer its kernel masks, each None where the layer
-    draws none; a graph has one row after a readout. A module-level
-    generator, so that its suspended frame holds no _Dropout."""
-    for layer, f_in in zip(spec.layers, spec.widths(f0)):
+    draws none; a graph has one row after a readout. A layer's kernel masks
+    hold its layer_rows only; so does its input mask unless it is a conv
+    layer, whose products read every input row. A module-level generator, so
+    that its suspended frame holds no _Dropout."""
+    for layer, f_in, rows in zip(spec.layers, spec.widths(f0), layer_rows):
         if isinstance(layer, ReadoutMeanMax):
-            rows = 1
+            n = 1
             continue
-        yield _kernel_mask(rng, (rows, f_in), input_keep) if input_keep < 1 else None
-        if isinstance(layer, _CONV):
-            yield ([_kernel_mask(rng, C.shape, kernel_keep) for C in supports]
+        conv = isinstance(layer, _CONV)
+        yield (_kernel_mask(rng, (n, f_in), input_keep, None if conv else rows)
+               if input_keep < 1 else None)
+        if conv:
+            yield ([_kernel_mask(rng, C.shape, kernel_keep, rows) for C in supports]
                    if kernel_keep < 1 else None)
 
 
@@ -381,49 +391,85 @@ def _layer_input(H: np.ndarray, input_mask) -> np.ndarray:
 
 # Rows of a mask drawn at a time by _kernel_mask: the block of doubles behind
 # them is about 1 MB at Cora's 2708 columns, so it is still in cache when it
-# is compared. A mask of at least _DROP_SPLIT_BLOCKS blocks of rows
+# is compared. A selection of at least _DROP_SPLIT_BLOCKS blocks of rows
 # is split over two threads.
 _DROP_ROWS = 48
 _DROP_SPLIT_BLOCKS = 4
 
 
-def _kernel_mask(rng: np.random.Generator, shape: tuple, keep: float) -> np.ndarray:
-    """rng.random(shape) < keep, bit for bit, leaving rng in the state that
-    draw leaves it, but drawn a row block at a time, so no float temporary
-    of the mask's size is made. Draws kernel masks and input masks alike.
+def _kernel_mask(rng: np.random.Generator, shape: tuple, keep: float, rows=None) -> np.ndarray:
+    """rng.random(shape)[rows] < keep, bit for bit, leaving rng in the state
+    that the whole draw rng.random(shape) leaves it, but drawn a row block at
+    a time, so no float temporary of the mask's size is made. rows holds
+    ascending row indices; None selects every row. Draws kernel masks and
+    input masks alike.
 
-    With a PCG64 Generator, a mask of at least _DROP_SPLIT_BLOCKS row blocks
-    is split at its middle row: a helper thread fills the second half from a
-    copy of the bit generator advanced past the first half (random() takes
-    one 64-bit output per double) while rng fills the first half; rng then
-    takes the copy's end state and keeps its own buffered 32-bit half, which
-    advance() clears."""
-    out = np.empty(shape, dtype=bool)
-    n_rows, n_cols = out.shape   # Python ints: advance() refuses a numpy integer
+    With a PCG64 Generator, the rows between selected ones, and those after
+    the last, are skipped with advance() (random() takes one 64-bit output
+    per double), and a selection of at least _DROP_SPLIT_BLOCKS row blocks
+    is split at its middle selected row: a helper thread fills the second
+    half from a copy of the bit generator advanced to that row while rng
+    fills the first half, and rng then takes the copy's state. advance()
+    clears the buffered 32-bit half, so rng's own is put back. Any other bit
+    generator draws every row and keeps the selected ones."""
+    n_rows, n_cols = map(int, shape)   # Python ints: advance() refuses a numpy integer
     bitgen = rng.bit_generator
-    if n_rows < _DROP_SPLIT_BLOCKS * _DROP_ROWS or type(bitgen) is not np.random.PCG64:
-        _fill_mask(rng, keep, out, 0, n_rows)
-        return out
-    mid = n_rows // 2
-    ahead = np.random.PCG64()
-    ahead.state = bitgen.state
-    ahead.advance(mid * n_cols)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        second = helper.submit(_fill_mask, np.random.Generator(ahead), keep, out, mid, n_rows)
-        _fill_mask(rng, keep, out, 0, mid)
-        second.result()
-    state, own = ahead.state, bitgen.state
+    split = _DROP_SPLIT_BLOCKS * _DROP_ROWS
+    if type(bitgen) is not np.random.PCG64 or (rows is None and n_rows < split):
+        out = np.empty((n_rows, n_cols), dtype=bool)
+        _fill_mask(rng, keep, out, [(0, n_rows)], 0)
+        return out if rows is None else out[rows]
+    sel = range(n_rows) if rows is None else rows
+    out = np.empty((len(sel), n_cols), dtype=bool)
+    own = bitgen.state
+    if len(sel) >= split:
+        mid = len(sel) // 2
+        ahead = np.random.PCG64()
+        ahead.state = own
+        ahead.advance(int(sel[mid]) * n_cols)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            second = helper.submit(_fill_mask, np.random.Generator(ahead), keep, out[mid:],
+                                   _runs(sel[mid:]), int(sel[mid]))
+            _fill_mask(rng, keep, out[:mid], _runs(sel[:mid]), 0)
+            end = second.result()
+        bitgen.state = ahead.state
+    else:
+        end = _fill_mask(rng, keep, out, _runs(sel), 0)
+    bitgen.advance((n_rows - end) * n_cols)
+    state = bitgen.state
     state["has_uint32"], state["uinteger"] = own["has_uint32"], own["uinteger"]
     bitgen.state = state
     return out
 
 
-def _fill_mask(rng, keep, out, lo, hi) -> None:
-    """Rows lo:hi of _kernel_mask's output, drawn from rng in row order."""
-    block = np.empty((min(_DROP_ROWS, hi - lo), out.shape[1]))
-    for a in range(lo, hi, _DROP_ROWS):
-        b = min(a + _DROP_ROWS, hi)
-        np.less(rng.random(out=block[: b - a]), keep, out=out[a:b])
+def _runs(sel) -> list:
+    """(first, last + 1) of each run of consecutive rows in sel, ascending
+    row indices in a range or an array, as Python ints."""
+    if len(sel) == 0:
+        return []
+    if isinstance(sel, range):
+        return [(sel.start, sel.stop)]
+    cut = np.flatnonzero(np.diff(sel) != 1) + 1
+    return list(zip(sel[np.r_[0, cut]].tolist(), (sel[np.r_[cut, len(sel)] - 1] + 1).tolist()))
+
+
+def _fill_mask(rng, keep, out, runs, pos) -> int:
+    """The rows of runs (see _runs) of a mask, drawn from rng in row order
+    into consecutive rows of out, rng standing at row pos; a gap before a run
+    is skipped by advancing rng's bit generator. Returns the row at which rng
+    then stands."""
+    n_cols = out.shape[1]
+    block = np.empty((min(_DROP_ROWS, len(out)), n_cols))
+    i = 0
+    for lo, hi in runs:
+        if lo > pos:
+            rng.bit_generator.advance((lo - pos) * n_cols)
+        for a in range(lo, hi, _DROP_ROWS):
+            b = min(a + _DROP_ROWS, hi)
+            np.less(rng.random(out=block[: b - a]), keep, out=out[i : i + b - a])
+            i += b - a
+        pos = hi
+    return pos
 
 
 # Bytes of the buffer in which _masked_product forms a row block of a dropped
@@ -437,25 +483,38 @@ def _fill_mask(rng, keep, out, lo, hi) -> None:
 _APPLY_BYTES = 1 << 23
 
 
-def _masked_product(C, mask, keep, X, out, add=False, transpose=False) -> None:
+def _masked_product(C, mask, keep, X, out, add=False, transpose=False, rows=None) -> None:
     """out = D X (D^T X with transpose; added into out with add), where D =
-    _scaled(C, mask, keep), reading C and its mask in row blocks only. Each
-    D_b = mask_b C_b (the mask cast to 0/1 first: faster, same bits) is formed
-    in one reused buffer of about _APPLY_BYTES. D X is one GEMM per block; D^T
-    X sums D_b^T X_b, as sum_b X_b^T D_b over many blocks. 1/keep scales the
-    narrower side: the product when C is wider than X, else each block. A
-    block's GEMM has the dropped copy's bits when 1/keep is a power of two or
-    scales the block; other products moved by up to 3e-15 relative."""
-    rows, cols = C.shape
-    step = max(1, min(rows, _APPLY_BYTES // (8 * max(cols, 1))))
+    _scaled(C[rows], mask, keep), all of C when rows is None, reading C and
+    its mask in row blocks only; mask has D's shape. Each D_b = mask_b C_b
+    (the mask cast to 0/1 first, or C's selected rows gathered first: faster
+    than a pass more, same bits) is formed in one reused buffer of about
+    _APPLY_BYTES, so no copy of C's selected rows is made. D X is one GEMM
+    per block; D^T X sums D_b^T X_b, as sum_b X_b^T D_b over many blocks.
+    1/keep scales the narrower side: the product when C is wider than X,
+    else each block. A block's GEMM has the dropped copy's bits when 1/keep
+    is a power of two or scales the block; other products moved by up to
+    3e-15 relative."""
+    n_rows, cols = mask.shape
+    if n_rows == 0:   # no rows selected: D X is empty and D^T X is zero
+        if not add:
+            out[...] = 0.0
+        return
+    step = max(1, min(n_rows, _APPLY_BYTES // (8 * max(cols, 1))))
     buf = np.empty((step, cols))
     scale_blocks = cols <= X.shape[1]
-    acc = np.empty((X.shape[1], cols)) if transpose and rows > step else None
-    for a in range(0, rows, step):
-        b = min(a + step, rows)
+    acc = np.empty((X.shape[1], cols)) if transpose and n_rows > step else None
+    for a in range(0, n_rows, step):
+        b = min(a + step, n_rows)
         block = buf[: b - a]
-        np.copyto(block, mask[a:b])
-        block *= C[a:b]
+        if rows is None:
+            np.copyto(block, mask[a:b])
+            block *= C[a:b]
+        else:
+            # mode "clip" takes straight into the buffer, where the default
+            # buffers a copy; rows come from a node mask, so none is clipped
+            np.take(C, rows[a:b], axis=0, out=block, mode="clip")
+            block *= mask[a:b]
         if scale_blocks:
             block *= 1.0 / keep
         if acc is None:
@@ -503,24 +562,35 @@ def _mixing_grads(layer, lp, RS) -> tuple:
     return RS, None
 
 
-def _propagate(Cs, s, X, offsets, into=None, transpose=False, dropout=None) -> np.ndarray:
+def _propagate(Cs, s, X, offsets, into=None, transpose=False, dropout=None,
+               rows=None) -> np.ndarray:
     """Support s applied to every graph's rows of X, C_s X (C_s^T X with
     transpose), where Cs[g] holds graph g's supports; added into `into` when
     given, which is then returned. With dropout, a layer's (per-graph kernel
     masks, keep), graph g's support s is dropped by its mask on the fly, read
-    in row blocks whichever the product (see _masked_product)."""
-    out = np.empty_like(X) if into is None else into
+    in row blocks whichever the product (see _masked_product). With rows,
+    ascending node rows of a single graph, C_s is taken as those of its rows:
+    C_s[rows] X forms only those output rows, and C_s[rows]^T X reads X as
+    the values at those rows."""
+    if into is not None:
+        out = into
+    elif rows is None:
+        out = np.empty_like(X)
+    else:
+        out = np.empty((offsets[-1] if transpose else len(rows), X.shape[1]))
     masks, keep = (None, None) if dropout is None else dropout
     for g, (supports, a, b) in enumerate(zip(Cs, offsets[:-1], offsets[1:])):
+        x, o = (X[a:b], out[a:b]) if rows is None else (X, out)
         if masks is not None:
-            _masked_product(supports[s], masks[g][s], keep, X[a:b], out[a:b],
-                            add=into is not None, transpose=transpose)
+            _masked_product(supports[s], masks[g][s], keep, x, o,
+                            add=into is not None, transpose=transpose, rows=rows)
             continue
-        C = supports[s].T if transpose else supports[s]
+        C = supports[s] if rows is None else supports[s][rows]
+        C = C.T if transpose else C
         if into is None:
-            np.matmul(C, X[a:b], out=out[a:b])
+            np.matmul(C, x, out=o)
         else:
-            out[a:b] += C @ X[a:b]
+            o += C @ x
     return out
 
 
@@ -541,12 +611,13 @@ def _readout_backward(cache, dout):
     return dH
 
 
-def _layer_forward(layer, lp, H, batch, drop=None):
+def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
     """One layer over a batch; drop is the training forward's _Dropout.
     Returns (output, cache for the backward pass). A conv layer forms sum_s
     C_s Hin A_s (see _mixing) as sum_s C_s (Hin A_s) when it narrows, else as
-    sum_s P_s A_s with P_s = C_s Hin cached. The cache holds the input H and
-    its input mask, not the scaled input."""
+    sum_s P_s A_s with P_s = C_s Hin cached; with rows (see _propagate) it
+    forms only those rows of its output. The cache holds the input H and its
+    input mask, not the scaled input."""
     if isinstance(layer, ReadoutMeanMax):
         return _readout_forward(H, batch)
 
@@ -558,7 +629,7 @@ def _layer_forward(layer, lp, H, batch, drop=None):
         Z = Hin @ lp.weights[0]
     elif isinstance(layer, _CONV):
         Cs = batch.supports
-        cache["Cs"] = Cs
+        cache["Cs"], cache["rows"] = Cs, rows
         if _narrowing(layer, Hin):
             # the scaled input is let go before the kernel masks are drawn,
             # so the two are never alive together
@@ -567,10 +638,10 @@ def _layer_forward(layer, lp, H, batch, drop=None):
             kernel = cache["kernel"] = None if drop is None else drop.kernels()
             Z = None
             for s, X in enumerate(HA):
-                Z = _propagate(Cs, s, X, batch.offsets, into=Z, dropout=kernel)
+                Z = _propagate(Cs, s, X, batch.offsets, into=Z, dropout=kernel, rows=rows)
         else:
             kernel = cache["kernel"] = None if drop is None else drop.kernels()
-            PS = cache["PS"] = [_propagate(Cs, s, Hin, batch.offsets, dropout=kernel)
+            PS = cache["PS"] = [_propagate(Cs, s, Hin, batch.offsets, dropout=kernel, rows=rows)
                                 for s in range(len(Cs[0]))]
             Z = sum(P @ A for P, A in zip(PS, _mixing(layer, lp)))
     else:
@@ -595,7 +666,7 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
     if lp.bias is not None:
         grads.bias = dZ.sum(axis=0)
 
-    H, Cs, offsets = cache["H"], cache.get("Cs"), cache["offsets"]
+    H, Cs, offsets, rows = cache["H"], cache.get("Cs"), cache["offsets"], cache.get("rows")
     kernel = cache.pop("kernel", None)
     dHin = None
     if isinstance(layer, Dense):
@@ -606,7 +677,7 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
         # G_s = C_s^T dZ is f_out wide, and R_s = Hin^T G_s. The scaled input
         # is rebuilt only after every G_s is formed and the kernel masks are
         # let go, and let go before dHin, of its shape.
-        GS = [_propagate(Cs, s, dZ, offsets, transpose=True, dropout=kernel)
+        GS = [_propagate(Cs, s, dZ, offsets, transpose=True, dropout=kernel, rows=rows)
               for s in range(len(Cs[0]))]
         del kernel
         Hin = _layer_input(H, cache["mask"])
@@ -623,7 +694,7 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
         if input_grad:
             for s, A in enumerate(_mixing(layer, lp)):
                 dHin = _propagate(Cs, s, dZ @ A.T, offsets, into=dHin, transpose=True,
-                                  dropout=kernel)
+                                  dropout=kernel, rows=rows)
     if isinstance(layer, _CONV):
         grads.weights, grads.depthwise = _mixing_grads(layer, lp, RS)
     if dHin is not None and cache["mask"] is not None:
@@ -642,26 +713,52 @@ def model_forward(
     rng: Optional[np.random.Generator] = None,
     input_dropout: float = 0.0,
     kernel_dropout: float = 0.0,
+    rows=None,
 ):
     """Run the pipeline; returns (output, caches). Dropout only when train.
 
     kernels is one graph's supports (a KernelSet or a list of n x n arrays)
     or a GraphBatch whose graphs own consecutive row blocks of H0 (see
     stack_graphs); after a readout the output has one row per graph.
+
+    rows, a boolean mask over the nodes of one graph, asks a node-level model
+    for those nodes' outputs only, in node order: the rows a loss reads. The
+    output is then the full output's rows, from the last conv layer on formed
+    for those rows alone (see _loss_rows), with the same dropout draws.
     """
     H = np.asarray(H0, dtype=np.float64)
     batch = kernels if isinstance(kernels, GraphBatch) else \
         GraphBatch.single(kernels, H.shape[0])
+    layer_rows = _loss_rows(spec, batch, rows)
     drop = None
     if train and (input_dropout > 0 or kernel_dropout > 0):
-        drop = _Dropout(rng, input_dropout, kernel_dropout, spec, H.shape[1], batch)
+        drop = _Dropout(rng, input_dropout, kernel_dropout, spec, H.shape[1], batch, layer_rows)
+    if layer_rows[0] is not None and not isinstance(spec.layers[0], _CONV):
+        H = H[layer_rows[0]]   # no conv layer: row-wise from the input on
     caches = []
-    for layer, lp in zip(spec.layers, params):
-        H, cache = _layer_forward(layer, lp, H, batch, drop)
+    for layer, lp, sel in zip(spec.layers, params, layer_rows):
+        H, cache = _layer_forward(layer, lp, H, batch, drop, sel)
         if isinstance(layer, ReadoutMeanMax):
             batch = batch.pooled()
         caches.append(cache)
     return H, caches
+
+
+def _loss_rows(spec, batch, rows) -> list:
+    """Per layer, the ascending node rows of its output that model_forward
+    forms, None for all: the nodes of the mask rows from the last conv layer
+    on, and from the first layer in a model without one. Every later layer is
+    row-wise, so the rows no loss reads need no conv product beyond the last."""
+    if rows is None:
+        return [None] * len(spec.layers)
+    rows = np.asarray(rows)
+    if (len(batch.supports) != 1 or rows.dtype != bool or rows.shape != (batch.offsets[-1],)
+            or any(isinstance(layer, ReadoutMeanMax) for layer in spec.layers)):
+        raise ValueError("rows must be a boolean mask over the nodes of one graph "
+                         "run through a node-level model")
+    first = max((i for i, layer in enumerate(spec.layers) if isinstance(layer, _CONV)),
+                default=0)
+    return [None] * first + [np.flatnonzero(rows)] * (len(spec.layers) - first)
 
 
 def model_backward(spec, params, caches, dout, into=None):
@@ -923,7 +1020,8 @@ def train(
     train_idx/val_idx select graphs, and the model ends in a meanmax readout.
     Transductive (SingleGraphDataset): kernelsets is the graph's KernelSet,
     the model has no readout, and the graph is a training set of one graph
-    whose loss is masked over data.masks['train'].
+    whose loss is masked over data.masks['train']; its training forward
+    forms those rows' outputs only (see model_forward).
 
     Both run one loop: each epoch shuffles the training graphs (one graph
     draws nothing from the Generator), updates the model once per mini-batch
@@ -940,7 +1038,7 @@ def train(
     loss_fn = LOSSES[config.loss]
     if isinstance(data, SingleGraphDataset):
         graphs, kernelsets, train_idx = (data.graph,), (kernelsets,), [0]
-        if config.loss == "binary_ce" and targets is None:
+        if config.loss == "binary_ce" and np.shape(targets)[:1] != (data.graph.n,):
             raise ValueError("binary_ce needs an explicit (n, c) 0/1 target matrix")
         y = targets if config.loss == "binary_ce" else data.labels
         scored = [name for name in ("train", "val", "test")[:3 if track_test else 2]
@@ -951,8 +1049,11 @@ def train(
             _check_labels(y[rows], spec.widths(data.graph.features.shape[1])[-1], rows)
         score = accuracy_multiclass if config.loss == "softmax_ce" else micro_f1
 
+        loss_rows = data.masks["train"]
+        y_train = y[loss_rows]
+
         def chunk_loss(out, chunk):
-            return loss_fn(out, y, data.masks["train"])
+            return loss_fn(out, y_train)
 
         def epoch_scores(params):
             out, _ = model_forward(spec, params, data.graph.features, kernelsets[0])
@@ -962,6 +1063,7 @@ def train(
         if train_idx is None or val_idx is None:
             raise ValueError("multi-graph training needs train_idx and val_idx")
         graphs, chunk_loss = data.graphs, _graph_chunk_loss(data, config.loss)
+        loss_rows = None
 
         def epoch_scores(params):
             return {name: evaluate_graphs(spec, params, kernelsets, data, idx, config.loss)
@@ -971,7 +1073,7 @@ def train(
 
     _check_readout(spec, graph_level=isinstance(data, MultiGraphDataset))
     adam = Adam(config.learning_rate)
-    fit = _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam)
+    fit = _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_rows)
     params = next(fit)
     metrics = []
     for epoch, _ in enumerate(fit):
@@ -982,12 +1084,13 @@ def train(
     return TrainResult(params=params, metrics=metrics, config=config, optimizer=adam.metadata())
 
 
-def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam):
+def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_rows=None):
     """The epoch loop of train and crossvalidate. Yields the parameters as
     initialised from config.seed, then again after each epoch's updates: the
     same list each time, updated in place by adam. Each epoch shuffles the
     training graphs and takes one step per mini-batch of config.batch_size
-    of them (see _batch_gradients)."""
+    of them (see _batch_gradients); loss_rows, the node mask that a single
+    graph's loss reads, goes to its training forward (see model_forward)."""
     train_idx = np.asarray(train_idx, dtype=int)
     rng = np.random.default_rng(config.seed)
     params = init_parameters(spec, graphs[0].features.shape[1], len(kernelsets[0]), rng)
@@ -998,7 +1101,7 @@ def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam):
         for start in range(0, order.size, config.batch_size):
             grads = _batch_gradients(spec, params, graphs, kernelsets, sizes,
                                      order[start : start + config.batch_size],
-                                     chunk_loss, config, rng, epoch)
+                                     chunk_loss, config, rng, epoch, loss_rows)
             add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
             adam.step(flatten_params(params), flatten_params(grads))
             del grads   # else it stays alive beside the next batch's gradients
@@ -1084,12 +1187,12 @@ def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
 
 
 def _batch_gradients(spec, params, graphs, kernelsets, sizes, batch_ids, chunk_loss,
-                     config, rng, epoch):
+                     config, rng, epoch, loss_rows=None):
     """Gradient of the mean loss over one mini-batch of graphs, without
     decay. The batch runs as consecutive chunks of stacked graphs (sizes:
     node count per graph) whose gradients add up; chunk_loss(out, chunk)
     gives a chunk's mean loss and its gradient; dropout masks come from rng
-    graph by graph, in batch order."""
+    graph by graph, in batch order. loss_rows goes to model_forward."""
     grads = None
     for chunk in _chunks(batch_ids, sizes):
         H0, batch = stack_graphs([graphs[i].features for i in chunk],
@@ -1097,6 +1200,7 @@ def _batch_gradients(spec, params, graphs, kernelsets, sizes, batch_ids, chunk_l
         out, caches = model_forward(
             spec, params, H0, batch, train=True, rng=rng,
             input_dropout=config.input_dropout, kernel_dropout=config.kernel_dropout,
+            rows=loss_rows,
         )
         loss, dout = chunk_loss(out, chunk)
         if not np.isfinite(loss):

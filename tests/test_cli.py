@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specgconv.analysis import load_profile_csv
+from specgconv import cli
 from specgconv.cli import main
 from specgconv.filters import ChebBasis, evaluate
 from specgconv.graphs import LaplacianKind, build_laplacian, make_ring
@@ -115,6 +116,43 @@ def test_analyze_gat_without_integer_seed_is_config_error(tmp_path, capsys, kern
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
     assert not list(tmp_path.glob("**/gat_*.csv"))
+
+
+@pytest.mark.parametrize("kernel,message", [
+    ("foo", "unknown kernel spec 'foo'"),
+    ("gcn:1", "unknown kernel spec 'gcn:1'"),
+    ("cheb:x", "cheb kernel needs an integer order, cheb:<k>; got 'cheb:x'"),
+    ("cheb:0", "cheb kernel needs an order of at least 1; got 'cheb:0'"),
+    ("cayley:1", "cayley kernel needs a scale and an integer order, cayley:<h>:<r>; "
+                 "got 'cayley:1'"),
+    ("cayley:1:0", "cayley kernel needs an order of at least 1; got 'cayley:1:0'"),
+    ("cayley:0:1", "Cayley scale must be positive, got 0.0"),
+    ("design:", "design: needs at least one filter expression"),
+    ("design:lowpass(eta=5);bogus", "unknown filter design 'bogus'"),
+])
+def test_analyze_bad_kernel_spec_is_refused_before_any_decomposition(tmp_path, capsys,
+                                                                     monkeypatch, kernel,
+                                                                     message):
+    """The spec's grammar is parsed before the eigendecomposition and before
+    --out is made, so a bad spec costs nothing and leaves no directory."""
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decomposed before the kernel spec was parsed")
+
+    monkeypatch.setattr(cli, "decompose", no_decompose)
+    out = tmp_path / "a"
+    assert main(["analyze", "--graph", "ring12", "--kernel", kernel, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel", ["gcn", "cheb:3", "design:allpass", "cayley:1:1"])
+def test_analyze_trials_above_one_needs_a_gat_kernel(tmp_path, capsys, kernel):
+    out = tmp_path / "a"
+    assert main(["analyze", "--graph", "ring12", "--kernel", kernel, "--trials", "5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: --trials applies to gat:<seed> kernels "
+                                       f"only; got --trials 5 with --kernel {kernel}\n")
+    assert not out.exists()
 
 
 def test_analyze_on_dataset_directory(tmp_path):

@@ -224,17 +224,69 @@ def test_dropped_is_the_masked_scaled_support_bit_for_bit(rows, cols, keep, bitg
     assert np.array_equal(got, dropped) and np.array_equal(got_t, dropped.T)
 
 
+def _scattered(n, k, seed=5):
+    return np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
+
+
+_SPLIT = nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS
+
+
+@pytest.mark.parametrize("n,rows,bitgen,before", [
+    (300, _scattered(300, 40), np.random.PCG64, None),
+    (700, _scattered(700, _SPLIT + 61), np.random.PCG64, None),
+    (300, np.arange(50, 150), np.random.PCG64, None),
+    (700, np.arange(9, 9 + _SPLIT + 1), np.random.PCG64, None),
+    (300, np.arange(0), np.random.PCG64, None),
+    (_SPLIT - 1, np.arange(_SPLIT - 1), np.random.PCG64, None),
+    (700, np.arange(700), np.random.PCG64, None),
+    (300, _scattered(300, 40), np.random.PCG64, _buffer_uint32),
+    (700, _scattered(700, _SPLIT + 61), np.random.PCG64, _buffer_uint32),
+    (300, _scattered(300, 40), np.random.Philox, _buffer_uint32),
+], ids=["scattered", "scattered-split", "contiguous", "contiguous-split", "no-rows",
+        "all-rows", "all-rows-split", "scattered-buffered-uint32",
+        "split-buffered-uint32", "philox"])
+def test_row_selected_mask_is_the_full_draws_rows(n, rows, bitgen, before):
+    """A mask drawn for some rows is bitwise those rows of the full draw
+    rng.random(shape) < keep, and leaves the Generator bitwise where the full
+    draw leaves it, its buffered 32-bit half included; applied to the
+    identity, the row-selected masked product gives those rows of the
+    masked, scaled support, and its transposed product writes every entry
+    of out, zeros when no row is selected."""
+    cols, keep = 29, 0.3
+    rng, twin = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
+    if before is not None:
+        before(rng)
+        before(twin)
+    mask = _kernel_mask(rng, (n, cols), keep, rows)
+    want = twin.random((n, cols)) < keep
+    assert mask.dtype == bool and mask.tobytes() == want[rows].tobytes()
+    assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+    assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                          twin.integers(0, 2**32, size=3, dtype=np.uint32))
+    C = np.random.default_rng(4).standard_normal((n, cols))
+    got = np.empty((len(rows), cols))
+    _masked_product(C, mask, keep, np.eye(cols), got, rows=rows)
+    assert np.array_equal(got, _scaled(C, want, keep)[rows])
+    X = np.random.default_rng(6).standard_normal((len(rows), 3))
+    want_t = _scaled(C, want, keep)[rows].T @ X
+    got_t = np.full((cols, 3), np.nan)
+    _masked_product(C, mask, keep, X, got_t, transpose=True, rows=rows)
+    assert np.max(np.abs(got_t - want_t)) <= 1e-12 * max(1.0, np.max(np.abs(want_t)))
+
+
 def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
     """Each call's two halves write disjoint rows of its own mask; callers
     on more threads than cores, switching often, still get the sequential
-    draw of their own Generator."""
-    shape = (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 3, 17)
+    draw of their own Generator, of every row or of a split selection."""
+    shape = (2 * _SPLIT + 3, 17)
+    rows = _scattered(shape[0], _SPLIT + 40)
     want = [np.random.default_rng(s).random(shape) < 0.5 for s in range(6)]
     got = [[] for _ in want]
 
     def draw(seed):
-        for _ in range(5):
-            got[seed].append(_kernel_mask(np.random.default_rng(seed), shape, 0.5))
+        for i in range(6):
+            got[seed].append(_kernel_mask(np.random.default_rng(seed), shape, 0.5,
+                                          rows if i % 2 else None))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -248,7 +300,8 @@ def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for masks, w in zip(got, want):
-        assert len(masks) == 5 and all(m.tobytes() == w.tobytes() for m in masks)
+        assert len(masks) == 6 and all(m.tobytes() == (w[rows] if i % 2 else w).tobytes()
+                                       for i, m in enumerate(masks))
 
 
 @pytest.mark.parametrize("n,width,apply_bytes,symmetric", [
@@ -415,8 +468,8 @@ def test_scaled_input_and_kernel_masks_are_never_alive_together(monkeypatch):
             scaled.append(weakref.ref(out))
         return out
 
-    def recorded_mask(rng, shape, keep):
-        out = real_mask(rng, shape, keep)
+    def recorded_mask(rng, shape, keep, rows=None):
+        out = real_mask(rng, shape, keep, rows)
         if shape == (n, n):
             overlaps.append(alive(scaled))
             kernel_masks.append(weakref.ref(out))
@@ -432,6 +485,104 @@ def test_scaled_input_and_kernel_masks_are_never_alive_together(monkeypatch):
                                 train=True, rng=rng, input_dropout=0.5, kernel_dropout=0.5)
     model_backward(spec, params, caches, np.ones_like(out))
     assert len(scaled) == 2 and len(kernel_masks) == S and not any(overlaps)
+
+
+def _step_case(arch, loss, n=500, f0=12, S=3, seed=21):
+    rng = np.random.default_rng(seed)
+    spec = parse_architecture(arch)
+    params = init_parameters(spec, f0, S, rng)
+    for lp in params:
+        if lp.depthwise is not None:
+            lp.depthwise += 0.3 * rng.standard_normal(lp.depthwise.shape)
+        if lp.bias is not None:
+            lp.bias += 0.1 * rng.standard_normal(lp.bias.shape)
+    supports = [rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(S)]
+    c = spec.widths(f0)[-1]
+    y = rng.integers(0, c, size=n) if loss == "softmax_ce" else \
+        rng.integers(0, 2, size=(n, c)).astype(float)
+    return spec, params, rng.standard_normal((n, f0)), supports, y
+
+
+def _step(spec, params, H0, supports, y, loss, rows, seed, loss_rows):
+    """One dual-dropout training step: (output rows, loss, gradients, Generator)."""
+    rng = np.random.default_rng(seed)
+    out, caches = model_forward(spec, params, H0, supports, train=True, rng=rng,
+                                input_dropout=0.4, kernel_dropout=0.6,
+                                rows=rows if loss_rows else None)
+    if loss_rows:
+        value, dout = nn.LOSSES[loss](out, y[rows])
+    else:
+        value, dout = nn.LOSSES[loss](out, y, rows)
+        out = out[rows]
+    return out, value, model_backward(spec, params, caches, dout), rng
+
+
+@pytest.mark.parametrize("loss", ["softmax_ce", "binary_ce"])
+@pytest.mark.parametrize("arch", ["DSG8-DSG3", "G3-G8", "DSG16-D7", "D6-D4"],
+                         ids=["narrowing", "widening", "dense-after-conv", "no-conv"])
+@pytest.mark.parametrize("k", [37, 260], ids=["few-rows", "rows-above-split"])
+def test_loss_rows_training_step_matches_the_masked_full_step(arch, loss, k, monkeypatch):
+    """A training step whose forward forms only the loss rows from the last
+    conv layer on gives the loss and gradients of the step over all rows
+    with the loss masked, within 1e-12 relative, and leaves the Generator
+    where that step leaves it. 100-row blocks make the products of both
+    paths span several blocks."""
+    monkeypatch.setattr(nn, "_APPLY_BYTES", 8 * 500 * 100)
+    spec, params, H0, supports, y = _step_case(arch, loss)
+    rows = np.zeros(H0.shape[0], dtype=bool)
+    rows[_scattered(H0.shape[0], k)] = True
+    out, value, grads, rng = _step(spec, params, H0, supports, y, loss, rows, 3, True)
+    want_out, want_value, want_grads, twin = _step(spec, params, H0, supports, y, loss, rows,
+                                                   3, False)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert out.shape == want_out.shape and rel(out, want_out) <= 1e-12
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
+    for g, w in zip(nn.flatten_params(grads), nn.flatten_params(want_grads)):
+        assert rel(g, w) <= 1e-12
+    assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+
+
+def test_last_conv_layer_draws_its_masks_for_the_loss_rows_only(monkeypatch):
+    """With loss rows, the last conv layer draws (rows, n) kernel masks and
+    no (n, n) one, and a dense layer after it a (rows, width) input mask;
+    earlier layers and the conv layer's input keep whole masks."""
+    n, f0, S, k = 40, 6, 3, 9
+    drawn = []
+    real_mask = nn._kernel_mask
+
+    def recorded_mask(rng, shape, keep, rows=None):
+        out = real_mask(rng, shape, keep, rows)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(nn, "_kernel_mask", recorded_mask)
+    rng = np.random.default_rng(8)
+    spec = parse_architecture("DSG5-DSG4-D3")
+    params = init_parameters(spec, f0, S, rng)
+    supports = [rng.standard_normal((n, n)) for _ in range(S)]
+    rows = np.zeros(n, dtype=bool)
+    rows[_scattered(n, k)] = True
+    out, caches = model_forward(spec, params, rng.standard_normal((n, f0)), supports,
+                                train=True, rng=rng, input_dropout=0.5, kernel_dropout=0.5,
+                                rows=rows)
+    model_backward(spec, params, caches, np.ones_like(out))
+    assert out.shape == (k, 3)
+    assert drawn == [(n, f0)] + [(n, n)] * S + [(n, 5)] + [(k, n)] * S + [(k, 4)]
+
+
+def test_loss_rows_need_a_node_mask_of_one_graph():
+    spec = parse_architecture("DSG4-DSG2")
+    params = init_parameters(spec, 3, 1, np.random.default_rng(0))
+    H0, batch = nn.stack_graphs([np.ones((4, 3)), np.ones((5, 3))],
+                                [[np.eye(4)], [np.eye(5)]])
+    for rows, kernels, h in ((np.ones(9, dtype=bool), batch, H0),
+                             (np.arange(4), [np.eye(4)], H0[:4]),
+                             (np.ones(5, dtype=bool), [np.eye(4)], H0[:4])):
+        with pytest.raises(ValueError, match="boolean mask over the nodes of one graph"):
+            model_forward(spec, params, h, kernels, rows=rows)
 
 
 def test_param_count_cora_table_model():
