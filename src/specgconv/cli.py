@@ -96,6 +96,8 @@ def _parse_kernel_spec(arg: str) -> tuple:
             raise ConfigError(f"{head} kernel needs an integer {what}; got {arg!r}") from None
         if head == "cheb" and value < 1:
             raise ConfigError(f"cheb kernel needs an order of at least 1; got {arg!r}")
+        if head == "gat" and value < 0:
+            raise ConfigError(f"gat kernel needs a non-negative seed, gat:<seed>; got {arg!r}")
         return head, value
     if head == "cayley":
         h_str, _, r_str = rest.partition(":")
@@ -385,8 +387,11 @@ def cmd_train(args) -> int:
     out_dir = args.out or _field(cfg, "output_dir", str, "") or "run"
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ConfigError(f"output_dir {out_dir!r} exists and is not a directory")
+    existing = out_dir   # the run directory, or the nearest of its parents that exists
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"output_dir {out_dir!r}: {existing!r} exists and is not a directory")
 
     if kind == "single":
         dataset, run = load_single_graph(path), _run_transductive
@@ -534,10 +539,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingDiverged, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -6,19 +6,19 @@ followed by one shared 1x1 matrix), dense, and a mean+max readout for
 graph-level outputs. Gradients are reverse-mode and hand-derived per layer;
 the optimizer is Adam with a fixed learning rate.
 
-Training is deterministic per seed: one Generator drives initialization and
-both dropout kinds (input dropout on layer inputs, kernel dropout as Bernoulli
-masking of support entries with inverted scaling). Kernel dropout keeps one
-boolean mask per support and applies it block by block while multiplying by
-the support, so no dropped copy of a support is stored; input dropout keeps
-the layer input and its mask, and forms the scaled input only where a product
-reads it. A large mask is drawn by the calling thread and one helper thread,
-each filling half of the rows from its own position in the same PCG64 stream;
-the mask and the Generator's state are bit for bit those of one sequential
-draw, so results do not depend on the split. A node-level training forward
-forms its last conv layer, and any layer after it, on the rows its loss reads
-only, and draws just those rows of their masks, skipping the others in the
-stream.
+Training is deterministic per seed: one PCG64 Generator drives
+initialization and both dropout kinds (input dropout on layer inputs, kernel
+dropout as Bernoulli masking of support entries with inverted scaling).
+Kernel dropout keeps one boolean mask per support and applies it block by
+block while multiplying by the support, so no dropped copy of a support is
+stored; input dropout keeps the layer input and its mask, and forms the
+scaled input only where a product reads it. Each mask has the place in the
+stream that separate per-graph passes give it and is drawn from a copy of
+the stream moved there (a large one split between two threads), so results
+depend neither on the batching nor on the split. A node-level training
+forward forms its last conv layer, and any layer after it, on the rows its
+loss reads only, and draws just those rows of their masks, skipping the
+others in the stream.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import numbers
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -314,67 +315,71 @@ class _Dropout:
     layer applies to its input with inverted scaling, and a kernel mask per
     support (see _kernel_mask), which _propagate applies block by block as
     it multiplies by the support. No dropped support is ever stored. Where a
-    layer forms only some rows of its output (layer_rows, see _loss_rows),
-    its kernel masks, or a row-wise layer's input mask, hold those rows
-    only, drawn so that the Generator ends where the whole masks leave it.
+    layer forms only some rows of its output (see _loss_rows), its kernel
+    masks, or a row-wise layer's input mask, hold those rows only.
 
-    Graph by graph, and layer by layer within a graph, each layer draws an
-    input mask and then one kernel mask per support. The forward runs layer
-    by layer over the whole batch, so every graph but the last draws all its
-    masks up front; the last graph draws each mask when a layer asks for it.
-    The Generator stream is therefore consumed in the same order as
-    graph-by-graph passes would consume it, a single graph draws nothing
-    ahead of time, and a layer can let go of its scaled input before its
-    kernel masks are drawn. Each trainable layer, in order, calls inputs()
-    once and a conv layer then kernels() once."""
+    The masks take the Generator's stream as separate per-graph passes
+    would: graph by graph, and within a graph per trainable layer its input
+    mask, then for a conv layer one kernel mask per support, each drawn
+    whole. A graph's masks take a number of doubles known from the model and
+    its node count (one row after a readout), so each graph draws from a
+    copy of the stream moved to where its masks start, and the caller's
+    Generator is moved past them all at once. Each trainable layer, in
+    order, calls inputs() once and a conv layer then kernels() once."""
 
     def __init__(self, rng, input_dropout: float, kernel_dropout: float,
-                 spec: ModelSpec, f0: int, batch: GraphBatch, layer_rows: list):
+                 spec: ModelSpec, f0: int, batch: GraphBatch):
+        if type(getattr(rng, "bit_generator", None)) is not np.random.PCG64:
+            raise ValueError("dropout needs a numpy Generator on PCG64, such as "
+                             f"np.random.default_rng(seed); got {rng!r}")
         self.input_keep = 1.0 - input_dropout
         self.kernel_keep = 1.0 - kernel_dropout
-        draws = [_graph_masks(rng, spec, f0, b - a, supports, self.input_keep,
-                              self.kernel_keep, layer_rows)
-                 for supports, (a, b) in zip(batch.supports, batch.segments())]
-        self._early = [list(d) for d in draws[:-1]]
-        self._last = draws[-1]
-        self._taken = 0
+        n_supports = len(batch.supports[0])
 
-    def _next(self) -> list:
-        """Every graph's next draw: the early graphs' as drawn, the last's now."""
-        drawn = [masks[self._taken] for masks in self._early] + [next(self._last)]
-        self._taken += 1
-        return drawn
+        def doubles(n):   # that the masks of a graph of n nodes take
+            total = 0
+            for layer, f_in in zip(spec.layers, spec.widths(f0)):
+                if isinstance(layer, ReadoutMeanMax):
+                    n = 1
+                    continue
+                if self.input_keep < 1:
+                    total += n * f_in
+                if isinstance(layer, _CONV) and self.kernel_keep < 1:
+                    total += n_supports * n * n
+            return total
 
-    def inputs(self):
-        """The next layer's stacked input mask and keep, or None."""
-        masks = self._next()
-        if masks[0] is None:
+        starts = list(accumulate((doubles(int(b - a)) for a, b in batch.segments()), initial=0))
+        bitgen = rng.bit_generator
+        self.streams = [np.random.Generator(_pcg64_ahead(bitgen, a)) for a in starts[:-1]]
+        bitgen.state = _pcg64_ahead(bitgen, starts[-1]).state
+
+    def inputs(self, batch: GraphBatch, width: int, rows=None):
+        """The next layer's input mask over the batch's stacked rows, or over
+        the rows of its one graph (see _kernel_mask), and keep; or None."""
+        if self.input_keep >= 1:
             return None
+        masks = [_kernel_mask(rng, (b - a, width), self.input_keep, rows)
+                 for rng, (a, b) in zip(self.streams, batch.segments())]
         return (np.concatenate(masks, axis=0) if len(masks) > 1 else masks[0]), self.input_keep
 
-    def kernels(self):
+    def kernels(self, batch: GraphBatch, rows=None):
         """The conv layer's per-graph kernel masks and keep, or None."""
-        masks = self._next()
-        return None if masks[0] is None else (masks, self.kernel_keep)
+        if self.kernel_keep >= 1:
+            return None
+        return [[_kernel_mask(rng, C.shape, self.kernel_keep, rows) for C in supports]
+                for rng, supports in zip(self.streams, batch.supports)], self.kernel_keep
 
 
-def _graph_masks(rng, spec, f0, n, supports, input_keep, kernel_keep, layer_rows):
-    """Yield one graph's masks in draw order: per trainable layer its input
-    mask, then for a conv layer its kernel masks, each None where the layer
-    draws none; a graph has one row after a readout. A layer's kernel masks
-    hold its layer_rows only; so does its input mask unless it is a conv
-    layer, whose products read every input row. A module-level generator, so
-    that its suspended frame holds no _Dropout."""
-    for layer, f_in, rows in zip(spec.layers, spec.widths(f0), layer_rows):
-        if isinstance(layer, ReadoutMeanMax):
-            n = 1
-            continue
-        conv = isinstance(layer, _CONV)
-        yield (_kernel_mask(rng, (n, f_in), input_keep, None if conv else rows)
-               if input_keep < 1 else None)
-        if conv:
-            yield ([_kernel_mask(rng, C.shape, kernel_keep, rows) for C in supports]
-                   if kernel_keep < 1 else None)
+def _pcg64_ahead(bitgen: np.random.PCG64, steps: int) -> np.random.PCG64:
+    """A copy of a PCG64 bit generator moved steps 64-bit outputs ahead
+    (random() takes one per double), with bitgen's buffered 32-bit half,
+    which advance() alone clears."""
+    state = bitgen.state
+    ahead = np.random.PCG64(0)   # a fixed seed skips reading OS entropy
+    ahead.state = state
+    ahead.advance(steps)
+    ahead.state = {**ahead.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return ahead
 
 
 def _scaled(x: np.ndarray, mask: np.ndarray, keep: float) -> np.ndarray:
@@ -400,45 +405,35 @@ _DROP_SPLIT_BLOCKS = 4
 def _kernel_mask(rng: np.random.Generator, shape: tuple, keep: float, rows=None) -> np.ndarray:
     """rng.random(shape)[rows] < keep, bit for bit, leaving rng in the state
     that the whole draw rng.random(shape) leaves it, but drawn a row block at
-    a time, so no float temporary of the mask's size is made. rows holds
-    ascending row indices; None selects every row. Draws kernel masks and
-    input masks alike.
+    a time, so no float temporary of the mask's size is made. rng is a
+    Generator on PCG64 (see _Dropout); rows holds ascending row indices, None
+    selects every row. Draws kernel masks and input masks alike.
 
-    With a PCG64 Generator, the rows between selected ones, and those after
-    the last, are skipped with advance() (random() takes one 64-bit output
-    per double), and a selection of at least _DROP_SPLIT_BLOCKS row blocks
-    is split at its middle selected row: a helper thread fills the second
-    half from a copy of the bit generator advanced to that row while rng
-    fills the first half, and rng then takes the copy's state. advance()
-    clears the buffered 32-bit half, so rng's own is put back. Any other bit
-    generator draws every row and keeps the selected ones."""
+    A whole mask of fewer than _DROP_SPLIT_BLOCKS row blocks is drawn
+    straight from rng. Otherwise the rows between selected ones are skipped
+    with advance(), a selection of at least _DROP_SPLIT_BLOCKS row blocks is
+    split at its middle selected row, a helper thread filling the second half
+    from a copy of the stream moved to that row while rng fills the first,
+    and rng is then moved to the end of the whole draw from where it began."""
     n_rows, n_cols = map(int, shape)   # Python ints: advance() refuses a numpy integer
-    bitgen = rng.bit_generator
-    split = _DROP_SPLIT_BLOCKS * _DROP_ROWS
-    if type(bitgen) is not np.random.PCG64 or (rows is None and n_rows < split):
-        out = np.empty((n_rows, n_cols), dtype=bool)
-        _fill_mask(rng, keep, out, [(0, n_rows)], 0)
-        return out if rows is None else out[rows]
     sel = range(n_rows) if rows is None else rows
     out = np.empty((len(sel), n_cols), dtype=bool)
-    own = bitgen.state
+    split = _DROP_SPLIT_BLOCKS * _DROP_ROWS
+    if rows is None and n_rows < split:
+        _fill_mask(rng, keep, out, [(0, n_rows)], 0)
+        return out
+    start = _pcg64_ahead(rng.bit_generator, 0)
     if len(sel) >= split:
         mid = len(sel) // 2
-        ahead = np.random.PCG64()
-        ahead.state = own
-        ahead.advance(int(sel[mid]) * n_cols)
+        at = int(sel[mid])   # the row at which the second half starts
+        ahead = np.random.Generator(_pcg64_ahead(start, at * n_cols))
         with ThreadPoolExecutor(max_workers=1) as helper:
-            second = helper.submit(_fill_mask, np.random.Generator(ahead), keep, out[mid:],
-                                   _runs(sel[mid:]), int(sel[mid]))
+            second = helper.submit(_fill_mask, ahead, keep, out[mid:], _runs(sel[mid:]), at)
             _fill_mask(rng, keep, out[:mid], _runs(sel[:mid]), 0)
-            end = second.result()
-        bitgen.state = ahead.state
+            second.result()
     else:
-        end = _fill_mask(rng, keep, out, _runs(sel), 0)
-    bitgen.advance((n_rows - end) * n_cols)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = own["has_uint32"], own["uinteger"]
-    bitgen.state = state
+        _fill_mask(rng, keep, out, _runs(sel), 0)
+    rng.bit_generator.state = _pcg64_ahead(start, n_rows * n_cols).state
     return out
 
 
@@ -453,11 +448,10 @@ def _runs(sel) -> list:
     return list(zip(sel[np.r_[0, cut]].tolist(), (sel[np.r_[cut, len(sel)] - 1] + 1).tolist()))
 
 
-def _fill_mask(rng, keep, out, runs, pos) -> int:
+def _fill_mask(rng, keep, out, runs, pos) -> None:
     """The rows of runs (see _runs) of a mask, drawn from rng in row order
     into consecutive rows of out, rng standing at row pos; a gap before a run
-    is skipped by advancing rng's bit generator. Returns the row at which rng
-    then stands."""
+    is skipped by advancing rng's bit generator."""
     n_cols = out.shape[1]
     block = np.empty((min(_DROP_ROWS, len(out)), n_cols))
     i = 0
@@ -469,7 +463,6 @@ def _fill_mask(rng, keep, out, runs, pos) -> int:
             np.less(rng.random(out=block[: b - a]), keep, out=out[i : i + b - a])
             i += b - a
         pos = hi
-    return pos
 
 
 # Bytes of the buffer in which _masked_product forms a row block of a dropped
@@ -621,13 +614,15 @@ def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
     if isinstance(layer, ReadoutMeanMax):
         return _readout_forward(H, batch)
 
-    input_mask = None if drop is None else drop.inputs()
+    conv = isinstance(layer, _CONV)
+    # a conv layer's products read every input row
+    input_mask = None if drop is None else drop.inputs(batch, H.shape[1], None if conv else rows)
     Hin = _layer_input(H, input_mask)
     cache = {"H": H, "mask": input_mask, "offsets": batch.offsets}
 
     if isinstance(layer, Dense):
         Z = Hin @ lp.weights[0]
-    elif isinstance(layer, _CONV):
+    elif conv:
         Cs = batch.supports
         cache["Cs"], cache["rows"] = Cs, rows
         if _narrowing(layer, Hin):
@@ -635,12 +630,12 @@ def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
             # so the two are never alive together
             HA = [Hin @ A for A in _mixing(layer, lp)]
             del Hin
-            kernel = cache["kernel"] = None if drop is None else drop.kernels()
+            kernel = cache["kernel"] = None if drop is None else drop.kernels(batch, rows)
             Z = None
             for s, X in enumerate(HA):
                 Z = _propagate(Cs, s, X, batch.offsets, into=Z, dropout=kernel, rows=rows)
         else:
-            kernel = cache["kernel"] = None if drop is None else drop.kernels()
+            kernel = cache["kernel"] = None if drop is None else drop.kernels(batch, rows)
             PS = cache["PS"] = [_propagate(Cs, s, Hin, batch.offsets, dropout=kernel, rows=rows)
                                 for s in range(len(Cs[0]))]
             Z = sum(P @ A for P, A in zip(PS, _mixing(layer, lp)))
@@ -732,7 +727,7 @@ def model_forward(
     layer_rows = _loss_rows(spec, batch, rows)
     drop = None
     if train and (input_dropout > 0 or kernel_dropout > 0):
-        drop = _Dropout(rng, input_dropout, kernel_dropout, spec, H.shape[1], batch, layer_rows)
+        drop = _Dropout(rng, input_dropout, kernel_dropout, spec, H.shape[1], batch)
     if layer_rows[0] is not None and not isinstance(spec.layers[0], _CONV):
         H = H[layer_rows[0]]   # no conv layer: row-wise from the input on
     caches = []

@@ -117,6 +117,65 @@ def test_batch_split_into_chunks_matches_one_chunk(monkeypatch):
     assert split_rng.random() == one_rng.random()
 
 
+_KERNEL_MASK = nn._kernel_mask
+
+
+def record_masks(monkeypatch):
+    """Patch nn._kernel_mask to record each mask drawn, as (shape, bytes);
+    returns one list per stream drawn from, streams in order of first draw."""
+    streams, masks = [], []
+
+    def recorded(rng, shape, keep, rows=None):
+        out = _KERNEL_MASK(rng, shape, keep, rows)
+        if not any(rng is s for s in streams):
+            streams.append(rng)
+            masks.append([])
+        masks[[rng is s for s in streams].index(True)].append((out.shape, out.tobytes()))
+        return out
+
+    monkeypatch.setattr(nn, "_kernel_mask", recorded)
+    return masks
+
+
+def test_each_graph_draws_its_masks_from_its_place_in_the_stream(monkeypatch):
+    """Each graph of a two-chunk mini-batch draws the masks of its separate
+    pass, bit for bit, and both are the sequential draws of one Generator:
+    graph by graph, per trainable layer the input mask, then for a conv
+    layer one kernel mask per support, the dense head's input mask one row
+    after the readout. A Generator holding a buffered 32-bit half ends
+    bitwise where the separate passes and the sequential draws leave it."""
+    ds, kernelsets = dataset_and_kernels()
+    params, ids = parameters(), [3, 1, 0, 2]
+    rngs = [np.random.default_rng(31) for _ in range(3)]
+    for rng in rngs:
+        rng.integers(0, 2**32, dtype=np.uint32)   # buffers the other half
+    rng_graphs, rng_batch, twin = rngs
+
+    graph_masks = record_masks(monkeypatch)
+    per_graph_gradients(ds, kernelsets, params, ids, rng_graphs)
+    batch_masks = record_masks(monkeypatch)
+    monkeypatch.setattr(nn, "_CHUNK_ROWS", 21)   # 9 + 12 rows, then 7 + 5
+    assert [len(c) for c in nn._chunks(ids, nn._graph_sizes(ds))] == [2, 2]
+    batch_gradients(ds, kernelsets, params, ids, rng_batch)
+
+    want = []
+    for i in ids:
+        n, draws = SIZES[i], []
+        for layer, f_in in zip(SPEC.layers, SPEC.widths(4)):
+            if isinstance(layer, ReadoutMeanMax):
+                n = 1
+                continue
+            draws.append(twin.random((n, f_in)) < 1 - CONFIG.input_dropout)
+            if not isinstance(layer, Dense):
+                draws += [twin.random((n, n)) < 1 - CONFIG.kernel_dropout for _ in range(S)]
+        want.append([(d.shape, d.tobytes()) for d in draws])
+    assert want[0][-1][0] == (1, 6)
+    assert graph_masks == want and batch_masks == want
+    assert rng_batch.bit_generator.state["has_uint32"] == 1
+    assert repr(rng_batch.bit_generator.state) == repr(rng_graphs.bit_generator.state) \
+        == repr(twin.bit_generator.state)
+
+
 def test_chunks_bound_rows_and_keep_order():
     sizes = np.array([5, 30, 4, 4, 300, 2])
     with pytest.MonkeyPatch.context() as mp:

@@ -123,6 +123,7 @@ def test_analyze_gat_without_integer_seed_is_config_error(tmp_path, capsys, kern
     ("gcn:1", "unknown kernel spec 'gcn:1'"),
     ("cheb:x", "cheb kernel needs an integer order, cheb:<k>; got 'cheb:x'"),
     ("cheb:0", "cheb kernel needs an order of at least 1; got 'cheb:0'"),
+    ("gat:-1", "gat kernel needs a non-negative seed, gat:<seed>; got 'gat:-1'"),
     ("cayley:1", "cayley kernel needs a scale and an integer order, cayley:<h>:<r>; "
                  "got 'cayley:1'"),
     ("cayley:1:0", "cayley kernel needs an order of at least 1; got 'cayley:1:0'"),
@@ -325,6 +326,28 @@ def test_train_bad_design_expression(tmp_path):
 
 def test_train_missing_config_file(tmp_path):
     assert main(["train", "--config", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.mark.parametrize("where,message", [
+    ("config", "Is a directory"),
+    ("out", "config.json' exists and is not a directory"),
+])
+def test_train_path_that_is_not_a_directory_is_one_line_config_error(tmp_path, capsys,
+                                                                      monkeypatch, where,
+                                                                      message):
+    """A directory given as the config file, or an output path under a file,
+    exits 2 with one line, before any decomposition or training."""
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("set-up ran before the path was refused")
+
+    monkeypatch.setattr(cli, "decompose", no_decompose)
+    cfg = write_toy_config(tmp_path)
+    argv = ["train", "--config", str(tmp_path)] if where == "config" else \
+        ["train", "--config", str(cfg), "--out", str(cfg / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_train_unknown_dataset_kind(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import threading
 import weakref
@@ -193,21 +194,20 @@ def _buffer_uint32(rng):
     rng.integers(0, 2**32, dtype=np.uint32)
 
 
-@pytest.mark.parametrize("rows,cols,keep,bitgen,before", [
-    (nn._DROP_ROWS - 5, 30, 0.25, np.random.PCG64, None),
-    (3 * nn._DROP_ROWS + 7, 20, 0.9, np.random.PCG64, None),
-    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.25, np.random.PCG64, None),
-    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.9, np.random.PCG64, _buffer_uint32),
-    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.25, np.random.MT19937, None),
-    (300, 1433, 0.25, np.random.PCG64, None),
+@pytest.mark.parametrize("rows,cols,keep,before", [
+    (nn._DROP_ROWS - 5, 30, 0.25, None),
+    (3 * nn._DROP_ROWS + 7, 20, 0.9, None),
+    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.25, None),
+    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.9, _buffer_uint32),
+    (300, 1433, 0.25, None),
 ], ids=["under-one-block", "ragged-blocks", "split-odd-rows", "split-buffered-uint32",
-        "mt19937", "input-shaped"])
-def test_dropped_is_the_masked_scaled_support_bit_for_bit(rows, cols, keep, bitgen, before):
+        "input-shaped"])
+def test_dropped_is_the_masked_scaled_support_bit_for_bit(rows, cols, keep, before):
     """The kernel mask is the sequential draw rng.random(shape) < keep and
     leaves the Generator where that draw does; applied to the identity, the
     masked product gives the masked, scaled support itself."""
     C = np.random.default_rng(4).standard_normal((rows, cols))
-    rng, twin = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
     if before is not None:
         before(rng)
         before(twin)
@@ -231,21 +231,20 @@ def _scattered(n, k, seed=5):
 _SPLIT = nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS
 
 
-@pytest.mark.parametrize("n,rows,bitgen,before", [
-    (300, _scattered(300, 40), np.random.PCG64, None),
-    (700, _scattered(700, _SPLIT + 61), np.random.PCG64, None),
-    (300, np.arange(50, 150), np.random.PCG64, None),
-    (700, np.arange(9, 9 + _SPLIT + 1), np.random.PCG64, None),
-    (300, np.arange(0), np.random.PCG64, None),
-    (_SPLIT - 1, np.arange(_SPLIT - 1), np.random.PCG64, None),
-    (700, np.arange(700), np.random.PCG64, None),
-    (300, _scattered(300, 40), np.random.PCG64, _buffer_uint32),
-    (700, _scattered(700, _SPLIT + 61), np.random.PCG64, _buffer_uint32),
-    (300, _scattered(300, 40), np.random.Philox, _buffer_uint32),
+@pytest.mark.parametrize("n,rows,before", [
+    (300, _scattered(300, 40), None),
+    (700, _scattered(700, _SPLIT + 61), None),
+    (300, np.arange(50, 150), None),
+    (700, np.arange(9, 9 + _SPLIT + 1), None),
+    (300, np.arange(0), None),
+    (_SPLIT - 1, np.arange(_SPLIT - 1), None),
+    (700, np.arange(700), None),
+    (300, _scattered(300, 40), _buffer_uint32),
+    (700, _scattered(700, _SPLIT + 61), _buffer_uint32),
 ], ids=["scattered", "scattered-split", "contiguous", "contiguous-split", "no-rows",
         "all-rows", "all-rows-split", "scattered-buffered-uint32",
-        "split-buffered-uint32", "philox"])
-def test_row_selected_mask_is_the_full_draws_rows(n, rows, bitgen, before):
+        "split-buffered-uint32"])
+def test_row_selected_mask_is_the_full_draws_rows(n, rows, before):
     """A mask drawn for some rows is bitwise those rows of the full draw
     rng.random(shape) < keep, and leaves the Generator bitwise where the full
     draw leaves it, its buffered 32-bit half included; applied to the
@@ -253,7 +252,7 @@ def test_row_selected_mask_is_the_full_draws_rows(n, rows, bitgen, before):
     masked, scaled support, and its transposed product writes every entry
     of out, zeros when no row is selected."""
     cols, keep = 29, 0.3
-    rng, twin = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
     if before is not None:
         before(rng)
         before(twin)
@@ -272,6 +271,24 @@ def test_row_selected_mask_is_the_full_draws_rows(n, rows, bitgen, before):
     got_t = np.full((cols, 3), np.nan)
     _masked_product(C, mask, keep, X, got_t, transpose=True, rows=rows)
     assert np.max(np.abs(got_t - want_t)) <= 1e-12 * max(1.0, np.max(np.abs(want_t)))
+
+
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, None],
+                         ids=["mt19937", "philox", "none"])
+def test_dropout_refuses_a_generator_it_cannot_advance(bitgen):
+    """Each graph's masks are placed in a PCG64 stream with advance(), so a
+    training forward with either dropout refuses another bit generator, or
+    no Generator, naming it; without dropout it needs none."""
+    rng = None if bitgen is None else np.random.Generator(bitgen(9))
+    spec = parse_architecture("DSG4-DSG2")
+    params = init_parameters(spec, 3, 2, np.random.default_rng(0))
+    H0, supports = np.ones((5, 3)), [np.eye(5)] * 2
+    for input_dropout, kernel_dropout in ((0.5, 0.0), (0.0, 0.5)):
+        with pytest.raises(ValueError, match=f"Generator on PCG64.*got {re.escape(repr(rng))}"):
+            model_forward(spec, params, H0, supports, train=True, rng=rng,
+                          input_dropout=input_dropout, kernel_dropout=kernel_dropout)
+    out, _ = model_forward(spec, params, H0, supports, train=True, rng=rng)
+    assert out.shape == (5, 2)
 
 
 def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
