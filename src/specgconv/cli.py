@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -64,15 +65,25 @@ def _laplacian_kind(name: str) -> LaplacianKind:
 
 
 def _load_graph(spec: str):
-    if spec.startswith("ring"):
-        try:
-            n = int(spec[4:])
-        except ValueError:
-            raise ConfigError(f"bad ring size in {spec!r}") from None
-        return make_ring(n)
+    """The graph of a --graph spec: ring<N>, "ring" followed by digits only,
+    or else a single-graph dataset directory, such as rings/cora."""
+    ring = re.fullmatch(r"ring([0-9]+)", spec)
+    if ring:
+        return make_ring(int(ring.group(1)))
     if not os.path.isdir(spec):
         raise ConfigError(f"graph {spec!r} is neither ring<N> nor a dataset directory")
     return load_single_graph(spec).graph
+
+
+def _check_out_dir(out_dir: str, what: str) -> None:
+    """Refuse an output path that cannot become a directory, before any
+    set-up: the path itself, or the nearest of its parents that exists, is
+    not a directory. The directory is made only at the first write."""
+    existing = os.path.abspath(out_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"{what} {out_dir!r}: {existing!r} exists and is not a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +154,7 @@ def cmd_analyze(args) -> int:
     if args.trials > 1 and head != "gat":
         raise ConfigError(f"--trials applies to gat:<seed> kernels only; got --trials "
                           f"{args.trials} with --kernel {args.kernel}")
+    _check_out_dir(args.out, "--out")
     graph = _load_graph(args.graph)
     kind = _laplacian_kind(args.laplacian)
     basis = decompose(build_laplacian(graph, kind), kind, cache_dir=_cache_dir())
@@ -310,11 +322,12 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
     _write_metrics_csv(_out_file(out_dir, "metrics.csv"), result.metrics)
     save_checkpoint(result.params, _out_file(out_dir, "checkpoint.json"))
     last = result.metrics[-1]
-    best_val = max(result.metrics, key=lambda m: m.get("val_acc", 0.0))
+    # a split without val nodes has no val scores, and so no best-val epoch
+    best_val = max(result.metrics, key=lambda m: m["val_acc"]) if "val_acc" in last else {}
     final = {
         "test_accuracy": last.get("test_acc"),
         "test_accuracy_at_best_val": best_val.get("test_acc"),
-        "best_val_epoch": best_val["epoch"],
+        "best_val_epoch": best_val.get("epoch"),
         "final": last,
         "coverage": cov,
     }
@@ -387,11 +400,7 @@ def cmd_train(args) -> int:
     out_dir = args.out or _field(cfg, "output_dir", str, "") or "run"
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
-    existing = out_dir   # the run directory, or the nearest of its parents that exists
-    while not os.path.exists(existing):
-        existing = os.path.dirname(existing)
-    if not os.path.isdir(existing):
-        raise ConfigError(f"output_dir {out_dir!r}: {existing!r} exists and is not a directory")
+    _check_out_dir(out_dir, "output_dir")
 
     if kind == "single":
         dataset, run = load_single_graph(path), _run_transductive

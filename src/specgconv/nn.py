@@ -15,10 +15,12 @@ stored; input dropout keeps the layer input and its mask, and forms the
 scaled input only where a product reads it. Each mask has the place in the
 stream that separate per-graph passes give it and is drawn from a copy of
 the stream moved there (a large one split between two threads), so results
-depend neither on the batching nor on the split. A node-level training
-forward forms its last conv layer, and any layer after it, on the rows its
-loss reads only, and draws just those rows of their masks, skipping the
-others in the stream.
+depend neither on the batching nor on the split. One product loop serves
+every conv layer: a graph's rows are read from its supports' shapes. A
+node-level training forward forms its last conv layer, and any layer after
+it, on the rows its loss reads only: that layer multiplies row slices
+C_s[rows] of its supports, and draws just those rows of their masks,
+skipping the others in the stream.
 """
 from __future__ import annotations
 
@@ -476,22 +478,20 @@ def _fill_mask(rng, keep, out, runs, pos) -> None:
 _APPLY_BYTES = 1 << 23
 
 
-def _masked_product(C, mask, keep, X, out, add=False, transpose=False, rows=None) -> None:
-    """out = D X (D^T X with transpose; added into out with add), where D =
-    _scaled(C[rows], mask, keep), all of C when rows is None, reading C and
-    its mask in row blocks only; mask has D's shape. Each D_b = mask_b C_b
-    (the mask cast to 0/1 first, or C's selected rows gathered first: faster
-    than a pass more, same bits) is formed in one reused buffer of about
-    _APPLY_BYTES, so no copy of C's selected rows is made. D X is one GEMM
-    per block; D^T X sums D_b^T X_b, as sum_b X_b^T D_b over many blocks.
-    1/keep scales the narrower side: the product when C is wider than X,
-    else each block. A block's GEMM has the dropped copy's bits when 1/keep
-    is a power of two or scales the block; other products moved by up to
-    3e-15 relative."""
-    n_rows, cols = mask.shape
-    if n_rows == 0:   # no rows selected: D X is empty and D^T X is zero
-        if not add:
-            out[...] = 0.0
+def _masked_product(C, mask, keep, X, out, transpose=False) -> None:
+    """out = D X (D^T X with transpose), where D = _scaled(C, mask, keep),
+    reading C and its mask in row blocks only; C may be a row slice of a
+    support, and mask has its shape. Each D_b = mask_b C_b (the mask cast to
+    0/1 first: faster than a pass more, same bits) is formed in one reused
+    buffer of about _APPLY_BYTES, so no dropped copy of C is made. D X is one
+    GEMM per block; D^T X sums D_b^T X_b, as sum_b X_b^T D_b over many
+    blocks. 1/keep scales the narrower side: the product when C is wider than
+    X, else each block. A block's GEMM has the dropped copy's bits when
+    1/keep is a power of two or scales the block; other products moved by up
+    to 3e-15 relative."""
+    n_rows, cols = C.shape
+    if n_rows == 0:   # D X is empty and D^T X is zero
+        out[...] = 0.0
         return
     step = max(1, min(n_rows, _APPLY_BYTES // (8 * max(cols, 1))))
     buf = np.empty((step, cols))
@@ -500,23 +500,15 @@ def _masked_product(C, mask, keep, X, out, add=False, transpose=False, rows=None
     for a in range(0, n_rows, step):
         b = min(a + step, n_rows)
         block = buf[: b - a]
-        if rows is None:
-            np.copyto(block, mask[a:b])
-            block *= C[a:b]
-        else:
-            # mode "clip" takes straight into the buffer, where the default
-            # buffers a copy; rows come from a node mask, so none is clipped
-            np.take(C, rows[a:b], axis=0, out=block, mode="clip")
-            block *= mask[a:b]
+        np.copyto(block, mask[a:b])
+        block *= C[a:b]
         if scale_blocks:
             block *= 1.0 / keep
         if acc is None:
-            target, lhs = (out, block.T) if transpose else (out[a:b], block)
-            part = lhs @ X if add else np.matmul(lhs, X, out=target)
+            part = np.matmul(block.T, X, out=out) if transpose else \
+                np.matmul(block, X, out=out[a:b])
             if not scale_blocks:
                 part *= 1.0 / keep
-            if add:
-                target += part
         elif a == 0:
             np.matmul(X[a:b].T, block, out=acc)
         else:
@@ -524,7 +516,7 @@ def _masked_product(C, mask, keep, X, out, add=False, transpose=False, rows=None
     if acc is not None:
         if not scale_blocks:
             acc *= 1.0 / keep
-        out[...] = out + acc.T if add else acc.T
+        out[...] = acc.T
 
 
 def _narrowing(layer, Hin) -> bool:
@@ -555,36 +547,38 @@ def _mixing_grads(layer, lp, RS) -> tuple:
     return RS, None
 
 
-def _propagate(Cs, s, X, offsets, into=None, transpose=False, dropout=None,
-               rows=None) -> np.ndarray:
+def _propagate(Cs, s, X, transpose=False, dropout=None) -> np.ndarray:
     """Support s applied to every graph's rows of X, C_s X (C_s^T X with
-    transpose), where Cs[g] holds graph g's supports; added into `into` when
-    given, which is then returned. With dropout, a layer's (per-graph kernel
-    masks, keep), graph g's support s is dropped by its mask on the fly, read
-    in row blocks whichever the product (see _masked_product). With rows,
-    ascending node rows of a single graph, C_s is taken as those of its rows:
-    C_s[rows] X forms only those output rows, and C_s[rows]^T X reads X as
-    the values at those rows."""
-    if into is not None:
-        out = into
-    elif rows is None:
-        out = np.empty_like(X)
-    else:
-        out = np.empty((offsets[-1] if transpose else len(rows), X.shape[1]))
+    transpose), where Cs[g] holds graph g's supports. Graph g owns
+    consecutive rows of X and of the output, as many as its support has
+    columns and rows (rows and columns with transpose): so a stacked batch
+    of n_g x n_g supports keeps each graph's rows, and a row slice C_s[rows]
+    of one graph's support forms only those output rows, or, transposed,
+    reads X as the values at those rows. With dropout, a layer's (per-graph
+    kernel masks, keep), graph g's support s is dropped by its mask on the
+    fly, read in row blocks whichever the product (see _masked_product)."""
+    shapes = [supports[s].shape[::-1] if transpose else supports[s].shape for supports in Cs]
+    out = np.empty((sum(m for m, _ in shapes), X.shape[1]))
     masks, keep = (None, None) if dropout is None else dropout
-    for g, (supports, a, b) in enumerate(zip(Cs, offsets[:-1], offsets[1:])):
-        x, o = (X[a:b], out[a:b]) if rows is None else (X, out)
-        if masks is not None:
-            _masked_product(supports[s], masks[g][s], keep, x, o,
-                            add=into is not None, transpose=transpose, rows=rows)
-            continue
-        C = supports[s] if rows is None else supports[s][rows]
-        C = C.T if transpose else C
-        if into is None:
-            np.matmul(C, x, out=o)
+    a = o = 0
+    for g, (supports, (m, n)) in enumerate(zip(Cs, shapes)):
+        x, y = X[a : a + n], out[o : o + m]
+        if masks is None:
+            np.matmul(supports[s].T if transpose else supports[s], x, out=y)
         else:
-            o += C @ x
+            _masked_product(supports[s], masks[g][s], keep, x, y, transpose)
+        a, o = a + n, o + m
     return out
+
+
+def _accumulated(parts) -> np.ndarray:
+    """The sum of an iterable of arrays, added in order into the first, so
+    only one more is alive at a time."""
+    parts = iter(parts)
+    total = next(parts)
+    for part in parts:
+        total += part
+    return total
 
 
 def _readout_forward(H, batch):
@@ -608,9 +602,12 @@ def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
     """One layer over a batch; drop is the training forward's _Dropout.
     Returns (output, cache for the backward pass). A conv layer forms sum_s
     C_s Hin A_s (see _mixing) as sum_s C_s (Hin A_s) when it narrows, else as
-    sum_s P_s A_s with P_s = C_s Hin cached; with rows (see _propagate) it
-    forms only those rows of its output. The cache holds the input H and its
-    input mask, not the scaled input."""
+    sum_s P_s A_s with P_s = C_s Hin cached. With rows, ascending node rows
+    of a single graph, it forms only those rows of its output: its supports
+    are the row slices C_s[rows], gathered here and cached for the backward,
+    while its kernel masks are drawn for those rows from the full supports'
+    shapes. The cache holds the input H and its input mask, not the scaled
+    input."""
     if isinstance(layer, ReadoutMeanMax):
         return _readout_forward(H, batch)
 
@@ -618,26 +615,23 @@ def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
     # a conv layer's products read every input row
     input_mask = None if drop is None else drop.inputs(batch, H.shape[1], None if conv else rows)
     Hin = _layer_input(H, input_mask)
-    cache = {"H": H, "mask": input_mask, "offsets": batch.offsets}
+    cache = {"H": H, "mask": input_mask}
 
     if isinstance(layer, Dense):
         Z = Hin @ lp.weights[0]
     elif conv:
-        Cs = batch.supports
-        cache["Cs"], cache["rows"] = Cs, rows
+        Cs = cache["Cs"] = batch.supports if rows is None else \
+            [[C[rows] for C in batch.supports[0]]]
         if _narrowing(layer, Hin):
             # the scaled input is let go before the kernel masks are drawn,
             # so the two are never alive together
             HA = [Hin @ A for A in _mixing(layer, lp)]
             del Hin
             kernel = cache["kernel"] = None if drop is None else drop.kernels(batch, rows)
-            Z = None
-            for s, X in enumerate(HA):
-                Z = _propagate(Cs, s, X, batch.offsets, into=Z, dropout=kernel, rows=rows)
+            Z = _accumulated(_propagate(Cs, s, X, dropout=kernel) for s, X in enumerate(HA))
         else:
             kernel = cache["kernel"] = None if drop is None else drop.kernels(batch, rows)
-            PS = cache["PS"] = [_propagate(Cs, s, Hin, batch.offsets, dropout=kernel, rows=rows)
-                                for s in range(len(Cs[0]))]
+            PS = cache["PS"] = [_propagate(Cs, s, Hin, dropout=kernel) for s in range(len(Cs[0]))]
             Z = sum(P @ A for P, A in zip(PS, _mixing(layer, lp)))
     else:
         raise TypeError(f"not a LayerSpec: {layer!r}")
@@ -661,7 +655,7 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
     if lp.bias is not None:
         grads.bias = dZ.sum(axis=0)
 
-    H, Cs, offsets, rows = cache["H"], cache.get("Cs"), cache["offsets"], cache.get("rows")
+    H, Cs = cache["H"], cache.get("Cs")
     kernel = cache.pop("kernel", None)
     dHin = None
     if isinstance(layer, Dense):
@@ -672,24 +666,18 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
         # G_s = C_s^T dZ is f_out wide, and R_s = Hin^T G_s. The scaled input
         # is rebuilt only after every G_s is formed and the kernel masks are
         # let go, and let go before dHin, of its shape.
-        GS = [_propagate(Cs, s, dZ, offsets, transpose=True, dropout=kernel, rows=rows)
-              for s in range(len(Cs[0]))]
+        GS = [_propagate(Cs, s, dZ, transpose=True, dropout=kernel) for s in range(len(Cs[0]))]
         del kernel
         Hin = _layer_input(H, cache["mask"])
         RS = [Hin.T @ G for G in GS]
         del Hin
         if input_grad:
-            for G, A in zip(GS, _mixing(layer, lp)):
-                if dHin is None:
-                    dHin = G @ A.T
-                else:
-                    dHin += G @ A.T
+            dHin = _accumulated(G @ A.T for G, A in zip(GS, _mixing(layer, lp)))
     else:
         RS = [P.T @ dZ for P in cache["PS"]]
         if input_grad:
-            for s, A in enumerate(_mixing(layer, lp)):
-                dHin = _propagate(Cs, s, dZ @ A.T, offsets, into=dHin, transpose=True,
-                                  dropout=kernel, rows=rows)
+            dHin = _accumulated(_propagate(Cs, s, dZ @ A.T, transpose=True, dropout=kernel)
+                                for s, A in enumerate(_mixing(layer, lp)))
     if isinstance(layer, _CONV):
         grads.weights, grads.depthwise = _mixing_grads(layer, lp, RS)
     if dHin is not None and cache["mask"] is not None:

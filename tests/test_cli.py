@@ -146,6 +146,55 @@ def test_analyze_bad_kernel_spec_is_refused_before_any_decomposition(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+def test_analyze_out_that_cannot_be_a_directory_is_refused_before_any_decomposition(
+        tmp_path, capsys, monkeypatch, under_file):
+    """An --out path that is a file, or lies under one, exits 2 with one line
+    before the graph is decomposed."""
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decomposed before --out was checked")
+
+    monkeypatch.setattr(cli, "decompose", no_decompose)
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / "a" if under_file else blocker
+    assert main(["analyze", "--graph", "ring12", "--kernel", "gcn", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {str(out)!r}: {str(blocker)!r} exists and is not a directory\n"
+
+
+def test_analyze_makes_a_relative_out_only_after_the_decomposition(tmp_path, monkeypatch):
+    """A relative --out is checked from the working directory, and made only
+    once the decomposition has succeeded, so a failed one leaves none."""
+    def failed_decompose(*args, **kwargs):
+        raise FloatingPointError("decomposition failed")
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["analyze", "--graph", "ring8", "--kernel", "gcn", "--out", "new/sub"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "decompose", failed_decompose)
+        assert main(argv) == 3
+    assert not (tmp_path / "new").exists()
+    assert main(argv) == 0
+    assert (tmp_path / "new" / "sub" / "summary.json").exists()
+
+
+def test_analyze_graph_spec_is_a_ring_only_when_it_is_ring_and_digits(tmp_path, capsys,
+                                                                     monkeypatch):
+    """A dataset directory whose path starts with "ring" is read as one; a
+    spec of "ring" and anything but digits is neither a ring nor a directory."""
+    (tmp_path / "rings").mkdir()
+    write_toy_dataset(tmp_path / "rings" / "cora")
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--graph", "rings/cora", "--kernel", "gcn", "--out", "a"]) == 0
+    assert json.loads((tmp_path / "a" / "summary.json").read_text())["n"] == 24
+    for spec in ("ring", "ring-5", "ring 12", "ringx"):
+        assert main(["analyze", "--graph", spec, "--kernel", "gcn", "--out", "b"]) == 2
+        assert capsys.readouterr().err == (f"config error: graph {spec!r} is neither "
+                                           "ring<N> nor a dataset directory\n")
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("kernel", ["gcn", "cheb:3", "design:allpass", "cayley:1:1"])
 def test_analyze_trials_above_one_needs_a_gat_kernel(tmp_path, capsys, kernel):
     out = tmp_path / "a"
@@ -269,6 +318,21 @@ def test_train_eta_sweep_without_val_nodes(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 2
     assert "sweep_eta" in capsys.readouterr().err
     assert not (tmp_path / "sweep" / "sweep.json").exists()
+
+
+def test_train_without_val_nodes_reports_no_best_val_epoch(tmp_path):
+    """A split with no val nodes has no val scores: result.json gives null
+    for the best-val epoch and the test accuracy there, not epoch 0."""
+    cfg = write_toy_config(tmp_path)
+    split = tmp_path / "toyds" / "split.csv"
+    split.write_text(split.read_text().replace(",val", ",test"))
+    assert main(["train", "--config", str(cfg), "--epochs", "5"]) == 0
+    run = tmp_path / "run"
+    result = json.loads((run / "result.json").read_text())
+    assert result["best_val_epoch"] is None and result["test_accuracy_at_best_val"] is None
+    assert 0.0 <= result["test_accuracy"] <= 1.0
+    rows = [line.split(",") for line in (run / "metrics.csv").read_text().splitlines()]
+    assert len(rows) == 1 + 5 and all(row[3:5] == ["", ""] for row in rows[1:])
 
 
 @pytest.mark.parametrize("where", ["config", "cli"])

@@ -248,9 +248,10 @@ def test_row_selected_mask_is_the_full_draws_rows(n, rows, before):
     """A mask drawn for some rows is bitwise those rows of the full draw
     rng.random(shape) < keep, and leaves the Generator bitwise where the full
     draw leaves it, its buffered 32-bit half included; applied to the
-    identity, the row-selected masked product gives those rows of the
+    identity, the masked product of those rows gives those rows of the
     masked, scaled support, and its transposed product writes every entry
-    of out, zeros when no row is selected."""
+    of out, zeros when no row is selected: both given the row slice C[rows]
+    of the support, with the mask of those rows."""
     cols, keep = 29, 0.3
     rng, twin = np.random.default_rng(9), np.random.default_rng(9)
     if before is not None:
@@ -264,12 +265,12 @@ def test_row_selected_mask_is_the_full_draws_rows(n, rows, before):
                           twin.integers(0, 2**32, size=3, dtype=np.uint32))
     C = np.random.default_rng(4).standard_normal((n, cols))
     got = np.empty((len(rows), cols))
-    _masked_product(C, mask, keep, np.eye(cols), got, rows=rows)
+    _masked_product(C[rows], mask, keep, np.eye(cols), got)
     assert np.array_equal(got, _scaled(C, want, keep)[rows])
     X = np.random.default_rng(6).standard_normal((len(rows), 3))
     want_t = _scaled(C, want, keep)[rows].T @ X
     got_t = np.full((cols, 3), np.nan)
-    _masked_product(C, mask, keep, X, got_t, transpose=True, rows=rows)
+    _masked_product(C[rows], mask, keep, X, got_t, transpose=True)
     assert np.max(np.abs(got_t - want_t)) <= 1e-12 * max(1.0, np.max(np.abs(want_t)))
 
 
@@ -329,7 +330,7 @@ def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
 ], ids=["ragged-last-block", "one-row-last-block", "below-one-block", "narrower-than-x"])
 def test_masked_products_match_the_dropped_support_product(n, width, apply_bytes, symmetric,
                                                            monkeypatch):
-    """Forward, transposed and accumulated products of a dropped support,
+    """Forward and transposed products of a dropped support,
     formed block by block from C and its mask, against the products of the
     masked, scaled copy: within 1e-12 relative. A support of one block gives
     the one-GEMM products bit for bit at keep 0.25, whose 1/keep is exact,
@@ -341,21 +342,18 @@ def test_masked_products_match_the_dropped_support_product(n, width, apply_bytes
     C = rng.standard_normal((n, n))
     if symmetric:
         C = C + C.T
-    X, base = rng.standard_normal((n, width)), rng.standard_normal((n, width))
+    X = rng.standard_normal((n, width))
     one_block = nn._APPLY_BYTES >= 8 * n * n
     for keep in (0.3, 0.25):
         mask = rng.random((n, n)) < keep
         D = _scaled(C, mask, keep)
         for transpose in (False, True):
             want = (D.T if transpose else D) @ X
-            got, acc = np.empty_like(X), base.copy()
+            got = np.empty_like(X)
             _masked_product(C, mask, keep, X, got, transpose=transpose)
-            _masked_product(C, mask, keep, X, acc, add=True, transpose=transpose)
             if one_block and (keep == 0.25 or n <= width):
                 assert got.tobytes() == want.tobytes()
-                assert acc.tobytes() == (base + want).tobytes()
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            assert np.max(np.abs(acc - (base + want))) <= 1e-12 * np.max(np.abs(base + want))
 
 
 @pytest.mark.parametrize("n,width,apply_bytes", [
@@ -367,24 +365,22 @@ def test_masked_products_match_the_dropped_support_product(n, width, apply_bytes
 def test_transposed_masked_product_writes_every_entry_of_out(n, width, apply_bytes,
                                                              monkeypatch):
     """C^T X is summed from its first row block on, so no entry of out may be
-    left as it was: a NaN-filled out is overwritten, add adds onto out as it
-    was, and an all-false mask writes zeros or leaves out bit for bit. C is
-    not symmetric, so a product with C in place of C^T would show."""
+    left as it was: a NaN-filled out is overwritten, and an all-false mask
+    writes zeros. C is not symmetric, so a product with C in place of C^T
+    would show."""
     if apply_bytes is not None:
         monkeypatch.setattr(nn, "_APPLY_BYTES", apply_bytes)
     rng = np.random.default_rng(17)
     C = rng.standard_normal((n, n))
-    X, base = rng.standard_normal((n, width)), rng.standard_normal((n, width))
+    X = rng.standard_normal((n, width))
     for mask in (rng.random((n, n)) < 0.6, np.zeros((n, n), dtype=bool)):
         want = _scaled(C, mask, 0.6).T @ X
-        got, acc = np.full((n, width), np.nan), base.copy()
+        got = np.full((n, width), np.nan)
         _masked_product(C, mask, 0.6, X, got, transpose=True)
-        _masked_product(C, mask, 0.6, X, acc, add=True, transpose=True)
         scale = np.max(np.abs(want), initial=1.0)
         assert not np.isnan(got).any()
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
-        assert np.max(np.abs(acc - (base + want)), initial=0.0) <= 1e-12 * scale
-    assert not got.any() and acc.tobytes() == base.tobytes()
+    assert not got.any()
 
 
 def test_kernel_dropout_on_an_empty_graph_gives_an_empty_output():
@@ -397,22 +393,35 @@ def test_kernel_dropout_on_an_empty_graph_gives_an_empty_output():
 
 def test_propagate_applies_each_graphs_own_masks():
     """_propagate over a two-graph batch with kernel dropout uses graph g's
-    mask of support s on graph g's rows, in all three product forms."""
+    mask of support s on graph g's rows, forward and transposed. A graph
+    given the row slices C[rows] of its supports, with or without the masks'
+    same rows, forms those rows of the full product, and its transposed
+    product reads X as the values at those rows."""
     rng = np.random.default_rng(12)
     sizes = (5, 8)
     Cs = [[rng.standard_normal((m, m)) for _ in range(2)] for m in sizes]
     masks = [[rng.random((m, m)) < 0.5 for _ in range(2)] for m in sizes]
     offsets = np.array([0, 5, 13])
-    X, base = rng.standard_normal((13, 3)), rng.standard_normal((13, 3))
+    X = rng.standard_normal((13, 3))
     for transpose in (False, True):
         want = np.concatenate([
             (_scaled(C[1], M[1], 0.5).T if transpose else _scaled(C[1], M[1], 0.5))
             @ X[a:b] for C, M, a, b in zip(Cs, masks, offsets[:-1], offsets[1:])])
-        got = nn._propagate(Cs, 1, X, offsets, transpose=transpose, dropout=(masks, 0.5))
-        acc = nn._propagate(Cs, 1, X, offsets, into=base.copy(), transpose=transpose,
-                            dropout=(masks, 0.5))
+        got = nn._propagate(Cs, 1, X, transpose=transpose, dropout=(masks, 0.5))
         assert got.tobytes() == want.tobytes()
-        assert acc.tobytes() == (base + want).tobytes()
+
+    rows = np.array([0, 2, 3, 7])
+    C, M = Cs[1][1], masks[1][1]   # support 1 of the 8-node graph
+    sliced = [[c[rows] for c in Cs[1]]]
+    X = rng.standard_normal((8, 3))
+    at_rows = np.zeros_like(X)
+    at_rows[rows] = X[rows]
+    for D, dropout in ((C, None), (_scaled(C, M, 0.5), ([[m[rows] for m in masks[1]]], 0.5))):
+        got = nn._propagate(sliced, 1, X, dropout=dropout)
+        got_t = nn._propagate(sliced, 1, X[rows], transpose=True, dropout=dropout)
+        assert got.shape == (len(rows), 3) and got_t.shape == (8, 3)
+        for g, w in ((got, (D @ X)[rows]), (got_t, D.T @ at_rows)):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_dropout_state_is_freed_when_the_forward_returns(monkeypatch):
