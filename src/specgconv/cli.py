@@ -309,6 +309,8 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
     sweep = _field(cfg, "sweep_eta", list, [])
     if not all(isinstance(eta, (int, float)) and not isinstance(eta, bool) for eta in sweep):
         raise ConfigError(f"sweep_eta must be a list of numbers, got {json.dumps(sweep)}")
+    if sweep and not any(isinstance(d, LowPass) for d in designs):
+        raise ConfigError("sweep_eta varies the eta of a lowpass design, but designs has none")
     if sweep and not dataset.masks["val"].any():
         raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")
     basis = decompose(build_laplacian(dataset.graph, lap), lap, cache_dir=_cache_dir())
@@ -548,12 +550,13 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # before the config-error handler: LinAlgError is a ValueError
     except (TrainingDiverged, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -179,6 +179,7 @@ def load_single_graph(directory) -> SingleGraphDataset:
     n = features.shape[0]
 
     adjacency = np.zeros((n, n))
+    listed = {}   # (lower node, higher node) -> (line, weight) of the edge's first listing
     for lineno, (src, dst, *weight) in _read_rows(os.path.join(directory, "edges.csv"), 2,
                                                   int, int, float):
         w = weight[0] if weight else 1.0
@@ -186,6 +187,10 @@ def load_single_graph(directory) -> SingleGraphDataset:
             raise ValueError(f"edges.csv line {lineno}: self-loop on node {src}")
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"edges.csv line {lineno}: node index out of range")
+        first, w0 = listed.setdefault((min(src, dst), max(src, dst)), (lineno, w))
+        if w0 != w and not np.isnan(w):   # Graph refuses a nan weight as non-finite
+            raise ValueError(f"edges.csv line {lineno}: edge {src}-{dst} listed again with "
+                             f"weight {w!r}, after weight {w0!r} on line {first}")
         adjacency[src, dst] = w
         adjacency[dst, src] = w
 

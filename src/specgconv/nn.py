@@ -13,20 +13,18 @@ Kernel dropout keeps one boolean mask per support and applies it block by
 block while multiplying by the support, so no dropped copy of a support is
 stored; input dropout keeps the layer input and its mask, and forms the
 scaled input only where a product reads it. Each mask has the place in the
-stream that separate per-graph passes give it and is drawn from a copy of
-the stream moved there (a large one split between two threads), so results
-depend neither on the batching nor on the split. One product loop serves
-every conv layer: a graph's rows are read from its supports' shapes. A
-node-level training forward forms its last conv layer, and any layer after
-it, on the rows its loss reads only: that layer multiplies row slices
-C_s[rows] of its supports, and draws just those rows of their masks,
-skipping the others in the stream.
+stream that separate per-graph passes give it and is drawn, on the calling
+thread, from a copy of the stream moved there, so results do not depend on
+the batching. One product loop serves every conv layer: a graph's rows are
+read from its supports' shapes. A node-level training forward forms its
+last conv layer, and any layer after it, on the rows its loss reads only:
+that layer multiplies row slices C_s[rows] of its supports, and draws just
+those rows of their masks, skipping the others in the stream.
 """
 from __future__ import annotations
 
 import numbers
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Optional, Sequence, Union
@@ -326,8 +324,9 @@ class _Dropout:
     whole. A graph's masks take a number of doubles known from the model and
     its node count (one row after a readout), so each graph draws from a
     copy of the stream moved to where its masks start, and the caller's
-    Generator is moved past them all at once. Each trainable layer, in
-    order, calls inputs() once and a conv layer then kernels() once."""
+    Generator is moved past them all at once. Every mask is drawn on the
+    calling thread. Each trainable layer, in order, calls inputs() once and
+    a conv layer then kernels() once."""
 
     def __init__(self, rng, input_dropout: float, kernel_dropout: float,
                  spec: ModelSpec, f0: int, batch: GraphBatch):
@@ -398,10 +397,8 @@ def _layer_input(H: np.ndarray, input_mask) -> np.ndarray:
 
 # Rows of a mask drawn at a time by _kernel_mask: the block of doubles behind
 # them is about 1 MB at Cora's 2708 columns, so it is still in cache when it
-# is compared. A selection of at least _DROP_SPLIT_BLOCKS blocks of rows
-# is split over two threads.
+# is compared.
 _DROP_ROWS = 48
-_DROP_SPLIT_BLOCKS = 4
 
 
 def _kernel_mask(rng: np.random.Generator, shape: tuple, keep: float, rows=None) -> np.ndarray:
@@ -411,52 +408,21 @@ def _kernel_mask(rng: np.random.Generator, shape: tuple, keep: float, rows=None)
     Generator on PCG64 (see _Dropout); rows holds ascending row indices, None
     selects every row. Draws kernel masks and input masks alike.
 
-    A whole mask of fewer than _DROP_SPLIT_BLOCKS row blocks is drawn
-    straight from rng. Otherwise the rows between selected ones are skipped
-    with advance(), a selection of at least _DROP_SPLIT_BLOCKS row blocks is
-    split at its middle selected row, a helper thread filling the second half
-    from a copy of the stream moved to that row while rng fills the first,
-    and rng is then moved to the end of the whole draw from where it began."""
+    The selected rows are drawn run by run of consecutive rows, in row order
+    into consecutive rows of the mask. A whole mask is the one run of every
+    row, drawn straight from rng. A selection skips the rows before each run
+    with advance(), which clears the buffered 32-bit half, so rng is then
+    moved to the end of the whole draw from a copy of where it began."""
     n_rows, n_cols = map(int, shape)   # Python ints: advance() refuses a numpy integer
-    sel = range(n_rows) if rows is None else rows
-    out = np.empty((len(sel), n_cols), dtype=bool)
-    split = _DROP_SPLIT_BLOCKS * _DROP_ROWS
-    if rows is None and n_rows < split:
-        _fill_mask(rng, keep, out, [(0, n_rows)], 0)
-        return out
-    start = _pcg64_ahead(rng.bit_generator, 0)
-    if len(sel) >= split:
-        mid = len(sel) // 2
-        at = int(sel[mid])   # the row at which the second half starts
-        ahead = np.random.Generator(_pcg64_ahead(start, at * n_cols))
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            second = helper.submit(_fill_mask, ahead, keep, out[mid:], _runs(sel[mid:]), at)
-            _fill_mask(rng, keep, out[:mid], _runs(sel[:mid]), 0)
-            second.result()
+    if rows is None:
+        runs, start = [(0, n_rows)], None
     else:
-        _fill_mask(rng, keep, out, _runs(sel), 0)
-    rng.bit_generator.state = _pcg64_ahead(start, n_rows * n_cols).state
-    return out
-
-
-def _runs(sel) -> list:
-    """(first, last + 1) of each run of consecutive rows in sel, ascending
-    row indices in a range or an array, as Python ints."""
-    if len(sel) == 0:
-        return []
-    if isinstance(sel, range):
-        return [(sel.start, sel.stop)]
-    cut = np.flatnonzero(np.diff(sel) != 1) + 1
-    return list(zip(sel[np.r_[0, cut]].tolist(), (sel[np.r_[cut, len(sel)] - 1] + 1).tolist()))
-
-
-def _fill_mask(rng, keep, out, runs, pos) -> None:
-    """The rows of runs (see _runs) of a mask, drawn from rng in row order
-    into consecutive rows of out, rng standing at row pos; a gap before a run
-    is skipped by advancing rng's bit generator."""
-    n_cols = out.shape[1]
+        runs = [(int(r[0]), int(r[-1]) + 1)
+                for r in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1) if len(r)]
+        start = _pcg64_ahead(rng.bit_generator, 0)
+    out = np.empty((n_rows if rows is None else len(rows), n_cols), dtype=bool)
     block = np.empty((min(_DROP_ROWS, len(out)), n_cols))
-    i = 0
+    i = pos = 0
     for lo, hi in runs:
         if lo > pos:
             rng.bit_generator.advance((lo - pos) * n_cols)
@@ -465,6 +431,9 @@ def _fill_mask(rng, keep, out, runs, pos) -> None:
             np.less(rng.random(out=block[: b - a]), keep, out=out[i : i + b - a])
             i += b - a
         pos = hi
+    if start is not None:
+        rng.bit_generator.state = _pcg64_ahead(start, n_rows * n_cols).state
+    return out
 
 
 # Bytes of the buffer in which _masked_product forms a row block of a dropped
@@ -757,17 +726,9 @@ def model_backward(spec, params, caches, dout, into=None):
         if into is None:
             grads[i] = g
         else:
-            _add_grads(grads[i], g)
+            for a, b in zip(flatten_params([grads[i]]), flatten_params([g])):
+                a += b
     return grads
-
-
-def _add_grads(into: LayerParams, g: LayerParams) -> None:
-    for wa, wb in zip(into.weights, g.weights):
-        wa += wb
-    if into.depthwise is not None:
-        into.depthwise += g.depthwise
-    if into.bias is not None:
-        into.bias += g.bias
 
 
 def _single_layer(layer, lp, H, kernels):
@@ -1077,12 +1038,11 @@ def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_row
     train_idx = np.asarray(train_idx, dtype=int)
     rng = np.random.default_rng(config.seed)
     params = init_parameters(spec, graphs[0].features.shape[1], len(kernelsets[0]), rng)
-    sizes = np.array([g.n for g in graphs])
     yield params
     for epoch in range(config.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         for start in range(0, order.size, config.batch_size):
-            grads = _batch_gradients(spec, params, graphs, kernelsets, sizes,
+            grads = _batch_gradients(spec, params, graphs, kernelsets,
                                      order[start : start + config.batch_size],
                                      chunk_loss, config, rng, epoch, loss_rows)
             add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
@@ -1110,22 +1070,18 @@ def _check_readout(spec: ModelSpec, graph_level: bool) -> None:
 _CHUNK_ROWS = 192
 
 
-def _chunks(ids, sizes):
-    """Consecutive runs of the graphs ids whose node rows add up to at most
-    _CHUNK_ROWS; a larger graph runs alone."""
+def _chunks(ids, graphs):
+    """Consecutive runs of the graphs ids (indices into graphs) whose node
+    rows add up to at most _CHUNK_ROWS; a larger graph runs alone."""
     chunk, rows = [], 0
     for i in ids:
-        if chunk and rows + sizes[i] > _CHUNK_ROWS:
+        if chunk and rows + graphs[i].n > _CHUNK_ROWS:
             yield chunk
             chunk, rows = [], 0
         chunk.append(i)
-        rows += sizes[i]
+        rows += graphs[i].n
     if chunk:
         yield chunk
-
-
-def _graph_sizes(data: MultiGraphDataset) -> np.ndarray:
-    return np.array([g.n for g in data.graphs])
 
 
 def _graph_loss(out, data: MultiGraphDataset, ids, loss_kind: str):
@@ -1156,7 +1112,7 @@ def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
     if idx.size == 0:
         return float("nan"), float("nan")
     loss_sum = score_sum = 0.0
-    for chunk in _chunks(idx, _graph_sizes(data)):
+    for chunk in _chunks(idx, data.graphs):
         H0, batch = stack_graphs([data.graphs[i].features for i in chunk],
                                  [kernelsets[i] for i in chunk])
         out, _ = model_forward(spec, params, H0, batch)
@@ -1169,15 +1125,15 @@ def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
     return loss_sum / idx.size, score_sum / idx.size
 
 
-def _batch_gradients(spec, params, graphs, kernelsets, sizes, batch_ids, chunk_loss,
+def _batch_gradients(spec, params, graphs, kernelsets, batch_ids, chunk_loss,
                      config, rng, epoch, loss_rows=None):
     """Gradient of the mean loss over one mini-batch of graphs, without
-    decay. The batch runs as consecutive chunks of stacked graphs (sizes:
-    node count per graph) whose gradients add up; chunk_loss(out, chunk)
+    decay. The batch runs as consecutive chunks of stacked graphs whose
+    gradients add up; chunk_loss(out, chunk)
     gives a chunk's mean loss and its gradient; dropout masks come from rng
     graph by graph, in batch order. loss_rows goes to model_forward."""
     grads = None
-    for chunk in _chunks(batch_ids, sizes):
+    for chunk in _chunks(batch_ids, graphs):
         H0, batch = stack_graphs([graphs[i].features for i in chunk],
                                  [kernelsets[i] for i in chunk])
         out, caches = model_forward(

@@ -1,4 +1,6 @@
 """Stacked multi-graph batches against separate per-graph passes."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,8 @@ def batch_gradients(ds, kernelsets, params, ids, rng):
     def chunk_loss(out, chunk):
         return nn._graph_loss(out, ds, chunk, CONFIG.loss)[:2]
 
-    return nn._batch_gradients(SPEC, params, ds.graphs, kernelsets, nn._graph_sizes(ds),
-                               np.asarray(ids), chunk_loss, CONFIG, rng, 0)
+    return nn._batch_gradients(SPEC, params, ds.graphs, kernelsets, np.asarray(ids),
+                               chunk_loss, CONFIG, rng, 0)
 
 
 def max_relative_difference(a, b):
@@ -92,7 +94,7 @@ def test_batch_gradient_is_mean_of_per_graph_gradients():
     params, ids = parameters(), [2, 0, 3, 1]
     want = per_graph_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
     got = batch_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
-    assert len(list(nn._chunks(ids, nn._graph_sizes(ds)))) == 1
+    assert len(list(nn._chunks(ids, ds.graphs))) == 1
     assert max_relative_difference(got, want) < 1e-12
 
 
@@ -111,7 +113,7 @@ def test_batch_split_into_chunks_matches_one_chunk(monkeypatch):
     one_rng, split_rng = np.random.default_rng(8), np.random.default_rng(8)
     one = batch_gradients(ds, kernelsets, params, ids, one_rng)
     monkeypatch.setattr(nn, "_CHUNK_ROWS", 20)   # 7 + 12 rows, then 5 + 9
-    assert [len(c) for c in nn._chunks(ids, nn._graph_sizes(ds))] == [2, 2]
+    assert [len(c) for c in nn._chunks(ids, ds.graphs)] == [2, 2]
     split = batch_gradients(ds, kernelsets, params, ids, split_rng)
     assert max_relative_difference(split, one) < 1e-12
     assert split_rng.random() == one_rng.random()
@@ -155,7 +157,7 @@ def test_each_graph_draws_its_masks_from_its_place_in_the_stream(monkeypatch):
     per_graph_gradients(ds, kernelsets, params, ids, rng_graphs)
     batch_masks = record_masks(monkeypatch)
     monkeypatch.setattr(nn, "_CHUNK_ROWS", 21)   # 9 + 12 rows, then 7 + 5
-    assert [len(c) for c in nn._chunks(ids, nn._graph_sizes(ds))] == [2, 2]
+    assert [len(c) for c in nn._chunks(ids, ds.graphs)] == [2, 2]
     batch_gradients(ds, kernelsets, params, ids, rng_batch)
 
     want = []
@@ -177,10 +179,10 @@ def test_each_graph_draws_its_masks_from_its_place_in_the_stream(monkeypatch):
 
 
 def test_chunks_bound_rows_and_keep_order():
-    sizes = np.array([5, 30, 4, 4, 300, 2])
+    graphs = [SimpleNamespace(n=n) for n in (5, 30, 4, 4, 300, 2)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "_CHUNK_ROWS", 10)
-        assert list(nn._chunks([0, 1, 2, 3, 4, 5], sizes)) == [[0], [1], [2, 3], [4], [5]]
+        assert list(nn._chunks([0, 1, 2, 3, 4, 5], graphs)) == [[0], [1], [2, 3], [4], [5]]
 
 
 def test_stacked_eval_forward_matches_per_graph_rows():

@@ -146,6 +146,19 @@ def test_analyze_bad_kernel_spec_is_refused_before_any_decomposition(tmp_path, c
     assert not out.exists()
 
 
+def test_analyze_failed_eigendecomposition_is_a_numerical_failure(tmp_path, capsys,
+                                                                   monkeypatch):
+    """LinAlgError is a ValueError, yet it exits 3 as a numerical failure,
+    not 2 as a config error, with one line."""
+    def failed_decompose(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "decompose", failed_decompose)
+    argv = ["analyze", "--graph", "ring8", "--kernel", "gcn", "--out", str(tmp_path / "a")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
+
+
 @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
 def test_analyze_out_that_cannot_be_a_directory_is_refused_before_any_decomposition(
         tmp_path, capsys, monkeypatch, under_file):
@@ -318,6 +331,23 @@ def test_train_eta_sweep_without_val_nodes(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 2
     assert "sweep_eta" in capsys.readouterr().err
     assert not (tmp_path / "sweep" / "sweep.json").exists()
+
+
+def test_train_eta_sweep_without_a_lowpass_design_is_refused_before_any_decomposition(
+        tmp_path, capsys, monkeypatch):
+    """sweep_eta varies the lowpass design's eta; with no lowpass design every
+    η would train the same model, so the run exits 2 before any set-up."""
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decomposed before sweep_eta was checked")
+
+    monkeypatch.setattr(cli, "decompose", no_decompose)
+    cfg = write_toy_config(tmp_path, sweep_eta=[1, 3], designs=["highpass", "allpass"],
+                           output_dir="sweep")
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: sweep_eta varies the eta of a lowpass design, "
+                   "but designs has none\n")
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_train_without_val_nodes_reports_no_best_val_epoch(tmp_path):

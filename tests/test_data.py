@@ -46,6 +46,21 @@ def test_edge_weights(tmp_path):
     assert ds.graph.adjacency[0, 1] == 2.5
 
 
+def test_edge_listed_again_with_another_weight_is_refused_by_line(tmp_path):
+    write_single_graph(tmp_path)
+    (tmp_path / "edges.csv").write_text("src,dst,weight\n0,1,2.0\n1,2,1\n1,0,3.0\n")
+    with pytest.raises(ValueError, match=r"^edges.csv line 4: edge 1-0 listed again with "
+                                         r"weight 3\.0, after weight 2\.0 on line 2$"):
+        load_single_graph(tmp_path)
+
+
+def test_edge_listed_again_with_the_same_weight_is_read(tmp_path):
+    write_single_graph(tmp_path)
+    (tmp_path / "edges.csv").write_text("src,dst,weight\n0,1,2.0\n1,0,2.0\n1,2,1\n1,2,1\n")
+    adjacency = load_single_graph(tmp_path).graph.adjacency
+    assert np.array_equal(adjacency, [[0, 2, 0], [2, 0, 1], [0, 1, 0]])
+
+
 def test_missing_split_defaults_to_train(tmp_path):
     write_single_graph(tmp_path, with_split=False)
     (tmp_path / "labels.csv").write_text("label\n0\n1\n1\n")
@@ -104,6 +119,8 @@ def test_split_node_out_of_range_rejected(tmp_path, node):
     ("edges.csv", "src,dst\n0,1\n1,2.0\n",
      "edges.csv line 3: invalid literal for int() with base 10: '2.0'"),
     ("edges.csv", "src,dst,weight\n0,1,inf\n",
+     "{dir}: adjacency entries must be finite; node 0 has one that is not"),
+    ("edges.csv", "src,dst,weight\n0,1,nan\n1,0,nan\n",
      "{dir}: adjacency entries must be finite; node 0 has one that is not"),
     ("edges.csv", "src,dst,weight\n0,1,w\n",
      "edges.csv line 2: could not convert string to float: 'w'"),

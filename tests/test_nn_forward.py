@@ -197,8 +197,8 @@ def _buffer_uint32(rng):
 @pytest.mark.parametrize("rows,cols,keep,before", [
     (nn._DROP_ROWS - 5, 30, 0.25, None),
     (3 * nn._DROP_ROWS + 7, 20, 0.9, None),
-    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.25, None),
-    (2 * nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS + 1, 33, 0.9, _buffer_uint32),
+    (385, 33, 0.25, None),
+    (385, 33, 0.9, _buffer_uint32),
     (300, 1433, 0.25, None),
 ], ids=["under-one-block", "ragged-blocks", "split-odd-rows", "split-buffered-uint32",
         "input-shaped"])
@@ -228,19 +228,16 @@ def _scattered(n, k, seed=5):
     return np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
 
 
-_SPLIT = nn._DROP_SPLIT_BLOCKS * nn._DROP_ROWS
-
-
 @pytest.mark.parametrize("n,rows,before", [
     (300, _scattered(300, 40), None),
-    (700, _scattered(700, _SPLIT + 61), None),
+    (700, _scattered(700, 253), None),
     (300, np.arange(50, 150), None),
-    (700, np.arange(9, 9 + _SPLIT + 1), None),
+    (700, np.arange(9, 202), None),
     (300, np.arange(0), None),
-    (_SPLIT - 1, np.arange(_SPLIT - 1), None),
+    (191, np.arange(191), None),
     (700, np.arange(700), None),
     (300, _scattered(300, 40), _buffer_uint32),
-    (700, _scattered(700, _SPLIT + 61), _buffer_uint32),
+    (700, _scattered(700, 253), _buffer_uint32),
 ], ids=["scattered", "scattered-split", "contiguous", "contiguous-split", "no-rows",
         "all-rows", "all-rows-split", "scattered-buffered-uint32",
         "split-buffered-uint32"])
@@ -293,11 +290,11 @@ def test_dropout_refuses_a_generator_it_cannot_advance(bitgen):
 
 
 def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
-    """Each call's two halves write disjoint rows of its own mask; callers
-    on more threads than cores, switching often, still get the sequential
-    draw of their own Generator, of every row or of a split selection."""
-    shape = (2 * _SPLIT + 3, 17)
-    rows = _scattered(shape[0], _SPLIT + 40)
+    """Callers on more threads than cores, switching often, each with its
+    own Generator, get that Generator's sequential draw, of every row or of
+    a row selection."""
+    shape = (387, 17)
+    rows = _scattered(shape[0], 232)
     want = [np.random.default_rng(s).random(shape) < 0.5 for s in range(6)]
     got = [[] for _ in want]
 
@@ -320,6 +317,27 @@ def test_dropped_supports_drawn_from_many_threads_at_once_keep_their_bits():
     for masks, w in zip(got, want):
         assert len(masks) == 6 and all(m.tobytes() == (w[rows] if i % 2 else w).tobytes()
                                        for i, m in enumerate(masks))
+
+
+def test_kernel_dropout_training_forward_starts_no_thread(monkeypatch):
+    """A training forward with kernel and input dropout on a 400-node graph,
+    whole and over loss rows, draws every mask on the calling thread."""
+    def refuse(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    n, f0, S = 400, 5, 2
+    rng = np.random.default_rng(3)
+    spec = parse_architecture("DSG6-DSG3")
+    params = init_parameters(spec, f0, S, rng)
+    supports = [rng.standard_normal((n, n)) for _ in range(S)]
+    rows = np.zeros(n, dtype=bool)
+    rows[_scattered(n, 250)] = True
+    for loss_rows in (None, rows):
+        out, caches = model_forward(spec, params, rng.standard_normal((n, f0)), supports,
+                                    train=True, rng=rng, input_dropout=0.3,
+                                    kernel_dropout=0.5, rows=loss_rows)
+        model_backward(spec, params, caches, np.ones_like(out))
 
 
 @pytest.mark.parametrize("n,width,apply_bytes,symmetric", [
