@@ -154,6 +154,10 @@ def cmd_analyze(args) -> int:
     if args.trials > 1 and head != "gat":
         raise ConfigError(f"--trials applies to gat:<seed> kernels only; got --trials "
                           f"{args.trials} with --kernel {args.kernel}")
+    for flag, given in (("--abs", args.abs), ("--export-kernels", args.export_kernels)):
+        if args.trials > 1 and given:
+            raise ConfigError(f"{flag} applies to single-kernel profiles only; got it with "
+                              f"--trials {args.trials}")
     _check_out_dir(args.out, "--out")
     graph = _load_graph(args.graph)
     kind = _laplacian_kind(args.laplacian)

@@ -175,8 +175,11 @@ def load_single_graph(directory) -> SingleGraphDataset:
     A missing split.csv defaults to an all-train split with a warning.
     """
     directory = os.fspath(directory)
-    features = load_matrix_csv(os.path.join(directory, "features.csv"))
+    features_path = os.path.join(directory, "features.csv")
+    features = load_matrix_csv(features_path)
     n = features.shape[0]
+    if n == 0:
+        raise ValueError(f"{features_path}: no node rows; a graph needs at least one node")
 
     adjacency = np.zeros((n, n))
     listed = {}   # (lower node, higher node) -> (line, weight) of the edge's first listing

@@ -2,7 +2,8 @@
 
 Graphs are dense at desk scale (n up to a few thousand): the adjacency is a
 full symmetric float64 matrix and the eigendecomposition downstream dominates
-cost anyway. Graph values are immutable after construction and safe to share
+cost anyway. Every matrix formed from it here is exactly symmetric by
+construction. Graph values are immutable after construction and safe to share
 across threads.
 """
 from __future__ import annotations
@@ -84,29 +85,40 @@ class Graph:
         return replace(self, features=features)
 
 
+def _normalized(M: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D^{-1/2} M D^{-1/2} for degrees d, in one new n x n array. Entry (i, j)
+    is (dinv_i dinv_j) M_ij, and the product dinv_i dinv_j commutes, so the
+    result is exactly symmetric when M is."""
+    dinv = 1.0 / np.sqrt(d)
+    out = np.multiply.outer(dinv, dinv)
+    out *= M
+    return out
+
+
 def build_laplacian(g: Graph, kind: LaplacianKind) -> np.ndarray:
     """Graph Laplacian: D - A (combinatorial) or I - D^{-1/2} A D^{-1/2}.
 
     The symmetric-normalized form requires every node to have positive
-    degree; an isolated node raises ValueError naming the node. The result
-    is symmetrized explicitly so downstream eigensolvers see an exactly
-    symmetric matrix.
+    degree; an isolated node raises ValueError naming the node. Both forms
+    are exactly symmetric by construction, so downstream eigensolvers see an
+    exactly symmetric matrix; the symmetric-normalized one is formed in its
+    output array alone.
     """
     A = g.adjacency
     d = g.degrees
     if kind is LaplacianKind.COMBINATORIAL:
-        L = np.diag(d) - A
-    elif kind is LaplacianKind.SYM_NORMALIZED:
-        zero = np.flatnonzero(d <= 0)
-        if zero.size:
-            raise ValueError(
-                f"symmetric-normalized Laplacian undefined: node {zero[0]} has degree 0"
-            )
-        dinv = 1.0 / np.sqrt(d)
-        L = np.eye(g.n) - dinv[:, None] * A * dinv[None, :]
-    else:
+        return np.diag(d) - A
+    if kind is not LaplacianKind.SYM_NORMALIZED:
         raise ValueError(f"unknown Laplacian kind: {kind!r}")
-    return 0.5 * (L + L.T)
+    zero = np.flatnonzero(d <= 0)
+    if zero.size:
+        raise ValueError(
+            f"symmetric-normalized Laplacian undefined: node {zero[0]} has degree 0"
+        )
+    L = _normalized(A, d)
+    np.subtract(0.0, L, out=L)   # not -L: its -0.0 where A is 0 would change the cache key
+    L[np.diag_indices_from(L)] += 1.0
+    return L
 
 
 def average_degree(g: Graph) -> float:

@@ -8,49 +8,29 @@ their structural definitions and analyzed elsewhere by back-calculation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .filters import ChebBasis, FilterDesign, evaluate
-from .graphs import Graph
-from .spectral import SpectralBasis, _asymmetry, _synthesize
-
-DESIGNED_SYM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class Designed:
-    design: FilterDesign
-
-
-@dataclass(frozen=True)
-class Chebyshev:
-    k: int
+from .graphs import Graph, _normalized
+from .spectral import SpectralBasis, _synthesize
 
 
 @dataclass(frozen=True)
 class KernelSet:
-    """Ordered dense n x n supports with per-support provenance; a sequence of the supports."""
+    """Ordered dense n x n supports of one graph; a sequence of the supports."""
 
     supports: tuple
-    provenance: tuple
-    basis: Optional[SpectralBasis] = None
 
     def __post_init__(self):
         if len(self.supports) < 1:
             raise ValueError("a kernel set needs at least one support")
-        if len(self.provenance) != len(self.supports):
-            raise ValueError("one provenance tag per support required")
         n = self.supports[0].shape[0]
-        for tag, C in zip(self.provenance, self.supports):
+        for C in self.supports:
             if C.shape != (n, n):
                 raise ValueError(f"support shapes differ: {C.shape} vs ({n}, {n})")
-            if (isinstance(tag, Designed)
-                    and _asymmetry(C, "designed support") > DESIGNED_SYM_TOL):
-                raise ValueError("designed support is not symmetric within 1e-8")
         object.__setattr__(self, "supports", tuple(self.supports))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -74,8 +54,7 @@ def design_kernel(basis: SpectralBasis, design: FilterDesign) -> np.ndarray:
 
 
 def design_kernelset(basis: SpectralBasis, designs: Sequence[FilterDesign]) -> KernelSet:
-    supports = tuple(design_kernel(basis, d) for d in designs)
-    return KernelSet(supports=supports, provenance=tuple(Designed(d) for d in designs), basis=basis)
+    return KernelSet(tuple(design_kernel(basis, d) for d in designs))
 
 
 def cheb_kernels(L: np.ndarray, lambda_max: float, n_kernels: int) -> KernelSet:
@@ -93,17 +72,14 @@ def cheb_kernels(L: np.ndarray, lambda_max: float, n_kernels: int) -> KernelSet:
         supports.append(2.0 * L / lambda_max - np.eye(n))
     for _ in range(n_kernels - 2):
         supports.append(2.0 * supports[1] @ supports[-1] - supports[-2])
-    tags = tuple(Chebyshev(k) for k in range(1, n_kernels + 1))
-    return KernelSet(supports=tuple(supports), provenance=tags)
+    return KernelSet(tuple(supports))
 
 
 def gcn_kernel(g: Graph) -> np.ndarray:
-    """Renormalized single support (A+I with symmetric degree normalization)."""
+    """Renormalized single support (A+I with symmetric degree normalization),
+    exactly symmetric."""
     A_tilde = g.adjacency + np.eye(g.n)
-    d_tilde = A_tilde.sum(axis=1)
-    dinv = 1.0 / np.sqrt(d_tilde)
-    C = dinv[:, None] * A_tilde * dinv[None, :]
-    return 0.5 * (C + C.T)
+    return _normalized(A_tilde, A_tilde.sum(axis=1))
 
 
 def gat_sample_kernel(

@@ -172,8 +172,7 @@ def init_parameters(
     rows starting at (1, 0, ..., 0) so a DSG layer initially sees only its
     first support."""
     params = []
-    width = f0
-    for layer in spec.layers:
+    for layer, width in zip(spec.layers, spec.widths(f0)):
         if isinstance(layer, MultiSupportConv):
             lp = LayerParams(
                 weights=[_glorot(rng, width, layer.out) for _ in range(n_supports)]
@@ -186,12 +185,10 @@ def init_parameters(
             lp = LayerParams(weights=[_glorot(rng, width, layer.out)])
         else:
             params.append(LayerParams())
-            width = 2 * width
             continue
         if layer.use_bias:
             lp.bias = np.zeros(layer.out)
         params.append(lp)
-        width = layer.out
     return params
 
 
@@ -237,10 +234,8 @@ def param_count(
     single architecture.
     """
     total = 0
-    width = f0
-    for layer in spec.layers:
+    for layer, width in zip(spec.layers, spec.widths(f0)):
         if isinstance(layer, ReadoutMeanMax):
-            width = 2 * width
             continue
         if isinstance(layer, _CONV):
             dsg = isinstance(layer, DepthwiseSeparableConv) if separable is None else separable
@@ -250,7 +245,6 @@ def param_count(
                 total += n_supports * width * layer.out
         else:
             total += width * layer.out
-        width = layer.out
     return total
 
 
@@ -290,7 +284,9 @@ class GraphBatch:
 
     @classmethod
     def single(cls, supports, n: int) -> "GraphBatch":
-        return cls((tuple(supports),), np.array([0, n]))
+        supports = tuple(supports)
+        _check_supports(supports, n)
+        return cls((supports,), np.array([0, n]))
 
     def segments(self):
         return zip(self.offsets[:-1], self.offsets[1:])
@@ -299,13 +295,26 @@ class GraphBatch:
         return replace(self, offsets=np.arange(len(self.supports) + 1))
 
 
-def stack_graphs(features: Sequence[np.ndarray], kernels: Sequence) -> tuple:
+def _check_supports(supports, n: int, graph=None) -> None:
+    """Refuse a support that is not n x n for a graph of n nodes, naming the
+    graph by its index when one is given."""
+    for C in supports:
+        if C.shape != (n, n):
+            name = "the graph" if graph is None else f"graph {graph}"
+            raise ValueError(f"{name} has {n} nodes, but a support of shape {C.shape}")
+
+
+def stack_graphs(features: Sequence[np.ndarray], kernels: Sequence, ids=None) -> tuple:
     """Stack the node rows of several graphs; returns (H0, GraphBatch) for
-    model_forward. kernels holds one KernelSet (or support list) per graph.
+    model_forward. kernels holds one KernelSet (or support list) per graph;
+    a support that does not fit its graph's feature rows is refused, naming
+    the graph by its entry in ids (by default its place in features).
     A lone graph's feature matrix is returned itself, not copied."""
-    sizes = [f.shape[0] for f in features]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    batch = GraphBatch(tuple(tuple(k) for k in kernels), offsets)
+    supports = tuple(tuple(k) for k in kernels)
+    for g, (f, ks) in enumerate(zip(features, supports, strict=True)):
+        _check_supports(ks, f.shape[0], g if ids is None else ids[g])
+    offsets = np.concatenate([[0], np.cumsum([f.shape[0] for f in features])]).astype(int)
+    batch = GraphBatch(supports, offsets)
     return (features[0] if len(features) == 1 else np.concatenate(features, axis=0)), batch
 
 
@@ -1114,7 +1123,7 @@ def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
     loss_sum = score_sum = 0.0
     for chunk in _chunks(idx, data.graphs):
         H0, batch = stack_graphs([data.graphs[i].features for i in chunk],
-                                 [kernelsets[i] for i in chunk])
+                                 [kernelsets[i] for i in chunk], chunk)
         out, _ = model_forward(spec, params, H0, batch)
         loss, _, target = _graph_loss(out, data, chunk, loss_kind)
         loss_sum += loss * len(chunk)
@@ -1135,7 +1144,7 @@ def _batch_gradients(spec, params, graphs, kernelsets, batch_ids, chunk_loss,
     grads = None
     for chunk in _chunks(batch_ids, graphs):
         H0, batch = stack_graphs([graphs[i].features for i in chunk],
-                                 [kernelsets[i] for i in chunk])
+                                 [kernelsets[i] for i in chunk], chunk)
         out, caches = model_forward(
             spec, params, H0, batch, train=True, rng=rng,
             input_dropout=config.input_dropout, kernel_dropout=config.kernel_dropout,

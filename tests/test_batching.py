@@ -213,3 +213,23 @@ def test_graph_label_outside_output_classes_is_named():
     ds = MultiGraphDataset(graphs=ds.graphs, labels=np.array([0, 2, 5, 2]), n_classes=3)
     with pytest.raises(ValueError, match="graph 2 has label 5"):
         nn.evaluate_graphs(SPEC, parameters(), kernelsets, ds, [0, 1, 2, 3], "softmax_ce")
+
+
+def swapped_kernelsets(kernelsets):
+    """The kernel sets of graphs 0 and 1, and of 2 and 3, swapped: each then
+    has another node count than its graph."""
+    return [kernelsets[i] for i in (1, 0, 3, 2)]
+
+
+def test_evaluate_graphs_refuses_a_kernel_set_of_another_graph():
+    ds, kernelsets = dataset_and_kernels()
+    with pytest.raises(ValueError, match=r"^graph 0 has 7 nodes, but a support of shape \(12, 12\)$"):
+        nn.evaluate_graphs(SPEC, parameters(), swapped_kernelsets(kernelsets), ds, [0, 1, 2, 3],
+                           "softmax_ce")
+
+
+def test_multi_graph_training_refuses_a_kernel_set_of_another_graph():
+    ds, kernelsets = dataset_and_kernels()
+    with pytest.raises(ValueError, match=r"^graph [0-3] has \d+ nodes, but a support of shape"):
+        nn.train(SPEC, swapped_kernelsets(kernelsets), ds, TrainConfig(epochs=1, batch_size=2),
+                 train_idx=[0, 1, 2, 3], val_idx=[0])

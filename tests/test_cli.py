@@ -218,6 +218,17 @@ def test_analyze_trials_above_one_needs_a_gat_kernel(tmp_path, capsys, kernel):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--abs", "--export-kernels"])
+def test_analyze_trials_above_one_refuses_single_kernel_flags(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "decompose", lambda *a, **k: pytest.fail("decomposed"))
+    out = tmp_path / "a"
+    assert main(["analyze", "--graph", "ring12", "--kernel", "gat:5", "--trials", "3", flag,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: {flag} applies to single-kernel "
+                                       "profiles only; got it with --trials 3\n")
+    assert not out.exists()
+
+
 def test_analyze_on_dataset_directory(tmp_path):
     write_toy_dataset(tmp_path / "toyds")
     out = tmp_path / "o"

@@ -97,6 +97,15 @@ def test_headerless_file_or_short_row_is_one_line_error(tmp_path, name, text, me
     assert str(info.value) == message
 
 
+def test_header_only_features_is_refused(tmp_path):
+    write_single_graph(tmp_path)
+    (tmp_path / "features.csv").write_text("c0,c1\n")
+    with pytest.raises(ValueError) as info:
+        load_single_graph(tmp_path)
+    assert str(info.value) == (f"{tmp_path / 'features.csv'}: no node rows; "
+                               "a graph needs at least one node")
+
+
 def test_overlapping_roles_rejected(tmp_path):
     write_single_graph(tmp_path)
     (tmp_path / "split.csv").write_text("node,role\n0,train\n0,test\n")

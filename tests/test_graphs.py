@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,54 @@ def test_weighted_graph_laplacians():
     assert np.allclose(np.diagonal(Ls), 1.0, atol=1e-15)
     assert Ls[0, 1] == pytest.approx(-2.5 / np.sqrt(2.5 * 3.0), abs=1e-15)
     assert average_degree(g) == pytest.approx((2.5 + 3.0 + 0.5) / 3)
+
+
+def weighted_graph(n=40, seed=5):
+    rng = np.random.default_rng(seed)
+    A = random_graph(n, 0.2, seed=seed).adjacency * rng.uniform(0.1, 3.0, (n, n))
+    A = np.triu(A, 1)
+    return Graph(adjacency=A + A.T, features=np.ones((n, 1)))
+
+
+def averaged_laplacian(g, kind):
+    """The Laplacian as formed before it was symmetric by construction: the
+    row and column scaling, then the average of L and its transpose."""
+    A, d = g.adjacency, g.degrees
+    if kind is LaplacianKind.COMBINATORIAL:
+        L = np.diag(d) - A
+    else:
+        dinv = 1.0 / np.sqrt(d)
+        L = np.eye(g.n) - dinv[:, None] * A * dinv[None, :]
+    return 0.5 * (L + L.T)
+
+
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+def test_laplacian_is_exactly_symmetric_on_a_weighted_graph(kind):
+    g = weighted_graph()
+    L = build_laplacian(g, kind)
+    assert np.array_equal(L, L.T)
+    assert np.max(np.abs(L - averaged_laplacian(g, kind))) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+@pytest.mark.parametrize("g", [make_ring(9), random_graph(60, 0.1, seed=4),
+                               near_regular_graph(30, seed=2)])
+def test_laplacian_of_a_unit_weight_graph_keeps_the_averaged_bytes(g, kind):
+    # bytes, not values: -0.0 in place of 0.0 would change the eigenbasis cache key
+    assert build_laplacian(g, kind).tobytes() == averaged_laplacian(g, kind).tobytes()
+
+
+def test_sym_laplacian_allocates_only_its_output():
+    """The symmetric-normalized Laplacian at n = 500 allocates at most its
+    output plus 2 % of an n x n array, and the 128 KiB of buffers that numpy
+    takes for a broadcasting ufunc call whatever n is. Scaling a copy of A
+    and averaging L with its transpose took about 3 n x n arrays."""
+    n = 500
+    g = random_graph(n, 0.02, seed=3)
+    tracemalloc.start()
+    try:
+        L = build_laplacian(g, LaplacianKind.SYM_NORMALIZED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= L.nbytes + 0.02 * 8 * n * n + 2**17

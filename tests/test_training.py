@@ -438,3 +438,16 @@ def test_training_trajectories_match_the_recorded_ones(run, apply_bytes, want, m
         monkeypatch.setattr(nn, "_APPLY_BYTES", apply_bytes)
     got = [(row["train_loss"], row["val_loss"]) for row in run().metrics]
     assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_single_graph_training_refuses_supports_of_another_size():
+    data = make_ring(12).with_features(np.ones((12, 2)))
+    data = SingleGraphDataset(graph=data, labels=np.zeros(12, int),
+                              masks={"train": np.arange(12) < 6, "val": np.arange(12) >= 6,
+                                     "test": np.zeros(12, bool)})
+    spec = ModelSpec((MultiSupportConv(out=2, use_bias=True, activation="linear"),))
+    with pytest.raises(ValueError, match=r"^graph 0 has 12 nodes, but a support of shape \(11, 11\)$"):
+        train(spec, two_support_kernels(make_ring(11)), data, TrainConfig(epochs=2))
+    with pytest.raises(ValueError, match=r"^the graph has 12 nodes, but a support of shape"):
+        model_forward(spec, init_parameters(spec, 2, 2, np.random.default_rng(0)),
+                      data.graph.features, two_support_kernels(make_ring(11)))

@@ -17,6 +17,9 @@ import sys
 
 import numpy as np
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+from specgconv.data import save_matrix_csv  # noqa: E402
+
 
 def _load(src, name, part):
     path = os.path.join(src, f"ind.{name}.{part}")
@@ -37,11 +40,13 @@ def convert(src, name, out):
     features = sp.vstack((allx, tx)).tolil()
     labels_1h = np.vstack((ally, ty))
     if test_range.size > test_idx.size:
-        # citeseer has isolated test nodes missing from tx/ty; pad with zeros
+        # citeseer has isolated test nodes missing from tx/ty; pad with zeros.
+        # The rows go in sorted order, as in the unpadded case, for the
+        # reordering below to move them to their true indices.
         tx_ext = sp.lil_matrix((test_range.size, x.shape[1]))
-        tx_ext[test_idx - test_range.min()] = tx
+        tx_ext[np.sort(test_idx) - test_range.min()] = tx
         ty_ext = np.zeros((test_range.size, y.shape[1]))
-        ty_ext[test_idx - test_range.min()] = ty
+        ty_ext[np.sort(test_idx) - test_range.min()] = ty
         features = sp.vstack((allx, tx_ext)).tolil()
         labels_1h = np.vstack((ally, ty_ext))
     # test rows arrive shuffled: put them back at their true indices
@@ -53,10 +58,7 @@ def convert(src, name, out):
     labels = np.where(labels_1h.sum(axis=1) > 0, np.argmax(labels_1h, axis=1), -1)
 
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "features.csv"), "w") as fh:
-        fh.write(",".join(f"c{j}" for j in range(features.shape[1])) + "\n")
-        for row in features:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    save_matrix_csv(os.path.join(out, "features.csv"), features)
     with open(os.path.join(out, "labels.csv"), "w") as fh:
         fh.write("label\n")
         fh.write("\n".join(str(int(v)) for v in labels) + "\n")
