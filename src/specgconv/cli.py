@@ -172,7 +172,7 @@ def cmd_analyze(args) -> int:
         "laplacian": args.laplacian,
         "lambda_max": basis.lambda_max,
         "average_degree": d_bar,
-        "gcn_cutoff_predicted": gcn_cutoff(d_bar),
+        "gcn_cutoff_predicted": gcn_cutoff(d_bar) if d_bar > 0 else None,
         "version": __version__,
     }
 
@@ -370,8 +370,12 @@ def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
     kernelsets = []
     cov = None
     lambda_maxes, degrees = [], []
-    for g in dataset.graphs:
-        basis = decompose(build_laplacian(g, lap), lap, cache_dir=_cache_dir())
+    for graph_id, g in enumerate(dataset.graphs, start=1):   # ids as in DS_graph_indicator.txt
+        try:
+            L = build_laplacian(g, lap)
+        except ValueError as exc:
+            raise ConfigError(f"graph {graph_id}: {exc}") from None
+        basis = decompose(L, lap, cache_dir=_cache_dir())
         if cov is None:
             cov = _coverage_warning(designs, basis)
         lambda_maxes.append(basis.lambda_max)

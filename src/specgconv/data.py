@@ -181,7 +181,6 @@ def load_single_graph(directory) -> SingleGraphDataset:
     if n == 0:
         raise ValueError(f"{features_path}: no node rows; a graph needs at least one node")
 
-    adjacency = np.zeros((n, n))
     listed = {}   # (lower node, higher node) -> (line, weight) of the edge's first listing
     for lineno, (src, dst, *weight) in _read_rows(os.path.join(directory, "edges.csv"), 2,
                                                   int, int, float):
@@ -191,11 +190,9 @@ def load_single_graph(directory) -> SingleGraphDataset:
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"edges.csv line {lineno}: node index out of range")
         first, w0 = listed.setdefault((min(src, dst), max(src, dst)), (lineno, w))
-        if w0 != w and not np.isnan(w):   # Graph refuses a nan weight as non-finite
+        if w0 != w and not np.isnan(w0):   # Graph refuses a nan weight as non-finite
             raise ValueError(f"edges.csv line {lineno}: edge {src}-{dst} listed again with "
                              f"weight {w!r}, after weight {w0!r} on line {first}")
-        adjacency[src, dst] = w
-        adjacency[dst, src] = w
 
     labels = np.array(
         [row[0] for _, row in _read_rows(os.path.join(directory, "labels.csv"), 1, _label)],
@@ -223,7 +220,8 @@ def load_single_graph(directory) -> SingleGraphDataset:
         masks["train"][:] = True
 
     try:
-        graph = Graph(adjacency=adjacency, features=features)
+        graph = Graph(edges=list(listed), weights=[w for _, w in listed.values()],
+                      features=features)
     except ValueError as exc:   # a non-finite feature or weight, a negative weight
         raise ValueError(f"{directory}: {exc}") from None
     return SingleGraphDataset(graph=graph, labels=labels, masks=masks)
@@ -329,7 +327,7 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
     classes = np.unique(raw_graph_labels)
     labels = np.searchsorted(classes, raw_graph_labels)
 
-    adjacencies = [np.zeros((s, s)) for s in sizes]
+    ends = []   # the two node ids of each edge row but a self-loop, in file order
     dropped_loops = 0
     for lineno, line in _tu_lines(p("A")):
         try:
@@ -342,14 +340,17 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
         ga, gb = indicator[a - 1], indicator[b - 1]
         if ga != gb:
             raise ValueError(f"{name}_A.txt line {lineno}: edge crosses graphs {ga} and {gb}")
-        i, j = a - 1 - offsets[ga - 1], b - 1 - offsets[ga - 1]
-        if i == j:
+        if a == b:
             dropped_loops += 1
             continue
-        adjacencies[ga - 1][i, j] = 1.0
-        adjacencies[ga - 1][j, i] = 1.0
+        ends += a, b
     if dropped_loops:
         warnings.warn(f"{name}: dropped {dropped_loops} self-loop edge rows")
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2) - 1
+    # each unordered pair once, as lower * n_nodes + higher node: sorted by the
+    # lower node and so grouped by graph
+    lower, higher = np.divmod(np.unique(ends.min(axis=1) * n_nodes + ends.max(axis=1)), n_nodes)
+    per_graph = np.split(np.column_stack([lower, higher]), np.searchsorted(lower, offsets[1:]))
 
     node_label_path = p("node_labels")
     if os.path.exists(node_label_path):
@@ -374,11 +375,9 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
                              f"{name}_graph_indicator.txt lists {n_nodes} nodes")
         features = np.hstack([features, attrs])
 
-    graphs = []
-    for k in range(n_graphs):
-        lo = offsets[k]
-        graphs.append(Graph(adjacency=adjacencies[k], features=features[lo : lo + sizes[k]]))
-    return MultiGraphDataset(graphs=tuple(graphs), labels=labels, n_classes=int(classes.size))
+    graphs = tuple(Graph(edges=e - lo, weights=np.ones(len(e)), features=features[lo : lo + size])
+                   for e, lo, size in zip(per_graph, offsets, sizes))
+    return MultiGraphDataset(graphs=graphs, labels=labels, n_classes=int(classes.size))
 
 
 def make_folds(dataset: MultiGraphDataset, k: int = 10, seed: int = 0) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Undirected weighted graphs, degree statistics and Laplacian construction.
 
-Graphs are dense at desk scale (n up to a few thousand): the adjacency is a
-full symmetric float64 matrix and the eigendecomposition downstream dominates
-cost anyway. Every matrix formed from it here is exactly symmetric by
+A graph is its edge list: m unordered node pairs with their weights, plus an
+n x f0 feature matrix whose rows are the nodes. Validation (one sort of the
+m pairs) and degrees read the edges only. Each structural n x n matrix (the two Laplacians, the GCN support, the
+GAT neighbourhood mask and the dense adjacency) is written straight from the
+edges into one fresh array by `_scatter`, each edge's value computed once and
+stored at (i, j) and (j, i), so every one is exactly symmetric by
 construction. Graph values are immutable after construction and safe to share
 across threads.
 """
@@ -20,13 +23,6 @@ class LaplacianKind(enum.Enum):
     SYM_NORMALIZED = "sym"
 
 
-def _as_float_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
 def _all_finite(m: np.ndarray) -> bool:
     # min and max propagate nan and reach -inf and inf; unlike isfinite(m).all(),
     # they allocate no temporary as large as m
@@ -37,61 +33,87 @@ def _all_finite(m: np.ndarray) -> bool:
 class Graph:
     """Undirected weighted graph with node features.
 
-    adjacency : (n, n) symmetric finite nonnegative weight matrix, zero diagonal.
-        Self-loops are forbidden here; kernels that need them (GCN) add the
-        identity internally.
-    features : (n, f0) finite real node feature matrix.
+    edges : (m, 2) integer node pairs in 0..n-1, each unordered pair at most
+        once, in either direction. Self-loops are forbidden here; kernels
+        that need them (GCN) add the identity internally.
+    weights : (m,) finite nonnegative edge weights. A zero weight adds
+        nothing to a degree and leaves the pair out of GAT neighbourhoods.
+    features : (n, f0) finite real node feature matrix; n is the node count.
     """
 
-    adjacency: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
     features: np.ndarray
 
     def __post_init__(self):
-        adj = _as_float_matrix(self.adjacency)
-        feats = _as_float_matrix(self.features)
-        n = adj.shape[0]
-        if adj.shape[1] != n:
-            raise ValueError(f"adjacency must be square, got {adj.shape}")
-        for name, m in (("adjacency", adj), ("feature", feats)):
-            if not _all_finite(m):
-                node = int(np.flatnonzero(~np.isfinite(m).all(axis=1))[0])
-                raise ValueError(f"{name} entries must be finite; node {node} has one that is not")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be exactly symmetric")
-        if np.any(adj < 0):
-            raise ValueError("edge weights must be nonnegative")
-        if np.any(np.diagonal(adj) != 0):
-            raise ValueError("self-loops are not allowed at construction")
-        if feats.shape[0] != n:
-            raise ValueError(
-                f"feature rows ({feats.shape[0]}) must equal node count ({n})"
-            )
-        adj = adj.copy()
-        feats = feats.copy()
-        adj.setflags(write=False)
-        feats.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        feats = np.array(self.features, dtype=np.float64)
+        if feats.ndim != 2:
+            raise ValueError(f"features must be a 2-D matrix, got shape {feats.shape}")
+        if not _all_finite(feats):
+            node = int(np.flatnonzero(~np.isfinite(feats).all(axis=1))[0])
+            raise ValueError(f"feature entries must be finite; node {node} has one that is not")
+        n = feats.shape[0]
+        e = np.array(self.edges)
+        if e.size == 0:
+            e = e.astype(np.int64).reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2 or not np.issubdtype(e.dtype, np.integer):
+            raise ValueError(f"edges must be an (m, 2) array of integer node pairs, "
+                             f"got {e.dtype} of shape {e.shape}")
+        e = e.astype(np.int64, copy=False)
+        w = np.array(self.weights, dtype=np.float64)
+        if w.shape != (len(e),):
+            raise ValueError(f"weights must hold one value per edge: shape {w.shape} "
+                             f"for {len(e)} edges")
+
+        i, j = e.T
+        key = np.minimum(i, j) * n + np.maximum(i, j)
+        again = np.ones(len(e), dtype=bool)   # the edge's pair is listed at a lower index
+        again[np.unique(key, return_index=True)[1]] = False
+        for bad, why in ((((e < 0) | (e >= n)).any(axis=1), f"node index out of range 0..{n - 1}"),
+                         (i == j, "self-loop"),
+                         (again, "the pair is listed again"),
+                         (~(np.isfinite(w) & (w >= 0)),
+                          "weight {w}; edge weights must be finite and nonnegative")):
+            if bad.any():
+                k = int(np.flatnonzero(bad)[0])
+                raise ValueError(f"edge {k} ({e[k, 0]}, {e[k, 1]}): "
+                                 + why.format(w=float(w[k])))
+        for a in (e, w, feats):
+            a.setflags(write=False)
+        object.__setattr__(self, "edges", e)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "features", feats)
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.features.shape[0]
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        """Weighted degree of each node: the sum of its edges' weights."""
+        return np.bincount(self.edges.ravel(), weights=np.repeat(self.weights, 2),
+                           minlength=self.n)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The dense (n, n) weight matrix, formed anew on each call; read-only."""
+        A = _scatter(self, self.weights, 0.0)
+        A.setflags(write=False)
+        return A
 
     def with_features(self, features: np.ndarray) -> "Graph":
         return replace(self, features=features)
 
 
-def _normalized(M: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """D^{-1/2} M D^{-1/2} for degrees d, in one new n x n array. Entry (i, j)
-    is (dinv_i dinv_j) M_ij, and the product dinv_i dinv_j commutes, so the
-    result is exactly symmetric when M is."""
-    dinv = 1.0 / np.sqrt(d)
-    out = np.multiply.outer(dinv, dinv)
-    out *= M
+def _scatter(g: Graph, values: np.ndarray, diagonal) -> np.ndarray:
+    """A fresh n x n array of values' dtype: values[k] at (i, j) and (j, i) of
+    each edge k = (i, j), `diagonal` (a scalar or one value per node) on the
+    diagonal and zero elsewhere. Every structural matrix is formed here."""
+    out = np.zeros((g.n, g.n), dtype=values.dtype)
+    i, j = g.edges.T
+    out[i, j] = values
+    out[j, i] = values
+    np.fill_diagonal(out, diagonal)
     return out
 
 
@@ -99,15 +121,14 @@ def build_laplacian(g: Graph, kind: LaplacianKind) -> np.ndarray:
     """Graph Laplacian: D - A (combinatorial) or I - D^{-1/2} A D^{-1/2}.
 
     The symmetric-normalized form requires every node to have positive
-    degree; an isolated node raises ValueError naming the node. Both forms
-    are exactly symmetric by construction, so downstream eigensolvers see an
-    exactly symmetric matrix; the symmetric-normalized one is formed in its
-    output array alone.
+    degree; an isolated node raises ValueError naming the node. Each
+    off-diagonal entry is 0.0 - w_ij or 0.0 - (dinv_i dinv_j) w_ij, written
+    once at (i, j) and (j, i), so both forms are exactly symmetric and are
+    formed in their output array alone.
     """
-    A = g.adjacency
     d = g.degrees
     if kind is LaplacianKind.COMBINATORIAL:
-        return np.diag(d) - A
+        return _scatter(g, 0.0 - g.weights, d)
     if kind is not LaplacianKind.SYM_NORMALIZED:
         raise ValueError(f"unknown Laplacian kind: {kind!r}")
     zero = np.flatnonzero(d <= 0)
@@ -115,15 +136,19 @@ def build_laplacian(g: Graph, kind: LaplacianKind) -> np.ndarray:
         raise ValueError(
             f"symmetric-normalized Laplacian undefined: node {zero[0]} has degree 0"
         )
-    L = _normalized(A, d)
-    np.subtract(0.0, L, out=L)   # not -L: its -0.0 where A is 0 would change the cache key
-    L[np.diag_indices_from(L)] += 1.0
-    return L
+    dinv = 1.0 / np.sqrt(d)
+    i, j = g.edges.T
+    # 0.0 - x, not -x: a -0.0 for a zero weight would change the eigenbasis cache key
+    return _scatter(g, 0.0 - dinv[i] * dinv[j] * g.weights, 1.0)
 
 
 def average_degree(g: Graph) -> float:
-    """Mean node degree (mean of adjacency row sums)."""
+    """Mean weighted node degree; 0.0 on a graph without edges."""
     return float(g.degrees.mean())
+
+
+def _unit(edges, features) -> Graph:
+    return Graph(edges=edges, weights=np.ones(len(edges)), features=features)
 
 
 def make_ring(n: int, features: Optional[np.ndarray] = None) -> Graph:
@@ -133,39 +158,24 @@ def make_ring(n: int, features: Optional[np.ndarray] = None) -> Graph:
     """
     if n < 3:
         raise ValueError(f"a ring needs at least 3 nodes, got {n}")
-    A = np.zeros((n, n))
     idx = np.arange(n)
-    A[idx, (idx + 1) % n] = 1.0
-    A[(idx + 1) % n, idx] = 1.0
     if features is None:
         features = np.ones((n, 1))
-    return Graph(adjacency=A, features=features)
+    return _unit(np.column_stack([idx, (idx + 1) % n]), features)
 
 
-def random_graph(
-    n: int,
-    edge_prob: float,
-    seed: int,
-    features_dim: int = 1,
-    connect: bool = True,
-) -> Graph:
+def random_graph(n: int, edge_prob: float, seed: int, features_dim: int = 1) -> Graph:
     """Erdos-Renyi graph with unit weights and seeded standard-normal features.
 
-    With connect=True a spanning random path is added first so every node has
-    degree >= 1 (the symmetric-normalized Laplacian is then well defined).
+    A spanning random path is added first so every node has degree >= 1 (the
+    symmetric-normalized Laplacian is then well defined).
     """
     rng = np.random.default_rng(seed)
-    A = np.zeros((n, n))
-    upper = rng.random((n, n)) < edge_prob
-    iu = np.triu_indices(n, k=1)
-    A[iu] = upper[iu].astype(float)
-    A = A + A.T
-    if connect:
-        order = rng.permutation(n)
-        for a, b in zip(order[:-1], order[1:]):
-            A[a, b] = A[b, a] = 1.0
+    edges = np.argwhere(np.triu(rng.random((n, n)) < edge_prob, 1))
+    order = rng.permutation(n)
+    path = np.sort(np.column_stack([order[:-1], order[1:]]), axis=1)
     feats = rng.standard_normal((n, features_dim))
-    return Graph(adjacency=A, features=feats)
+    return _unit(np.unique(np.vstack([edges, path]), axis=0), feats)
 
 
 def near_regular_graph(n: int, seed: int, features_dim: int = 1) -> Graph:
@@ -179,17 +189,15 @@ def near_regular_graph(n: int, seed: int, features_dim: int = 1) -> Graph:
     if n < 6:
         raise ValueError("need n >= 6 for the {3,4}-degree construction")
     rng = np.random.default_rng(seed)
-    A = np.zeros((n, n))
     idx = np.arange(n)
-    for off in (1, 2):
-        A[idx, (idx + off) % n] = 1.0
-        A[(idx + off) % n, idx] = 1.0
+    removed = np.zeros(n, dtype=bool)   # chord (i, i + 2) is gone
     touched = np.zeros(n, dtype=bool)
     for i in rng.permutation(n):
         j = (i + 2) % n
         if touched[i] or touched[j] or rng.random() < 0.5:
             continue
-        A[i, j] = A[j, i] = 0.0
+        removed[i] = True
         touched[i] = touched[j] = True
+    chords = np.column_stack([idx, (idx + 2) % n])[~removed]
     feats = rng.standard_normal((n, features_dim))
-    return Graph(adjacency=A, features=feats)
+    return _unit(np.vstack([np.column_stack([idx, (idx + 1) % n]), chords]), feats)

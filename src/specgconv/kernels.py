@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .filters import ChebBasis, FilterDesign, evaluate
-from .graphs import Graph, _normalized
+from .graphs import Graph, _scatter
 from .spectral import SpectralBasis, _synthesize
 
 
@@ -77,9 +77,11 @@ def cheb_kernels(L: np.ndarray, lambda_max: float, n_kernels: int) -> KernelSet:
 
 def gcn_kernel(g: Graph) -> np.ndarray:
     """Renormalized single support (A+I with symmetric degree normalization),
-    exactly symmetric."""
-    A_tilde = g.adjacency + np.eye(g.n)
-    return _normalized(A_tilde, A_tilde.sum(axis=1))
+    exactly symmetric: (dinv_i dinv_j) w_ij off the diagonal and dinv_i^2 on
+    it, for dinv = 1/sqrt(d + 1), formed in its output array alone."""
+    dinv = 1.0 / np.sqrt(g.degrees + 1.0)
+    i, j = g.edges.T
+    return _scatter(g, dinv[i] * dinv[j] * g.weights, dinv * dinv)
 
 
 def gat_sample_kernel(
@@ -93,15 +95,15 @@ def gat_sample_kernel(
 
     Per head, W (f0 x att_dim) and a (2*att_dim,) are drawn from a seeded
     normal with the given scale. Scores are LeakyReLU (slope 0.2) of
-    a . [W h_i || W h_j] over the closed neighborhood of each node, then
+    a . [W h_i || W h_j] over the closed neighborhood of each node (itself and
+    its neighbours along edges of positive weight), then
     row-softmaxed over that support set; rows sum to 1 exactly where the
     neighborhood is nonempty (always, since it includes the node itself).
     """
     if g.features.size == 0:
         raise ValueError("GAT sampling needs a nonempty feature matrix")
     rng = np.random.default_rng(seed)
-    n = g.n
-    support = (g.adjacency > 0) | np.eye(n, dtype=bool)
+    support = _scatter(g, g.weights > 0, True)
     kernels = []
     for _ in range(heads):
         W = rng.standard_normal((g.features.shape[1], att_dim)) * scale

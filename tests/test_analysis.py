@@ -152,7 +152,7 @@ def test_export_two_node_profile_has_two_rows(tmp_path):
     from specgconv.spectral import decompose
     from specgconv.graphs import build_laplacian
 
-    g = Graph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]), features=np.ones((2, 1)))
+    g = Graph(edges=[(0, 1)], weights=[1.0], features=np.ones((2, 1)))
     basis = decompose(build_laplacian(g, SYM), SYM)
     path = tmp_path / "p.csv"
     export_profile(profile(np.eye(2), basis), path)

@@ -49,6 +49,23 @@ def write_toy_config(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize("kernel", ["design:allpass", "gcn"])
+def test_analyze_comb_on_an_edgeless_graph_writes_no_cutoff(tmp_path, kernel):
+    d = tmp_path / "edgeless"
+    d.mkdir()
+    (d / "edges.csv").write_text("src,dst\n")
+    (d / "features.csv").write_text("c0\n1\n2\n3\n")
+    (d / "labels.csv").write_text("label\n0\n1\n0\n")
+    (d / "split.csv").write_text("node,role\n0,train\n")
+    out = tmp_path / "a"
+    assert main(["analyze", "--graph", str(d), "--laplacian", "comb", "--kernel", kernel,
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["average_degree"] == 0.0 and summary["gcn_cutoff_predicted"] is None
+    lam, std = load_profile_csv(out / "standard_1.csv")
+    assert np.array_equal(lam, np.zeros(3)) and np.allclose(std, 1.0)
+
+
 def test_analyze_ring1001_gcn_cutoff(tmp_path):
     out = tmp_path / "a"
     assert main(["analyze", "--graph", "ring1001", "--kernel", "gcn",
@@ -266,7 +283,7 @@ def test_analyze_chebyshev_order_above_node_count_is_config_error(tmp_path, caps
     ("labels.csv", "label\n" + "0\n" * 23 + "inf\n",
      "labels.csv line 25: expected an integer, got 'inf'"),
     ("edges.csv", "src,dst,weight\n0,1,1\n1,2,inf\n",
-     "{dir}: adjacency entries must be finite; node 1 has one that is not"),
+     "{dir}: edge 1 (1, 2): weight inf; edge weights must be finite and nonnegative"),
     ("features.csv", "c0\n" + "1\n" * 23 + "-inf\n",
      "{dir}: feature entries must be finite; node 23 has one that is not"),
 ])
@@ -530,6 +547,17 @@ def write_tu_config(tmp_path, **overrides):
     path = tmp_path / "tu.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_tu_set_up_error_names_the_graph(tmp_path, capsys):
+    path = write_tu_config(tmp_path)
+    a_txt = tmp_path / "TOY" / "TOY_A.txt"
+    # graph 3 holds the TU nodes 12..16; dropping node 14's edges isolates its node 2
+    rows = [r for r in a_txt.read_text().splitlines() if "14" not in r.split(", ")]
+    a_txt.write_text("\n".join(rows) + "\n")
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == ("config error: graph 3: symmetric-normalized Laplacian "
+                                       "undefined: node 2 has degree 0\n")
 
 
 @pytest.mark.parametrize("cell", ["inf", "nan", "1e999"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,9 +130,13 @@ def test_split_node_out_of_range_rejected(tmp_path, node):
     ("edges.csv", "src,dst\n0,1\n1,2.0\n",
      "edges.csv line 3: invalid literal for int() with base 10: '2.0'"),
     ("edges.csv", "src,dst,weight\n0,1,inf\n",
-     "{dir}: adjacency entries must be finite; node 0 has one that is not"),
+     "{dir}: edge 0 (0, 1): weight inf; edge weights must be finite and nonnegative"),
     ("edges.csv", "src,dst,weight\n0,1,nan\n1,0,nan\n",
-     "{dir}: adjacency entries must be finite; node 0 has one that is not"),
+     "{dir}: edge 0 (0, 1): weight nan; edge weights must be finite and nonnegative"),
+    ("edges.csv", "src,dst,weight\n0,1,1\n1,2,2\n1,0,nan\n",
+     "edges.csv line 4: edge 1-0 listed again with weight nan, after weight 1.0 on line 2"),
+    ("edges.csv", "src,dst,weight\n0,1,1\n1,2,-2\n",
+     "{dir}: edge 1 (1, 2): weight -2.0; edge weights must be finite and nonnegative"),
     ("edges.csv", "src,dst,weight\n0,1,w\n",
      "edges.csv line 2: could not convert string to float: 'w'"),
     ("labels.csv", "label\n0\n1.5\n-1\n", "labels.csv line 3: expected an integer, got '1.5'"),
@@ -199,6 +205,29 @@ def test_unlabeled_train_node_rejected(tmp_path):
     (tmp_path / "split.csv").write_text("node,role\n2,train\n")
     with pytest.raises(ValueError, match="class label"):
         load_single_graph(tmp_path)
+
+
+def test_load_single_graph_allocates_no_n_by_n_array(tmp_path):
+    """Loading a 500-node graph with 1500 edge rows peaks below half an
+    n x n float array: the graph is its edge list. Filling a dense adjacency
+    and copying it took two such arrays."""
+    n = 500
+    rng = np.random.default_rng(0)
+    src = rng.integers(0, n, 3 * n)
+    dst = (src + rng.integers(1, n, 3 * n)) % n
+    (tmp_path / "edges.csv").write_text(
+        "src,dst\n" + "".join(f"{a},{b}\n" for a, b in zip(src, dst)))
+    (tmp_path / "features.csv").write_text("c0,c1\n" + "1,0\n" * n)
+    (tmp_path / "labels.csv").write_text("label\n" + "0\n" * n)
+    (tmp_path / "split.csv").write_text("node,role\n0,train\n")
+    tracemalloc.start()
+    try:
+        ds = load_single_graph(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 8 * n * n
+    assert ds.graph.n == n and len(ds.graph.edges) > 2 * n
 
 
 def test_loading_is_pure(tmp_path):
@@ -272,6 +301,15 @@ def test_tu_self_loop_rows_dropped_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="self-loop"):
         ds = load_tu_dataset(d)
     assert ds.graphs[0].adjacency[0, 0] == 0.0
+    assert np.array_equal(ds.graphs[0].edges, [[0, 1], [0, 2], [1, 2]])
+
+
+def test_tu_graph_without_edges_holds_an_empty_edge_list(tmp_path):
+    d = write_tu_files(tmp_path, [1, 1, 2, 3, 3, 3], "6, 5\n1, 2\n4, 5\n2, 1\n",
+                       labels=(1, 2, 1))
+    ds = load_tu_dataset(d)
+    assert [g.edges.tolist() for g in ds.graphs] == [[[0, 1]], [], [[0, 1], [1, 2]]]
+    assert ds.graphs[1].edges.shape == (0, 2)
 
 
 def test_tu_cross_graph_edge_rejected(tmp_path):

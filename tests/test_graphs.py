@@ -14,15 +14,16 @@ from specgconv.graphs import (
 )
 
 
+def unit_graph(edges, n):
+    return Graph(edges=edges, weights=np.ones(len(edges)), features=np.ones((n, 1)))
+
+
 def two_node_edge():
-    return Graph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]), features=np.ones((2, 1)))
+    return unit_graph([(0, 1)], 2)
 
 
 def star(leaves=4):
-    A = np.zeros((leaves + 1, leaves + 1))
-    A[0, 1:] = 1.0
-    A[1:, 0] = 1.0
-    return Graph(adjacency=A, features=np.ones((leaves + 1, 1)))
+    return unit_graph([(0, k) for k in range(1, leaves + 1)], leaves + 1)
 
 
 def test_combinatorial_laplacian_two_node_edge():
@@ -62,9 +63,7 @@ def test_regular_graph_normalized_is_scaled_combinatorial():
 
 
 def test_isolated_node_rejected_for_normalized():
-    A = np.zeros((3, 3))
-    A[0, 1] = A[1, 0] = 1.0
-    g = Graph(adjacency=A, features=np.ones((3, 1)))
+    g = unit_graph([(1, 0)], 3)
     with pytest.raises(ValueError, match="node 2"):
         build_laplacian(g, LaplacianKind.SYM_NORMALIZED)
 
@@ -83,29 +82,69 @@ def test_make_ring_shapes_and_degrees():
         make_ring(2)
 
 
+def refusal(edges, weights, n=4):
+    with pytest.raises(ValueError) as info:
+        Graph(edges=edges, weights=weights, features=np.ones((n, 1)))
+    return str(info.value)
+
+
 def test_graph_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        Graph(adjacency=np.array([[0.0, 1.0], [0.0, 0.0]]), features=np.ones((2, 1)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        Graph(adjacency=np.array([[0.0, -1.0], [-1.0, 0.0]]), features=np.ones((2, 1)))
-    with pytest.raises(ValueError, match="loop"):
-        Graph(adjacency=np.eye(2), features=np.ones((2, 1)))
-    with pytest.raises(ValueError, match="feature rows"):
-        Graph(adjacency=np.zeros((2, 2)), features=np.ones((3, 1)))
+    # the first bad edge is named by its index and its pair
+    assert refusal([(0, 1), (1, 2), (2, 1)], [1.0, 1.0, 1.0]) == (
+        "edge 2 (2, 1): the pair is listed again")
+    assert refusal([(0, 1), (1, 2), (1, 2)], [1.0, 1.0, 1.0]) == (
+        "edge 2 (1, 2): the pair is listed again")
+    assert refusal([(0, 1), (3, 0), (0, 1), (0, 3)], np.ones(4)) == (
+        "edge 2 (0, 1): the pair is listed again")
+    assert refusal([(0, 1), (2, 2)], [1.0, 1.0]) == "edge 1 (2, 2): self-loop"
+    assert refusal([(0, 1), (1, -1)], [1.0, 1.0]) == (
+        "edge 1 (1, -1): node index out of range 0..3")
+    assert refusal([(0, 1), (4, 1)], [1.0, 1.0]) == (
+        "edge 1 (4, 1): node index out of range 0..3")
+    assert refusal([(0, 1), (1, 2)], [1.0, -0.5]) == (
+        "edge 1 (1, 2): weight -0.5; edge weights must be finite and nonnegative")
+    assert refusal([(0, 1), (1, 2)], [1.0]) == (
+        "weights must hold one value per edge: shape (1,) for 2 edges")
+    assert refusal([(0, 1), (1, 2)], np.ones((2, 1))) == (
+        "weights must hold one value per edge: shape (2, 1) for 2 edges")
+    assert refusal([0, 1], [1.0]).startswith("edges must be an (m, 2) array")
+    assert refusal([(0.0, 1.0)], [1.0]).startswith("edges must be an (m, 2) array")
+    with pytest.raises(ValueError, match="features must be a 2-D matrix"):
+        Graph(edges=[(0, 1)], weights=[1.0], features=np.ones(2))
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_graph_refuses_non_finite_entries(value):
-    with pytest.raises(ValueError, match="adjacency entries must be finite"):
-        Graph(adjacency=np.array([[0.0, value], [value, 0.0]]), features=np.ones((2, 1)))
-    with pytest.raises(ValueError, match="feature entries must be finite"):
-        Graph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]), features=np.array([[1.0], [value]]))
+    assert refusal([(0, 1), (2, 3)], [1.0, value]) == (
+        f"edge 1 (2, 3): weight {value}; edge weights must be finite and nonnegative")
+    with pytest.raises(ValueError, match="feature entries must be finite; node 1"):
+        Graph(edges=[(0, 1)], weights=[1.0], features=np.array([[1.0], [value]]))
+
+
+@pytest.mark.parametrize("edges", [[], np.zeros((0, 2), dtype=int)])
+def test_graph_without_edges(edges):
+    g = Graph(edges=edges, weights=[], features=np.ones((3, 1)))
+    assert g.edges.shape == (0, 2) and g.weights.shape == (0,)
+    assert np.array_equal(g.degrees, np.zeros(3)) and average_degree(g) == 0.0
+    assert np.array_equal(g.adjacency, np.zeros((3, 3)))
+    assert np.array_equal(build_laplacian(g, LaplacianKind.COMBINATORIAL), np.zeros((3, 3)))
+
+
+def test_zero_weight_edge_is_kept_and_adds_nothing():
+    g = Graph(edges=[(0, 1), (1, 2)], weights=[0.0, 2.0], features=np.ones((3, 1)))
+    assert np.array_equal(g.degrees, [0.0, 2.0, 2.0])
+    assert np.array_equal(g.adjacency, [[0, 0, 0], [0, 0, 2], [0, 2, 0]])
 
 
 def test_graph_is_immutable():
     g = two_node_edge()
-    with pytest.raises(ValueError):
-        g.adjacency[0, 1] = 5.0
+    for a in (g.edges, g.weights, g.features, g.adjacency):
+        with pytest.raises(ValueError):
+            a[0] = 5
+    edges = np.array([[0, 1]])
+    g = Graph(edges=edges, weights=[1.0], features=np.ones((2, 1)))
+    edges[0, 1] = 0   # the caller's array is copied
+    assert np.array_equal(g.edges, [[0, 1]])
 
 
 def test_near_regular_degrees_in_3_4():
@@ -122,12 +161,7 @@ def test_random_graph_connected_min_degree():
 
 
 def test_weighted_graph_laplacians():
-    A = np.array([
-        [0.0, 2.5, 0.0],
-        [2.5, 0.0, 0.5],
-        [0.0, 0.5, 0.0],
-    ])
-    g = Graph(adjacency=A, features=np.ones((3, 1)))
+    g = Graph(edges=[(0, 1), (2, 1)], weights=[2.5, 0.5], features=np.ones((3, 1)))
     Lc = build_laplacian(g, LaplacianKind.COMBINATORIAL)
     assert np.allclose(Lc.sum(axis=1), 0.0, atol=1e-12)
     assert Lc[0, 0] == 2.5 and Lc[1, 1] == 3.0
@@ -139,15 +173,17 @@ def test_weighted_graph_laplacians():
 
 def weighted_graph(n=40, seed=5):
     rng = np.random.default_rng(seed)
-    A = random_graph(n, 0.2, seed=seed).adjacency * rng.uniform(0.1, 3.0, (n, n))
-    A = np.triu(A, 1)
-    return Graph(adjacency=A + A.T, features=np.ones((n, 1)))
+    edges = random_graph(n, 0.2, seed=seed).edges
+    return Graph(edges=edges, weights=rng.uniform(0.1, 3.0, len(edges)),
+                 features=np.ones((n, 1)))
 
 
 def averaged_laplacian(g, kind):
     """The Laplacian as formed before it was symmetric by construction: the
-    row and column scaling, then the average of L and its transpose."""
-    A, d = g.adjacency, g.degrees
+    row and column scaling of the dense adjacency, then the average of L and
+    its transpose."""
+    A = g.adjacency
+    d = A.sum(axis=1)
     if kind is LaplacianKind.COMBINATORIAL:
         L = np.diag(d) - A
     else:
@@ -156,20 +192,67 @@ def averaged_laplacian(g, kind):
     return 0.5 * (L + L.T)
 
 
+def dense_laplacian(A, kind):
+    """The Laplacian as formed from a dense adjacency A, before a graph was
+    its edge list: D - A, or (dinv_i dinv_j) A_ij subtracted from 0.0 and
+    1.0 added on the diagonal."""
+    d = A.sum(axis=1)
+    if kind is LaplacianKind.COMBINATORIAL:
+        return np.diag(d) - A
+    dinv = 1.0 / np.sqrt(d)
+    L = np.multiply.outer(dinv, dinv) * A
+    np.subtract(0.0, L, out=L)
+    L[np.diag_indices_from(L)] += 1.0
+    return L
+
+
 @pytest.mark.parametrize("kind", list(LaplacianKind))
 def test_laplacian_is_exactly_symmetric_on_a_weighted_graph(kind):
+    # the degrees are summed per edge, not along dense rows, so the comb
+    # diagonal may differ from the dense row sums in its last bits
     g = weighted_graph()
     L = build_laplacian(g, kind)
     assert np.array_equal(L, L.T)
-    assert np.max(np.abs(L - averaged_laplacian(g, kind))) <= 1e-15
+    tol = 1e-15 * np.max(np.abs(L)) if kind is LaplacianKind.COMBINATORIAL else 1e-15
+    assert np.max(np.abs(L - averaged_laplacian(g, kind))) <= tol
+
+
+UNIT_WEIGHT_GRAPHS = [make_ring(9), random_graph(60, 0.1, seed=4), near_regular_graph(30, seed=2)]
 
 
 @pytest.mark.parametrize("kind", list(LaplacianKind))
-@pytest.mark.parametrize("g", [make_ring(9), random_graph(60, 0.1, seed=4),
-                               near_regular_graph(30, seed=2)])
+@pytest.mark.parametrize("g", UNIT_WEIGHT_GRAPHS)
 def test_laplacian_of_a_unit_weight_graph_keeps_the_averaged_bytes(g, kind):
     # bytes, not values: -0.0 in place of 0.0 would change the eigenbasis cache key
     assert build_laplacian(g, kind).tobytes() == averaged_laplacian(g, kind).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+@pytest.mark.parametrize("g", UNIT_WEIGHT_GRAPHS + [star(5)])
+def test_laplacian_of_a_unit_weight_graph_keeps_the_dense_bytes(g, kind):
+    assert build_laplacian(g, kind).tobytes() == dense_laplacian(g.adjacency, kind).tobytes()
+
+
+def dense_random_graph(n, edge_prob, seed, features_dim=1):
+    """random_graph as it filled a dense adjacency, before a graph was its
+    edge list: the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    upper = rng.random((n, n)) < edge_prob
+    iu = np.triu_indices(n, k=1)
+    A[iu] = upper[iu].astype(float)
+    A = A + A.T
+    order = rng.permutation(n)
+    for a, b in zip(order[:-1], order[1:]):
+        A[a, b] = A[b, a] = 1.0
+    return A, rng.standard_normal((n, features_dim))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_graph_keeps_each_seeds_graph(seed):
+    g = random_graph(20 + 15 * seed, 0.1, seed=seed, features_dim=2)
+    A, feats = dense_random_graph(20 + 15 * seed, 0.1, seed=seed, features_dim=2)
+    assert g.adjacency.tobytes() == A.tobytes() and g.features.tobytes() == feats.tobytes()
 
 
 def test_sym_laplacian_allocates_only_its_output():

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from specgconv.filters import AllPass, BandPass, ChebBasis, Tabulated, evaluate, parse_design
-from specgconv.graphs import Graph, LaplacianKind, build_laplacian, make_ring, random_graph
+from specgconv.graphs import (
+    Graph,
+    LaplacianKind,
+    build_laplacian,
+    make_ring,
+    near_regular_graph,
+    random_graph,
+)
 from specgconv.kernels import (
     KernelSet,
     cheb_kernels,
@@ -87,7 +94,7 @@ def test_cheb_kernels_validation():
 
 
 def test_gcn_kernel_two_node():
-    g = Graph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]), features=np.ones((2, 1)))
+    g = Graph(edges=[(0, 1)], weights=[1.0], features=np.ones((2, 1)))
     assert np.allclose(gcn_kernel(g), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
@@ -121,9 +128,7 @@ def test_gat_rows_stochastic_and_support():
 
 
 def test_gat_isolated_neighborhood_row_is_unit():
-    A = np.zeros((3, 3))
-    A[0, 1] = A[1, 0] = 1.0
-    g = Graph(adjacency=A, features=np.arange(6, dtype=float).reshape(3, 2))
+    g = Graph(edges=[(0, 1)], weights=[1.0], features=np.arange(6, dtype=float).reshape(3, 2))
     (K,) = gat_sample_kernel(g, heads=1, seed=0)
     assert np.allclose(K[2], [0.0, 0.0, 1.0], atol=0)
 
@@ -243,11 +248,8 @@ def test_kernelset_is_a_sequence_of_its_supports():
 
 
 def test_design_roundtrip_on_weighted_graph():
-    A = np.zeros((6, 6))
-    pairs = [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.5), (3, 4, 3.0), (4, 5, 1.0), (5, 0, 0.25)]
-    for i, j, w in pairs:
-        A[i, j] = A[j, i] = w
-    g = Graph(adjacency=A, features=np.ones((6, 1)))
+    g = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+              weights=[2.0, 0.5, 1.5, 3.0, 1.0, 0.25], features=np.ones((6, 1)))
     basis = sym_basis(g)
     d = BandPass(center=0.5, gamma=2.0)
     got = np.diagonal(basis.eigenvectors.T @ design_kernel(basis, d) @ basis.eigenvectors)
@@ -262,15 +264,82 @@ def averaged_gcn_kernel(g):
     return 0.5 * (C + C.T)
 
 
+def dense_gcn_kernel(A):
+    """The GCN support as formed from a dense adjacency A, before a graph was
+    its edge list: A + I scaled by (dinv_i dinv_j) over its own row sums."""
+    A_tilde = A + np.eye(A.shape[0])
+    dinv = 1.0 / np.sqrt(A_tilde.sum(axis=1))
+    return np.multiply.outer(dinv, dinv) * A_tilde
+
+
+def dense_gat_sample_kernel(A, features, heads, seed, scale=1.0, att_dim=8):
+    """gat_sample_kernel with the closed neighbourhoods read from a dense
+    adjacency A, as before a graph was its edge list."""
+    rng = np.random.default_rng(seed)
+    support = (A > 0) | np.eye(A.shape[0], dtype=bool)
+    kernels = []
+    for _ in range(heads):
+        W = rng.standard_normal((features.shape[1], att_dim)) * scale
+        a = rng.standard_normal(2 * att_dim) * scale
+        WH = features @ W
+        scores = (WH @ a[:att_dim])[:, None] + (WH @ a[att_dim:])[None, :]
+        scores = np.where(scores > 0, scores, 0.2 * scores)
+        scores = np.where(support, scores, -np.inf)
+        scores -= scores.max(axis=1, keepdims=True)
+        expd = np.exp(scores)
+        kernels.append(expd / expd.sum(axis=1, keepdims=True))
+    return kernels
+
+
+def weighted_graph(n=40, seed=6):
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, 0.2, seed=seed, features_dim=3)
+    return Graph(edges=g.edges, weights=rng.uniform(0.1, 3.0, len(g.edges)),
+                 features=g.features)
+
+
 def test_gcn_kernel_is_exactly_symmetric_on_a_weighted_graph():
-    rng = np.random.default_rng(6)
-    A = np.triu(random_graph(40, 0.2, seed=6).adjacency * rng.uniform(0.1, 3.0, (40, 40)), 1)
-    g = Graph(adjacency=A + A.T, features=np.ones((40, 1)))
+    g = weighted_graph()
     C = gcn_kernel(g)
     assert np.array_equal(C, C.T)
     assert np.max(np.abs(C - averaged_gcn_kernel(g))) <= 1e-15
 
 
-@pytest.mark.parametrize("g", [make_ring(9), random_graph(60, 0.1, seed=4)])
+UNIT_WEIGHT_GRAPHS = [make_ring(9), random_graph(60, 0.1, seed=4)]
+
+
+@pytest.mark.parametrize("g", UNIT_WEIGHT_GRAPHS)
 def test_gcn_kernel_of_a_unit_weight_graph_keeps_the_averaged_bytes(g):
     assert gcn_kernel(g).tobytes() == averaged_gcn_kernel(g).tobytes()
+
+
+@pytest.mark.parametrize("g", UNIT_WEIGHT_GRAPHS + [near_regular_graph(30, seed=2, features_dim=4)])
+def test_gcn_and_gat_kernels_of_a_unit_weight_graph_keep_the_dense_bytes(g):
+    assert gcn_kernel(g).tobytes() == dense_gcn_kernel(g.adjacency).tobytes()
+    got = gat_sample_kernel(g, heads=2, seed=5)
+    want = dense_gat_sample_kernel(g.adjacency, g.features, heads=2, seed=5)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
+def test_gat_kernel_leaves_out_zero_weight_edges():
+    g = weighted_graph()
+    g = Graph(edges=g.edges, weights=np.where(np.arange(len(g.edges)) % 3, g.weights, 0.0),
+              features=g.features)
+    got = gat_sample_kernel(g, heads=2, seed=5)
+    want = dense_gat_sample_kernel(g.adjacency, g.features, heads=2, seed=5)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
+def test_gcn_kernel_allocates_only_its_output():
+    """The GCN support at n = 500 allocates at most its output plus 2 % of an
+    n x n array and the 128 KiB of buffers numpy takes for a broadcasting
+    ufunc call. Forming A + I and then scaling it took 2 n x n arrays."""
+    n = 500
+    g = random_graph(n, 0.02, seed=3)
+    tracemalloc.start()
+    try:
+        C = gcn_kernel(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= C.nbytes + 0.02 * 8 * n * n + 2**17
