@@ -5,6 +5,10 @@ on a graph and writes plot-ready CSVs; ``train`` runs a full experiment from
 a JSON config (transductive or cross-validated multi-graph); ``gradcheck``
 verifies every layer/loss gradient against central finite differences.
 
+Every ``train`` run sets up through ``_set_up``: it decomposes each graph
+once, forms the kernel sets, and builds the record of lambda_max, average
+degree and coverage that provenance.json writes.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 acceptance
 check failure. The eigendecomposition cache directory is taken from the
 ``SPECGCONV_CACHE`` environment variable when set.
@@ -22,10 +26,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import export_profile, gat_profile_stats, profile
-from .data import load_single_graph, load_tu_dataset, save_matrix_csv
+from .data import MultiGraphDataset, load_single_graph, load_tu_dataset, save_matrix_csv
 from .filters import CayleyBasis, LowPass, coverage, format_design, gcn_cutoff, parse_design
 from .gradcheck import gradcheck_suite
-from .graphs import LaplacianKind, average_degree, build_laplacian, make_ring
+from .graphs import IsolatedNode, LaplacianKind, average_degree, build_laplacian, make_ring
 from .kernels import (
     cheb_kernels,
     design_kernelset,
@@ -265,15 +269,6 @@ def _experiment_parts(cfg: dict, base_dir: str):
     return path, kind, ds, designs, arch, spec, lap
 
 
-def _coverage_warning(designs, basis):
-    cov = coverage(designs, basis)
-    if cov < 0.01:
-        warnings.warn(
-            f"designed responses cover the spectrum poorly (min sum {cov:.3g} < 0.01)"
-        )
-    return cov
-
-
 def _out_file(out_dir, name):
     """Path of a run output. The run directory is made at the first write, so a
     run refused for its config, before or during set-up, leaves none behind."""
@@ -309,7 +304,41 @@ def _write_metrics_csv(path, metrics):
             fh.write(",".join(str(row.get(c, "")) for c in cols + extra) + "\n")
 
 
+def _set_up(dataset, lap, designs, points=None):
+    """Decompose each graph of the run once, then hand out, one point at a
+    time, the kernel sets (one per graph) of each design list in points: one
+    list per sweep point, or designs alone. Each comes with the run's record
+    for provenance.json: lambda_max and average_degree (one value per graph
+    of a TU set) and the coverage of designs on the first graph. The last
+    point's kernel sets drop each basis once it is read, so no basis is held
+    while that point trains."""
+    tu = isinstance(dataset, MultiGraphDataset)
+    graphs = dataset.graphs if tu else [dataset.graph]
+    points = points or [designs]
+    bases, first_node = [], 1
+    for graph_id, g in enumerate(graphs, start=1):   # ids as in DS_graph_indicator.txt
+        try:
+            bases.append(decompose(build_laplacian(g, lap), lap, cache_dir=_cache_dir()))
+        except IsolatedNode as exc:
+            if not tu:
+                raise
+            # the TU files number nodes 1.. across the set, in graph order
+            raise ConfigError(f"graph {graph_id}: {IsolatedNode(first_node + exc.node)}") from None
+        first_node += g.n
+    cov = coverage(designs, bases[0])
+    if cov < 0.01:
+        warnings.warn(f"designed responses cover the spectrum poorly (min sum {cov:.3g} < 0.01)")
+    lambda_max, degrees = [b.lambda_max for b in bases], [average_degree(g) for g in graphs]
+    record = {"lambda_max": lambda_max if tu else lambda_max[0],
+              "average_degree": degrees if tu else degrees[0], "coverage": cov}
+    for point in points[:-1]:
+        yield record, [design_kernelset(b, point) for b in bases]
+    yield record, [design_kernelset(bases.pop(0), points[-1]) for _ in graphs]
+
+
 def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
+    """Train on the graph; with sweep_eta, re-train once per low-pass
+    exponent instead and select by minimum validation loss."""
     sweep = _field(cfg, "sweep_eta", list, [])
     if not all(isinstance(eta, (int, float)) and not isinstance(eta, bool) for eta in sweep):
         raise ConfigError(f"sweep_eta must be a list of numbers, got {json.dumps(sweep)}")
@@ -317,14 +346,28 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
         raise ConfigError("sweep_eta varies the eta of a lowpass design, but designs has none")
     if sweep and not dataset.masks["val"].any():
         raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")
-    basis = decompose(build_laplacian(dataset.graph, lap), lap, cache_dir=_cache_dir())
-    cov = _coverage_warning(designs, basis)
-
+    points = _set_up(dataset, lap, designs, [
+        [LowPass(eta=float(eta)) if isinstance(d, LowPass) else d for d in designs]
+        for eta in sweep])
+    rows = []
+    for eta in sweep or [None]:
+        record, (kernels,) = next(points)
+        result = train(spec, kernels, dataset, tconfig, track_test=True)
+        del kernels   # the next point's kernel set is formed without this one
+        if sweep:
+            min_val_loss = min(m["val_loss"] for m in result.metrics)
+            max_val_acc = max(m["val_acc"] for m in result.metrics)
+            rows.append({"eta": eta, "min_val_loss": min_val_loss, "max_val_acc": max_val_acc})
+            print(f"eta={eta}: min val loss {min_val_loss:.4f}, max val acc {max_val_acc:.4f}")
     if sweep:
-        return _run_eta_sweep(cfg, spec, designs, dataset, basis, tconfig, out_dir, sweep, cov)
-    kernels = design_kernelset(basis, designs)
+        best = min(rows, key=lambda r: r["min_val_loss"])
+        doc = {"sweep": rows, "selected_eta": best["eta"], "criterion": "min_val_loss"}
+        with open(_out_file(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        _write_run(out_dir, cfg, tconfig, record)
+        print(f"sweep: selected eta={best['eta']}")
+        return EXIT_OK
 
-    result = train(spec, kernels, dataset, tconfig, track_test=True)
     _write_metrics_csv(_out_file(out_dir, "metrics.csv"), result.metrics)
     save_checkpoint(result.params, _out_file(out_dir, "checkpoint.json"))
     last = result.metrics[-1]
@@ -335,52 +378,17 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
         "test_accuracy_at_best_val": best_val.get("test_acc"),
         "best_val_epoch": best_val.get("epoch"),
         "final": last,
-        "coverage": cov,
+        "coverage": record["coverage"],
     }
-    _write_run(out_dir, cfg, tconfig,
-               {"lambda_max": basis.lambda_max, "average_degree": average_degree(dataset.graph)},
-               result=final)
+    _write_run(out_dir, cfg, tconfig, record, result=final)
     print(f"train: test accuracy {last.get('test_acc')}")
-    return EXIT_OK
-
-
-def _run_eta_sweep(cfg, spec, designs, dataset, basis, tconfig, out_dir, sweep, cov):
-    """Re-train with each low-pass exponent; select by minimum validation loss."""
-    rows = []
-    for eta in sweep:
-        swapped = [LowPass(eta=float(eta)) if isinstance(d, LowPass) else d for d in designs]
-        ks = design_kernelset(basis, swapped)
-        result = train(spec, ks, dataset, tconfig, track_test=True)
-        min_val_loss = min(m["val_loss"] for m in result.metrics)
-        max_val_acc = max(m["val_acc"] for m in result.metrics)
-        rows.append({"eta": eta, "min_val_loss": min_val_loss, "max_val_acc": max_val_acc})
-        print(f"eta={eta}: min val loss {min_val_loss:.4f}, max val acc {max_val_acc:.4f}")
-    best = min(rows, key=lambda r: r["min_val_loss"])
-    doc = {"sweep": rows, "selected_eta": best["eta"], "criterion": "min_val_loss"}
-    with open(_out_file(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    _write_run(out_dir, cfg, tconfig, {"lambda_max": basis.lambda_max, "coverage": cov})
-    print(f"sweep: selected eta={best['eta']}")
     return EXIT_OK
 
 
 def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
     cv_cfg = _field(cfg, "cv", dict, {})
     folds, repeats = _field(cv_cfg, "folds", int, 10), _field(cv_cfg, "repeats", int, 1)
-    kernelsets = []
-    cov = None
-    lambda_maxes, degrees = [], []
-    for graph_id, g in enumerate(dataset.graphs, start=1):   # ids as in DS_graph_indicator.txt
-        try:
-            L = build_laplacian(g, lap)
-        except ValueError as exc:
-            raise ConfigError(f"graph {graph_id}: {exc}") from None
-        basis = decompose(L, lap, cache_dir=_cache_dir())
-        if cov is None:
-            cov = _coverage_warning(designs, basis)
-        lambda_maxes.append(basis.lambda_max)
-        degrees.append(average_degree(g))
-        kernelsets.append(design_kernelset(basis, designs))
+    [(record, kernelsets)] = _set_up(dataset, lap, designs)
     result = crossvalidate(dataset, kernelsets, spec, tconfig, folds=folds, repeats=repeats)
     final = {
         "cv_mean_accuracy": result.mean,
@@ -388,13 +396,9 @@ def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
         "std_defined": result.std_defined,
         "repeat_accuracies": result.repeat_accuracies,
         "best_epochs": result.best_epochs,
-        "coverage": cov,
+        "coverage": record["coverage"],
     }
-    _write_run(out_dir, cfg, tconfig, {
-        "n_graphs": len(dataset),
-        "lambda_max": lambda_maxes,
-        "average_degree": degrees,
-    }, result=final)
+    _write_run(out_dir, cfg, tconfig, {"n_graphs": len(dataset), **record}, result=final)
     print(f"train: CV accuracy {result.mean:.4f} +/- {result.std:.4f}")
     return EXIT_OK
 

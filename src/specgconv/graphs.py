@@ -117,14 +117,23 @@ def _scatter(g: Graph, values: np.ndarray, diagonal) -> np.ndarray:
     return out
 
 
+class IsolatedNode(ValueError):
+    """The symmetric-normalized Laplacian is undefined: the node `node` has
+    degree 0."""
+
+    def __init__(self, node: int):
+        super().__init__(f"symmetric-normalized Laplacian undefined: node {node} has degree 0")
+        self.node = node
+
+
 def build_laplacian(g: Graph, kind: LaplacianKind) -> np.ndarray:
     """Graph Laplacian: D - A (combinatorial) or I - D^{-1/2} A D^{-1/2}.
 
     The symmetric-normalized form requires every node to have positive
-    degree; an isolated node raises ValueError naming the node. Each
-    off-diagonal entry is 0.0 - w_ij or 0.0 - (dinv_i dinv_j) w_ij, written
-    once at (i, j) and (j, i), so both forms are exactly symmetric and are
-    formed in their output array alone.
+    degree; an isolated node raises IsolatedNode, a ValueError carrying the
+    node's index. Each off-diagonal entry is 0.0 - w_ij or
+    0.0 - (dinv_i dinv_j) w_ij, written once at (i, j) and (j, i), so both
+    forms are exactly symmetric and are formed in their output array alone.
     """
     d = g.degrees
     if kind is LaplacianKind.COMBINATORIAL:
@@ -133,9 +142,7 @@ def build_laplacian(g: Graph, kind: LaplacianKind) -> np.ndarray:
         raise ValueError(f"unknown Laplacian kind: {kind!r}")
     zero = np.flatnonzero(d <= 0)
     if zero.size:
-        raise ValueError(
-            f"symmetric-normalized Laplacian undefined: node {zero[0]} has degree 0"
-        )
+        raise IsolatedNode(int(zero[0]))
     dinv = 1.0 / np.sqrt(d)
     i, j = g.edges.T
     # 0.0 - x, not -x: a -0.0 for a zero weight would change the eigenbasis cache key

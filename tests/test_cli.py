@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -557,7 +559,7 @@ def test_tu_set_up_error_names_the_graph(tmp_path, capsys):
     a_txt.write_text("\n".join(rows) + "\n")
     assert main(["train", "--config", str(path)]) == 2
     assert capsys.readouterr().err == ("config error: graph 3: symmetric-normalized Laplacian "
-                                       "undefined: node 2 has degree 0\n")
+                                       "undefined: node 14 has degree 0\n")
 
 
 @pytest.mark.parametrize("cell", ["inf", "nan", "1e999"])
@@ -720,3 +722,127 @@ def test_result_and_provenance_name_the_same_optimizer(tmp_path):
     prov = json.loads((tmp_path / "run" / "provenance.json").read_text())
     assert result["optimizer"] == prov["optimizer"] == {
         "name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
+def write_run_config(tmp_path, kind):
+    """The config of a toy run of each kind: a plain transductive run, a
+    two-point eta sweep, and a cross-validation run on the toy TU set."""
+    if kind == "plain":
+        return write_toy_config(tmp_path)
+    if kind == "sweep":
+        return write_toy_config(tmp_path, sweep_eta=[1, 3], output_dir="sweep")
+    return write_tu_config(tmp_path, cv={"folds": 3, "repeats": 2},
+                           train={"learning_rate": 0.02, "epochs": 4, "batch_size": 4, "seed": 0})
+
+
+def assert_same_numbers(got, want):
+    """got has want's structure, and each float equal within 1e-10 relative."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_same_numbers(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_numbers(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+    else:
+        assert got == want
+
+
+_ADAM = {"name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-08}
+_PLAIN_METRICS = """\
+0,0.7099129374939719,0.4166666666666667,0.7264442232941407,0.6666666666666666,0.731673254582306,0.5
+1,0.6885697864025645,0.6666666666666666,0.721083880055212,0.3333333333333333,0.734324070692983,0.3333333333333333
+2,0.6726388190463441,0.5833333333333334,0.7228107314387846,0.3333333333333333,0.7386014340526085,0.5
+3,0.6594929568431559,0.5833333333333334,0.7268396475690014,0.3333333333333333,0.7473135048776619,0.5
+4,0.6490168073129771,0.5833333333333334,0.7334671089148581,0.3333333333333333,0.7590615571559588,0.5
+5,0.6405816468650498,0.5833333333333334,0.7420542541642026,0.3333333333333333,0.7731909841821621,0.5
+6,0.6314032501162146,0.5833333333333334,0.7506304993525789,0.3333333333333333,0.7903101346099898,0.5
+7,0.6211995197121997,0.5833333333333334,0.758361583329224,0.3333333333333333,0.8098076250099856,0.5
+8,0.6096743528991643,0.5833333333333334,0.7647202786159623,0.3333333333333333,0.8315333070490328,0.5
+9,0.5962969355427997,0.5833333333333334,0.7689664563098805,0.3333333333333333,0.8552806414463406,0.5
+10,0.5807313306024942,0.5833333333333334,0.770549724817469,0.3333333333333333,0.8813370103642703,0.5
+11,0.5630836288117421,0.6666666666666666,0.7696288305828913,0.3333333333333333,0.9109582176314118,0.5
+"""
+
+
+def test_train_outputs_of_the_toy_runs_are_pinned(tmp_path):
+    """The numbers of a plain run, a two-point sweep and a TU cross-validation
+    run, pinned within 1e-10 relative, so a change to the set-up or the
+    writers that moves any of them is seen."""
+    assert main(["train", "--config", str(write_run_config(tmp_path, "plain"))]) == 0
+    final = {"epoch": 11, "train_loss": 0.5630836288117421, "train_acc": 0.6666666666666666,
+             "val_loss": 0.7696288305828913, "val_acc": 0.3333333333333333,
+             "test_loss": 0.9109582176314118, "test_acc": 0.5}
+    assert_same_numbers(json.loads((tmp_path / "run" / "result.json").read_text()), {
+        "test_accuracy": 0.5, "test_accuracy_at_best_val": 0.5, "best_val_epoch": 0,
+        "final": final, "coverage": 1.6151011601872582, "optimizer": _ADAM})
+    header, *rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+    assert header == "epoch,train_loss,train_acc,val_loss,val_acc,test_loss,test_acc"
+    assert_same_numbers([[float(x) for x in row.split(",")] for row in rows],
+                        [[float(x) for x in row.split(",")] for row in _PLAIN_METRICS.split()])
+
+    assert main(["train", "--config", str(write_run_config(tmp_path, "sweep"))]) == 0
+    assert_same_numbers(json.loads((tmp_path / "sweep" / "sweep.json").read_text()), {
+        "sweep": [{"eta": 1, "min_val_loss": 0.6463597572668143,
+                   "max_val_acc": 0.6666666666666666},
+                  {"eta": 3, "min_val_loss": 0.721083880055212,
+                   "max_val_acc": 0.6666666666666666}],
+        "selected_eta": 1, "criterion": "min_val_loss"})
+
+    assert main(["train", "--config", str(write_run_config(tmp_path, "tu"))]) == 0
+    assert_same_numbers(json.loads((tmp_path / "cvrun" / "result.json").read_text()), {
+        "cv_mean_accuracy": 0.5833333333333333, "cv_std_accuracy": 0.08333333333333331,
+        "std_defined": True, "repeat_accuracies": [0.6666666666666666, 0.5],
+        "best_epochs": [0, 0], "coverage": 1.0, "optimizer": _ADAM})
+
+
+@pytest.mark.parametrize("kind,out,calls", [("plain", "run", 1), ("sweep", "sweep", 1),
+                                            ("tu", "cvrun", 12)])
+def test_train_decomposes_each_graph_once_and_records_it(tmp_path, monkeypatch, kind, out,
+                                                         calls):
+    """Each run decomposes each graph once, the sweep's too, and its
+    provenance.json records lambda_max and average_degree (one value per
+    graph of a TU set) and the coverage on the first graph."""
+    seen = []
+
+    def counted_decompose(*args, **kwargs):
+        seen.append(decompose(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "decompose", counted_decompose)
+    assert main(["train", "--config", str(write_run_config(tmp_path, kind))]) == 0
+    assert len(seen) == calls
+    prov = json.loads((tmp_path / out / "provenance.json").read_text())
+    lambda_max, degrees = [b.lambda_max for b in seen], [2.0] * calls
+    if kind != "tu":
+        lambda_max, degrees = lambda_max[0], degrees[0]
+    assert prov["lambda_max"] == lambda_max and prov["average_degree"] == degrees
+    assert prov["coverage"] == pytest.approx(1.0 if kind == "tu" else 1.6151011601872582,
+                                             rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["plain", "tu"])
+def test_train_holds_no_basis_while_it_trains(tmp_path, monkeypatch, kind):
+    """A run without sweep_eta drops every eigenbasis before train or
+    crossvalidate runs: on a Cora-sized graph U alone is tens of MB."""
+    bases = []
+
+    def tracked_decompose(*args, **kwargs):
+        basis = decompose(*args, **kwargs)
+        bases.append(weakref.ref(basis))
+        return basis
+
+    def no_basis_alive(run):
+        def checked(*args, **kwargs):
+            gc.collect()
+            assert bases and all(ref() is None for ref in bases), "a basis is still alive"
+            return run(*args, **kwargs)
+        return checked
+
+    monkeypatch.setattr(cli, "decompose", tracked_decompose)
+    monkeypatch.setattr(cli, "train", no_basis_alive(cli.train))
+    monkeypatch.setattr(cli, "crossvalidate", no_basis_alive(cli.crossvalidate))
+    assert main(["train", "--config", str(write_run_config(tmp_path, kind))]) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from specgconv.graphs import (
     Graph,
+    IsolatedNode,
     LaplacianKind,
     average_degree,
     build_laplacian,
@@ -64,8 +65,9 @@ def test_regular_graph_normalized_is_scaled_combinatorial():
 
 def test_isolated_node_rejected_for_normalized():
     g = unit_graph([(1, 0)], 3)
-    with pytest.raises(ValueError, match="node 2"):
+    with pytest.raises(IsolatedNode, match="node 2") as info:
         build_laplacian(g, LaplacianKind.SYM_NORMALIZED)
+    assert isinstance(info.value, ValueError) and info.value.node == 2
 
 
 def test_average_degree_ring_and_star():
