@@ -13,7 +13,6 @@ from .spectral import SpectralBasis, decompose, fourier, inverse_fourier
 from .filters import (
     AllPass,
     BandPass,
-    BMatrix,
     CayleyBasis,
     ChebBasis,
     ExpLowPass,

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .data import load_matrix_csv, save_matrix_csv
-from .graphs import Graph, LaplacianKind, build_laplacian
+from .graphs import Graph
 from .kernels import gat_sample_kernel
-from .spectral import SpectralBasis, decompose
+from .spectral import SpectralBasis
 
 PROFILE_HEADER = ("lambda", "standard")
 
@@ -59,30 +58,20 @@ def profile_deviation(p: FrequencyProfile, oracle: np.ndarray) -> dict:
     }
 
 
-def gat_profile_stats(
-    g: Graph,
-    trials: int,
-    seed: int,
-    scale: float = 1.0,
-    att_dim: int = 8,
-    kind: LaplacianKind = LaplacianKind.SYM_NORMALIZED,
-    basis: Optional[SpectralBasis] = None,
-) -> dict:
-    """Elementwise mean/std of profiles over sampled attention kernels.
+def gat_profile_stats(g: Graph, trials: int, seed: int, basis: SpectralBasis) -> dict:
+    """Elementwise mean/std of profiles, in basis, over sampled attention
+    kernels of g.
 
     Trial t draws its kernel from seed + t, so runs are deterministic and
     trials could be distributed without changing the result.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if basis is None:
-        basis = decompose(build_laplacian(g, kind), kind)
     n = g.n
     sum_full = np.zeros((n, n))
     sumsq_full = np.zeros((n, n))
     for t in range(trials):
-        (kernel,) = gat_sample_kernel(g, heads=1, seed=seed + t, scale=scale, att_dim=att_dim)
-        full = profile(kernel, basis).full
+        full = profile(gat_sample_kernel(g, seed + t), basis).full
         sum_full += full
         sumsq_full += full**2
     mean_full = sum_full / trials

@@ -148,7 +148,7 @@ def _build_kernels(head: str, value, graph, basis):
             d.check_graph(graph.n)
         ks = design_kernelset(basis, value)
         return list(ks.supports), [format_design(d) for d in value]
-    return gat_sample_kernel(graph, heads=1, seed=value), [f"gat_{value}"]
+    return [gat_sample_kernel(graph, value)], [f"gat_{value}"]
 
 
 def cmd_analyze(args) -> int:
@@ -181,7 +181,7 @@ def cmd_analyze(args) -> int:
     }
 
     if args.trials > 1:
-        stats = gat_profile_stats(graph, trials=args.trials, seed=value, basis=basis)
+        stats = gat_profile_stats(graph, args.trials, value, basis)
         save_matrix_csv(os.path.join(args.out, "gat_mean_standard.csv"),
                         np.column_stack([stats["lambda"], stats["mean_standard"]]))
         save_matrix_csv(os.path.join(args.out, "gat_std_standard.csv"),
@@ -415,6 +415,13 @@ def cmd_train(args) -> int:
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
     _check_out_dir(out_dir, "output_dir")
+    # settings only the other dataset kind runs are refused before any set-up
+    if kind == "single" and tconfig.loss != "softmax_ce":
+        raise ConfigError(f"loss {tconfig.loss} applies to tu datasets only; "
+                          "a single dataset trains with softmax_ce")
+    if kind == "tu" and _field(cfg, "sweep_eta", list, []):
+        raise ConfigError("sweep_eta applies to single datasets only; "
+                          "a tu dataset runs cross-validation")
 
     if kind == "single":
         dataset, run = load_single_graph(path), _run_transductive

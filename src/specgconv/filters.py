@@ -242,30 +242,15 @@ def evaluate(design: FilterDesign, basis: SpectralBasis) -> np.ndarray:
     return evaluate_on(design, basis.eigenvalues, basis.lambda_max)
 
 
-@dataclass(frozen=True)
-class BMatrix:
-    """n x S matrix whose column s is the s-th designed response at lambda."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] < 1:
-            raise ValueError(f"B matrix must be n x S with S >= 1, got shape {v.shape}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_kernels(self) -> int:
-        return self.values.shape[1]
+def design_bmatrix(basis: SpectralBasis, designs: Sequence[FilterDesign]) -> np.ndarray:
+    """The read-only n x S matrix B whose column s is the s-th designed
+    response at the basis eigenvalues: B[i, s] = F_s(lambda_i)."""
+    B = np.column_stack([evaluate(d, basis) for d in designs])
+    B.setflags(write=False)
+    return B
 
 
-def design_bmatrix(basis: SpectralBasis, designs: Sequence[FilterDesign]) -> BMatrix:
-    return BMatrix(np.column_stack([evaluate(d, basis) for d in designs]))
-
-
-def cayley_bmatrix(basis: SpectralBasis, h: float, r: int) -> BMatrix:
+def cayley_bmatrix(basis: SpectralBasis, h: float, r: int) -> np.ndarray:
     """Cayley basis matrix with S = 2r+1 columns.
 
     Column 1 is all ones; even columns are cos((s/2) theta(h*lambda)); odd
@@ -291,15 +276,20 @@ def gcn_cutoff(d_bar: float) -> float:
     return (d_bar + 1.0) / d_bar
 
 
-def coverage(designs: Sequence[FilterDesign], basis: SpectralBasis, grid: int = 256) -> float:
-    """Spectrum-coverage diagnostic: min over a lambda grid of sum_s F_s.
+# points of the evenly spaced lambda grid over [0, lambda_max] that coverage reads
+COVERAGE_GRID = 256
+
+
+def coverage(designs: Sequence[FilterDesign], basis: SpectralBasis) -> float:
+    """Spectrum-coverage diagnostic: min over a COVERAGE_GRID-point lambda
+    grid of sum_s F_s.
 
     A set of designs meant to be problem agnostic should keep this away from
     zero; the CLI warns below 0.01. Tabulated designs are interpolated onto
     the grid.
     """
-    lam = np.linspace(0.0, basis.lambda_max, grid)
-    total = np.zeros(grid)
+    lam = np.linspace(0.0, basis.lambda_max, COVERAGE_GRID)
+    total = np.zeros(COVERAGE_GRID)
     for d in designs:
         if isinstance(d, Tabulated):
             total += np.interp(lam, basis.eigenvalues, d.values)

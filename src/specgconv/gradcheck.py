@@ -44,19 +44,22 @@ def objective_value(spec, params, H0, kernels, y, mask, config: TrainConfig,
     return loss + decay_value(params, config.weight_decay, config.depthwise_decay)
 
 
-def finite_difference_gradients(spec, params, H0, kernels, y, mask, config,
-                                step=1e-6, rng_factory=None):
+# step of the central differences
+FD_STEP = 1e-6
+
+
+def finite_difference_gradients(spec, params, H0, kernels, y, mask, config, rng_factory=None):
     """Central-difference gradient of the same objective, one entry at a time."""
     grads = zero_like_params(params)
     for p, g in zip(flatten_params(params), flatten_params(grads)):
         for i in range(p.size):
             orig = p.flat[i]
-            p.flat[i] = orig + step
+            p.flat[i] = orig + FD_STEP
             hi = objective_value(spec, params, H0, kernels, y, mask, config, rng_factory)
-            p.flat[i] = orig - step
+            p.flat[i] = orig - FD_STEP
             lo = objective_value(spec, params, H0, kernels, y, mask, config, rng_factory)
             p.flat[i] = orig
-            g.flat[i] = (hi - lo) / (2.0 * step)
+            g.flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return grads
 
 
@@ -181,7 +184,7 @@ def _gradcheck_cases(seed: int) -> list:
     return cases
 
 
-def gradcheck_suite(seed: int = 0, step: float = 1e-6, mutate=None) -> list:
+def gradcheck_suite(seed: int = 0, mutate=None) -> list:
     """Finite-difference check over every layer/activation/loss combination.
 
     Returns (case name, max relative error) pairs. mutate, when given, is
@@ -196,6 +199,6 @@ def gradcheck_suite(seed: int = 0, step: float = 1e-6, mutate=None) -> list:
             mutate(case.name, analytic)
         numeric = finite_difference_gradients(case.spec, case.params, case.H0,
                                               case.supports, case.y, case.mask,
-                                              case.config, step, case.rng_factory)
+                                              case.config, case.rng_factory)
         report.append((case.name, max_relative_error(analytic, numeric)))
     return report

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -158,17 +157,13 @@ def _unit(edges, features) -> Graph:
     return Graph(edges=edges, weights=np.ones(len(edges)), features=features)
 
 
-def make_ring(n: int, features: Optional[np.ndarray] = None) -> Graph:
-    """Cycle graph on n >= 3 nodes, unit weights, all degrees 2.
-
-    Default features are a single all-ones column.
-    """
+def make_ring(n: int) -> Graph:
+    """Cycle graph on n >= 3 nodes, unit weights, all degrees 2, with a
+    single all-ones feature column (Graph.with_features gives it others)."""
     if n < 3:
         raise ValueError(f"a ring needs at least 3 nodes, got {n}")
     idx = np.arange(n)
-    if features is None:
-        features = np.ones((n, 1))
-    return _unit(np.column_stack([idx, (idx + 1) % n]), features)
+    return _unit(np.column_stack([idx, (idx + 1) % n]), np.ones((n, 1)))
 
 
 def random_graph(n: int, edge_prob: float, seed: int, features_dim: int = 1) -> Graph:

@@ -84,17 +84,15 @@ def gcn_kernel(g: Graph) -> np.ndarray:
     return _scatter(g, dinv[i] * dinv[j] * g.weights, dinv * dinv)
 
 
-def gat_sample_kernel(
-    g: Graph,
-    heads: int,
-    seed: int,
-    scale: float = 1.0,
-    att_dim: int = 8,
-) -> list:
-    """Sample attention supports with random weights (no training).
+# width of the attention projection W of a sampled GAT kernel
+GAT_ATT_DIM = 8
 
-    Per head, W (f0 x att_dim) and a (2*att_dim,) are drawn from a seeded
-    normal with the given scale. Scores are LeakyReLU (slope 0.2) of
+
+def gat_sample_kernel(g: Graph, seed: int) -> np.ndarray:
+    """Sample one attention support with random weights (no training).
+
+    W (f0 x GAT_ATT_DIM) and then a (2*GAT_ATT_DIM,) are drawn from a
+    standard normal seeded with seed. Scores are LeakyReLU (slope 0.2) of
     a . [W h_i || W h_j] over the closed neighborhood of each node (itself and
     its neighbours along edges of positive weight), then
     row-softmaxed over that support set; rows sum to 1 exactly where the
@@ -104,15 +102,12 @@ def gat_sample_kernel(
         raise ValueError("GAT sampling needs a nonempty feature matrix")
     rng = np.random.default_rng(seed)
     support = _scatter(g, g.weights > 0, True)
-    kernels = []
-    for _ in range(heads):
-        W = rng.standard_normal((g.features.shape[1], att_dim)) * scale
-        a = rng.standard_normal(2 * att_dim) * scale
-        WH = g.features @ W
-        scores = (WH @ a[:att_dim])[:, None] + (WH @ a[att_dim:])[None, :]
-        scores = np.where(scores > 0, scores, 0.2 * scores)
-        scores = np.where(support, scores, -np.inf)
-        scores -= scores.max(axis=1, keepdims=True)
-        expd = np.exp(scores)
-        kernels.append(expd / expd.sum(axis=1, keepdims=True))
-    return kernels
+    W = rng.standard_normal((g.features.shape[1], GAT_ATT_DIM))
+    a = rng.standard_normal(2 * GAT_ATT_DIM)
+    WH = g.features @ W
+    scores = (WH @ a[:GAT_ATT_DIM])[:, None] + (WH @ a[GAT_ATT_DIM:])[None, :]
+    scores = np.where(scores > 0, scores, 0.2 * scores)
+    scores = np.where(support, scores, -np.inf)
+    scores -= scores.max(axis=1, keepdims=True)
+    expd = np.exp(scores)
+    return expd / expd.sum(axis=1, keepdims=True)

@@ -108,7 +108,6 @@ _ARCH_TOKEN = re.compile(r"^(DSG|G|D)(\d+)$")
 
 def parse_architecture(
     arch: str,
-    hidden_activation: str = "relu",
     output_activation: str = "linear",
     hidden_bias: bool = False,
     output_bias: bool = True,
@@ -117,8 +116,8 @@ def parse_architecture(
 
     Tokens: ``DSG<k>`` depthwise separable graph conv, ``G<k>`` multi-support
     graph conv, ``D<k>`` dense, ``meanmax`` readout. The last trainable layer
-    gets the output activation and bias flag; all earlier ones the hidden
-    settings.
+    gets the output activation and bias flag; all earlier ones are ReLU
+    layers with the hidden bias flag.
     """
     tokens = [t for t in arch.strip().split("-") if t]
     if not tokens:
@@ -142,7 +141,7 @@ def parse_architecture(
         if kind == "meanmax":
             layers.append(ReadoutMeanMax())
             continue
-        act = output_activation if i == last_trainable else hidden_activation
+        act = output_activation if i == last_trainable else "relu"
         bias = output_bias if i == last_trainable else hidden_bias
         cls = {"DSG": DepthwiseSeparableConv, "G": MultiSupportConv, "D": Dense}[kind]
         layers.append(cls(out=width, use_bias=bias, activation=act))
@@ -211,14 +210,14 @@ def flatten_params(params: Sequence[LayerParams]) -> list:
     return flat
 
 
-def count_parameters(params: Sequence[LayerParams], include_bias: bool = False) -> int:
+def count_parameters(params: Sequence[LayerParams]) -> int:
+    """Number of trainable weights and depthwise entries, biases excluded,
+    as param_count counts them."""
     total = 0
     for lp in params:
         total += sum(w.size for w in lp.weights)
         if lp.depthwise is not None:
             total += lp.depthwise.size
-        if include_bias and lp.bias is not None:
-            total += lp.bias.size
     return total
 
 
@@ -835,11 +834,10 @@ def accuracy_multiclass(outputs, labels, mask=None) -> float:
     return float(np.mean(pred == labels))
 
 
-def micro_f1(outputs, targets, mask=None) -> float:
+def micro_f1(outputs, targets) -> float:
     """Micro-averaged F1 with the tansig decision rule (output > 0)."""
-    rows = np.arange(outputs.shape[0]) if mask is None else np.flatnonzero(mask)
-    pred = outputs[rows] > 0
-    true = np.asarray(targets)[rows] > 0.5
+    pred = outputs > 0
+    true = np.asarray(targets) > 0.5
     tp = np.sum(pred & true)
     fp = np.sum(pred & ~true)
     fn = np.sum(~pred & true)
@@ -859,31 +857,29 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adam with a fixed learning rate and bias-corrected moments."""
 
-    def __init__(self, lr: float, beta1: float = ADAM_BETA1,
-                 beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = None
         self._v = None
 
     def metadata(self) -> dict:
         """Name and constants, as recorded with a run's results."""
-        return {"name": "adam", "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
+        return {"name": "adam", "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
 
     def step(self, params: list, grads: list) -> None:
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 class TrainingDiverged(RuntimeError):
@@ -964,7 +960,6 @@ def train(
     config: TrainConfig,
     train_idx=None,
     val_idx=None,
-    targets: Optional[np.ndarray] = None,
     track_test: bool = False,
 ):
     """Train a model to a fixed epoch count; deterministic per config.seed.
@@ -985,32 +980,30 @@ def train(
     the same layers; dropout masks are drawn graph by graph, as separate
     per-graph passes would draw them.
 
-    For the binary loss, targets must be the (n, c) 0/1 matrix (transductive)
-    and labels are ignored.
+    A single graph trains with the softmax_ce loss on its node labels;
+    binary_ce (one-hot graph labels, scored by micro-F1) is for graph sets.
     """
-    loss_fn = LOSSES[config.loss]
     if isinstance(data, SingleGraphDataset):
+        if config.loss != "softmax_ce":
+            raise ValueError(f"a single-graph run trains with softmax_ce, not {config.loss}")
         graphs, kernelsets, train_idx = (data.graph,), (kernelsets,), [0]
-        if config.loss == "binary_ce" and np.shape(targets)[:1] != (data.graph.n,):
-            raise ValueError("binary_ce needs an explicit (n, c) 0/1 target matrix")
-        y = targets if config.loss == "binary_ce" else data.labels
+        y = data.labels
         scored = [name for name in ("train", "val", "test")[:3 if track_test else 2]
                   if name == "train" or data.masks[name].any()]
-        if config.loss == "softmax_ce":
-            # refuse a scored label outside the output classes before any epoch runs
-            rows = np.flatnonzero(np.logical_or.reduce([data.masks[name] for name in scored]))
-            _check_labels(y[rows], spec.widths(data.graph.features.shape[1])[-1], rows)
-        score = accuracy_multiclass if config.loss == "softmax_ce" else micro_f1
+        # refuse a scored label outside the output classes before any epoch runs
+        rows = np.flatnonzero(np.logical_or.reduce([data.masks[name] for name in scored]))
+        _check_labels(y[rows], spec.widths(data.graph.features.shape[1])[-1], rows)
 
         loss_rows = data.masks["train"]
         y_train = y[loss_rows]
 
         def chunk_loss(out, chunk):
-            return loss_fn(out, y_train)
+            return softmax_cross_entropy(out, y_train)
 
         def epoch_scores(params):
             out, _ = model_forward(spec, params, data.graph.features, kernelsets[0])
-            return {name: (loss_fn(out, y, data.masks[name])[0], score(out, y, data.masks[name]))
+            return {name: (softmax_cross_entropy(out, y, data.masks[name])[0],
+                           accuracy_multiclass(out, y, data.masks[name]))
                     for name in scored}
     elif isinstance(data, MultiGraphDataset):
         if train_idx is None or val_idx is None:

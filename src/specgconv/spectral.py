@@ -22,8 +22,8 @@ SYM_TOL = 1e-10
 # rows at Cora's n = 2708). On a 2-core x86 box a 2708^2 check took 65-72 ms
 # with blocks of 0.25-1 MB, against 110-117 ms for the whole-array |M - M^T|.
 _ASYM_BYTES = 1 << 20
-# part of every cache key: change it with the sign rule, the sort or the entry
-# layout, so that entries written before miss instead of serving stale bases
+# part of every cache key: change it with the sign rule, the eigenvalue order or
+# the entry layout, so that entries written before miss instead of serving stale bases
 _CACHE_VERSION = 1
 
 
@@ -93,24 +93,25 @@ def _asymmetry(M: np.ndarray, what: str) -> float:
 def _validate(basis: SpectralBasis, L: np.ndarray) -> None:
     """Check the basis invariants. Each residual is formed in the array of
     its one product (identity and L subtracted, abs taken in place), so its
-    maximum, and the verdict, is bitwise that of the plain expression."""
+    maximum, and the verdict, is bitwise that of the plain expression. Each
+    check is written to pass only what it accepts, so a NaN fails it."""
     U, lam = basis.eigenvectors, basis.eigenvalues
     n = L.shape[0]
     gram = U.T @ U
     gram.reshape(-1)[:: n + 1] -= 1.0
-    if np.max(np.abs(gram, out=gram)) > ORTHO_TOL:
+    if not np.max(np.abs(gram, out=gram)) <= ORTHO_TOL:
         raise ArithmeticError("eigenvector matrix is not orthonormal within 1e-8")
     del gram    # before the reconstruction's two n x n arrays
     recon = (U * lam) @ U.T
     recon -= L
-    if np.max(np.abs(recon, out=recon)) > ORTHO_TOL:
+    if not np.max(np.abs(recon, out=recon)) <= ORTHO_TOL:
         raise ArithmeticError("eigendecomposition does not reconstruct L within 1e-8")
-    if np.any(np.diff(lam) < 0):
+    if not np.all(np.diff(lam) >= 0):
         raise ArithmeticError("eigenvalues are not sorted ascending")
     if basis.kind is LaplacianKind.SYM_NORMALIZED:
         if not (-ORTHO_TOL <= lam[0] <= ORTHO_TOL):
             raise ArithmeticError(f"lambda_1 = {lam[0]} outside [-1e-8, 1e-8]")
-        if lam[-1] > 2 + ORTHO_TOL:
+        if not lam[-1] <= 2 + ORTHO_TOL:
             raise ArithmeticError(f"lambda_max = {lam[-1]} exceeds 2")
 
 
@@ -135,11 +136,12 @@ def decompose(L: np.ndarray, kind: LaplacianKind, cache_dir=None) -> SpectralBas
         if cached is not None:
             return cached
 
-    # an exactly symmetric L is its own symmetrized copy, bit for bit
+    # an exactly symmetric L is its own symmetrized copy, bit for bit; eigh
+    # returns the eigenvalues ascending, which _validate checks. U is made
+    # column-major, as a cache entry holds it: the BLAS products that read U
+    # (profiles, checks) take their last bits from its layout.
     lam, U = np.linalg.eigh(L if asymmetry == 0 else 0.5 * (L + L.T))
-    order = np.argsort(lam, kind="stable")
-    lam = np.ascontiguousarray(lam[order])
-    U = _apply_sign_rule(U[:, order])
+    U = _apply_sign_rule(np.asfortranarray(U))
     basis = SpectralBasis(eigenvalues=lam, eigenvectors=U, kind=kind)
     _validate(basis, L)
 

@@ -88,22 +88,23 @@ def test_gcn_average_degree_approximation_is_diagnostic():
 
 def test_gat_stats_single_trial_zero_std():
     g = random_graph(12, 0.3, seed=7, features_dim=5)
-    stats = gat_profile_stats(g, trials=1, seed=3)
+    stats = gat_profile_stats(g, 1, 3, sym_basis(g))
     assert np.max(stats["std_standard"]) == 0.0
     assert np.max(stats["std_full"]) == 0.0
 
 
 def test_gat_stats_deterministic():
     g = random_graph(12, 0.3, seed=8, features_dim=5)
-    a = gat_profile_stats(g, trials=20, seed=77)
-    b = gat_profile_stats(g, trials=20, seed=77)
+    basis = sym_basis(g)
+    a = gat_profile_stats(g, 20, 77, basis)
+    b = gat_profile_stats(g, 20, 77, basis)
     for key in ("mean_standard", "std_standard", "mean_full", "std_full"):
         assert np.array_equal(a[key], b[key])
 
 
 def test_gat_stats_spread_nonzero():
     g = random_graph(12, 0.3, seed=9, features_dim=5)
-    stats = gat_profile_stats(g, trials=25, seed=5)
+    stats = gat_profile_stats(g, 25, 5, sym_basis(g))
     assert np.max(stats["std_standard"]) > 0.0
 
 
@@ -179,7 +180,7 @@ def test_degenerate_eigenspace_trace_is_basis_invariant():
     U2 = U.copy()
     U2[:, i : i + 2] = U[:, i : i + 2] @ rot
 
-    (C,) = gat_sample_kernel(g, heads=1, seed=11)
+    C = gat_sample_kernel(g, 11)
     full1 = U.T @ C @ U
     full2 = U2.T @ C @ U2
     block1 = np.trace(full1[i : i + 2, i : i + 2])

@@ -380,6 +380,50 @@ def test_train_eta_sweep_without_a_lowpass_design_is_refused_before_any_decompos
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("kind", ["single", "tu"])
+def test_train_refuses_what_only_the_other_dataset_kind_runs_before_loading(
+        tmp_path, capsys, monkeypatch, kind):
+    """binary_ce scores one-hot graph labels and sweep_eta re-trains one
+    graph, so a single dataset refuses the one and a tu dataset the other,
+    on one line and before the dataset is loaded or any graph decomposed."""
+    decomposed = []
+    monkeypatch.setattr(cli, "decompose", lambda *a, **k: decomposed.append(1))
+    for loader in ("load_single_graph", "load_tu_dataset"):
+        monkeypatch.setattr(cli, loader, lambda *a, **k: pytest.fail("dataset loaded"))
+    if kind == "single":
+        path = write_toy_config(tmp_path, train={"epochs": 2, "loss": "binary_ce"})
+        message = ("config error: loss binary_ce applies to tu datasets only; "
+                   "a single dataset trains with softmax_ce\n")
+    else:
+        path = write_tu_config(tmp_path, sweep_eta=[1, 3])
+        message = ("config error: sweep_eta applies to single datasets only; "
+                   "a tu dataset runs cross-validation\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert decomposed == []
+
+
+def test_tu_run_trains_with_binary_ce(tmp_path):
+    path = write_tu_config(tmp_path, train={"epochs": 2, "batch_size": 4, "loss": "binary_ce"})
+    assert main(["train", "--config", str(path)]) == 0
+    result = json.loads((tmp_path / "cvrun" / "result.json").read_text())
+    assert 0.0 <= result["cv_mean_accuracy"] <= 1.0
+
+
+def test_analyze_exits_3_on_eigenpairs_out_of_order(tmp_path, capsys, monkeypatch):
+    from test_spectral import _eigh_in_reverse
+
+    monkeypatch.delenv("SPECGCONV_CACHE", raising=False)
+    _eigh_in_reverse(monkeypatch)
+    out = tmp_path / "an"
+    assert main(["analyze", "--graph", "ring12", "--kernel", "gcn", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: eigenvalues are not sorted "
+                                       "ascending\n")
+    assert not out.exists()
+
+
 def test_train_without_val_nodes_reports_no_best_val_epoch(tmp_path):
     """A split with no val nodes has no val scores: result.json gives null
     for the best-val epoch and the test accuracy there, not epoch 0."""

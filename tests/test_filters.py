@@ -5,7 +5,6 @@ from specgconv.data import save_matrix_csv
 from specgconv.filters import (
     AllPass,
     BandPass,
-    BMatrix,
     CayleyBasis,
     ChebBasis,
     ExpLowPass,
@@ -87,8 +86,8 @@ def test_cayley_theta_special_values():
 
 def test_cayley_bmatrix_first_column_and_width(basis):
     B = cayley_bmatrix(basis, h=1.0, r=3)
-    assert B.n_kernels == 7
-    assert np.allclose(B.values[:, 0], 1.0, atol=0)
+    assert B.shape == (basis.n, 7)
+    assert np.allclose(B[:, 0], 1.0, atol=0)
 
 
 def test_cayley_reassembly_matches_complex_form(basis):
@@ -108,7 +107,7 @@ def test_cayley_reassembly_matches_complex_form(basis):
             acc += ck * ratio**k
         oracle = c0 + 2.0 * np.real(acc)
 
-        B = cayley_bmatrix(basis, h=h, r=r).values
+        B = cayley_bmatrix(basis, h=h, r=r)
         coeffs = np.empty(2 * r + 1)
         coeffs[0] = c0
         coeffs[1::2] = a
@@ -136,8 +135,6 @@ def test_parameter_validation():
         ChebBasis(k=0)
     with pytest.raises(ValueError):
         CayleyBasis(s=8, h=1.0, r=3)
-    with pytest.raises(ValueError):
-        BMatrix(values=np.zeros((4,)))
 
 
 def test_ratio_designs_reject_zero_lambda_max():
@@ -231,11 +228,15 @@ def test_chebyshev_index_is_bounded_by_the_node_count(basis):
         ChebBasis(k=basis.n + 1).check_graph(basis.n)
     AllPass().check_graph(1)
     B = design_bmatrix(basis, [ChebBasis(k=k) for k in range(1, basis.n + 3)])
-    assert np.linalg.matrix_rank(B.values) == basis.n
+    assert np.linalg.matrix_rank(B) == basis.n
 
 
 def test_design_bmatrix_columns(basis):
     designs = [AllPass(), HighPass()]
     B = design_bmatrix(basis, designs)
-    assert B.values.shape == (basis.n, 2)
-    assert np.array_equal(B.values[:, 1], evaluate(HighPass(), basis))
+    assert B.shape == (basis.n, 2) and B.dtype == np.float64
+    assert np.array_equal(B[:, 1], evaluate(HighPass(), basis))
+    assert not B.flags.writeable
+    # a B matrix has at least one column
+    with pytest.raises(ValueError):
+        design_bmatrix(basis, [])

@@ -662,7 +662,7 @@ def test_param_count_matches_enumerated_storage():
                               activation="relu"))
         spec = ModelSpec(tuple(layers))
         params = init_parameters(spec, f0, S, np.random.default_rng(0))
-        assert param_count(spec, f0, S) == count_parameters(params, include_bias=False)
+        assert param_count(spec, f0, S) == count_parameters(params)
 
 
 def test_param_count_with_readout_pipeline():

@@ -94,6 +94,17 @@ def test_repeatability_bit_identical():
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def test_eigenvectors_are_column_major_fresh_and_cached(tmp_path):
+    """Each eigenvector is contiguous in memory, whether decomposed or read
+    from the cache: the BLAS products that read U take their last bits from
+    its layout."""
+    L = build_laplacian(random_graph(20, 0.3, seed=5), SYM)
+    fresh = decompose(L, SYM, cache_dir=tmp_path)
+    hit = decompose(L, SYM, cache_dir=tmp_path)
+    assert fresh.eigenvectors.flags.f_contiguous
+    assert hit.eigenvectors.strides[0] == fresh.eigenvectors.itemsize
+
+
 def test_sign_rule_flips_in_place_as_the_copying_rule_did():
     rng = np.random.default_rng(4)
     U = rng.standard_normal((30, 30))
@@ -180,10 +191,10 @@ def test_decompose_allocates_its_outputs_and_two_n_by_n_temporaries():
     assert peak <= outputs + 2.02 * 8 * n * n
 
 
-def _entry_path(cache_dir, L):
+def _entry_path(cache_dir, L, kind=SYM):
     from specgconv.spectral import _cache_key
 
-    return os.path.join(str(cache_dir), _cache_key(L, SYM) + ".npy")
+    return os.path.join(str(cache_dir), _cache_key(L, kind) + ".npy")
 
 
 def _save_entry(path, entry, allow_pickle=False):
@@ -208,6 +219,51 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     _save_entry(path, entry)
     again = decompose(L, SYM, cache_dir=tmp_path)
     assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
+
+
+@pytest.mark.parametrize("kind", [SYM, COMB])
+@pytest.mark.parametrize("where", ["eigenvector", "interior_eigenvalue"])
+def test_cache_entry_holding_nan_is_discarded_and_recomputed(tmp_path, kind, where):
+    """A NaN compares False with every bound, so each basis check is written
+    to fail on it: an entry with one NaN in U, or in an interior lambda,
+    never reaches a caller."""
+    L = build_laplacian(random_graph(12, 0.4, seed=2), kind)
+    fresh = decompose(L, kind, cache_dir=tmp_path)
+    path = _entry_path(tmp_path, L, kind)
+    with open(path, "rb") as fh:
+        whole = fh.read()
+    entry = np.load(path, allow_pickle=False)
+    if where == "eigenvector":
+        entry[1 + 4, 5] = np.nan
+    else:
+        entry[0, 5] = np.nan
+    _save_entry(path, entry)
+    again = decompose(L, kind, cache_dir=tmp_path)
+    assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
+    with open(path, "rb") as fh:
+        assert fh.read() == whole
+
+
+def _eigh_in_reverse(monkeypatch):
+    """Make np.linalg.eigh return its eigenpairs in descending order."""
+    eigh = np.linalg.eigh
+
+    def reverse(M):
+        lam, U = eigh(M)
+        return lam[::-1].copy(), U[:, ::-1].copy()
+
+    monkeypatch.setattr(np.linalg, "eigh", reverse)
+
+
+@pytest.mark.parametrize("kind", [SYM, COMB])
+def test_eigenpairs_out_of_order_are_refused(kind, monkeypatch):
+    """decompose takes eigh's ascending order as it comes; pairs in any
+    other order fail the basis checks rather than being sorted."""
+    L = build_laplacian(random_graph(12, 0.4, seed=2), kind)
+    _eigh_in_reverse(monkeypatch)
+    with pytest.raises(ArithmeticError, match="eigenvalues are not sorted ascending"):
+        decompose(L, kind)
 
 
 def test_truncated_cache_entry_is_recomputed_and_rewritten(tmp_path):

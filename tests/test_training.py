@@ -208,6 +208,10 @@ def test_model_must_fit_the_problem_before_first_forward(monkeypatch):
         MultiSupportConv(out=4), ReadoutMeanMax(), MultiSupportConv(out=2)))
     with pytest.raises(ValueError, match="graph convolution cannot follow the meanmax readout"):
         train(conv_after_readout, allpass_kernelsets(ds), ds, cfg, **ids)
+    # binary_ce scores one-hot graph labels; a single graph trains with softmax_ce
+    with pytest.raises(ValueError, match="single-graph run trains with softmax_ce, not binary_ce"):
+        train(ModelSpec((MultiSupportConv(out=2),)), two_support_kernels(data.graph), data,
+              replace(cfg, loss="binary_ce"))
     assert calls == []
 
 
