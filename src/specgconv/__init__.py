@@ -57,8 +57,6 @@ from .nn import (
     TrainingDiverged,
     TrainResult,
     crossvalidate,
-    forward_depthwise,
-    forward_multisupport,
     init_parameters,
     param_count,
     parse_architecture,

@@ -88,25 +88,19 @@ def gat_profile_stats(g: Graph, trials: int, seed: int, basis: SpectralBasis) ->
     }
 
 
-def export_profile(
-    p: FrequencyProfile,
-    path,
-    include_full: bool = False,
-    absolute: bool = False,
-) -> None:
-    """Write a profile as CSV with header ``lambda,standard``.
+def export_profile(p: FrequencyProfile, path, absolute: bool = False) -> None:
+    """Write a profile as CSV with header ``lambda,standard``, and its full
+    matrix to ``<path stem>_full.csv``.
 
     Values are written with 17 significant digits and round-trip bitwise
-    through the CSV loaders. absolute=True exports |standard| (a plotting
-    convention); the stored profile itself is never rectified. With
-    include_full set, the full matrix goes to ``<path stem>_full.csv``.
+    through the CSV loaders. absolute=True exports |standard| and |full| (a
+    plotting convention); the stored profile itself is never rectified.
     """
     std = np.abs(p.standard) if absolute else p.standard
     save_matrix_csv(path, np.column_stack([p.lam, std]), header=PROFILE_HEADER)
-    if include_full:
-        stem, ext = os.path.splitext(os.fspath(path))
-        full = np.abs(p.full) if absolute else p.full
-        save_matrix_csv(stem + "_full" + (ext or ".csv"), full)
+    stem, ext = os.path.splitext(os.fspath(path))
+    full = np.abs(p.full) if absolute else p.full
+    save_matrix_csv(stem + "_full" + (ext or ".csv"), full)
 
 
 def load_profile_csv(path) -> tuple:

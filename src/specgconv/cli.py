@@ -16,6 +16,7 @@ check failure. The eigendecomposition cache directory is taken from the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -27,7 +28,8 @@ import numpy as np
 from . import __version__
 from .analysis import export_profile, gat_profile_stats, profile
 from .data import MultiGraphDataset, load_single_graph, load_tu_dataset, save_matrix_csv
-from .filters import CayleyBasis, LowPass, coverage, format_design, gcn_cutoff, parse_design
+from .filters import (CayleyBasis, LowPass, Tabulated, coverage, format_design, gcn_cutoff,
+                      parse_design)
 from .gradcheck import gradcheck_suite
 from .graphs import IsolatedNode, LaplacianKind, average_degree, build_laplacian, make_ring
 from .kernels import (
@@ -63,8 +65,8 @@ def _cache_dir():
 
 def _laplacian_kind(name: str) -> LaplacianKind:
     try:
-        return {"sym": LaplacianKind.SYM_NORMALIZED, "comb": LaplacianKind.COMBINATORIAL}[name]
-    except KeyError:
+        return LaplacianKind(name)
+    except ValueError:
         raise ConfigError(f"unknown Laplacian kind {name!r} (use sym or comb)") from None
 
 
@@ -193,8 +195,7 @@ def cmd_analyze(args) -> int:
         supports, names = _build_kernels(head, value, graph, basis)
         for i, (C, name) in enumerate(zip(supports, names), start=1):
             p = profile(C, basis)
-            export_profile(p, os.path.join(args.out, f"standard_{i}.csv"),
-                           include_full=True, absolute=args.abs)
+            export_profile(p, os.path.join(args.out, f"standard_{i}.csv"), absolute=args.abs)
             if args.export_kernels:
                 save_matrix_csv(os.path.join(args.out, f"kernel_{i}.csv"), C)
         summary["kernels"] = names
@@ -385,9 +386,19 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
     return EXIT_OK
 
 
-def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
+def _cv_settings(cfg) -> tuple:
+    """(folds, repeats) of a TU config's cv section, refused unless there are
+    at least 2 folds and 1 repeat."""
     cv_cfg = _field(cfg, "cv", dict, {})
     folds, repeats = _field(cv_cfg, "folds", int, 10), _field(cv_cfg, "repeats", int, 1)
+    if folds < 2:
+        raise ConfigError(f"cross-validation needs at least 2 folds, got {folds}")
+    if repeats < 1:
+        raise ConfigError(f"cross-validation needs at least 1 repeat, got {repeats}")
+    return folds, repeats
+
+
+def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir, folds, repeats):
     [(record, kernelsets)] = _set_up(dataset, lap, designs)
     result = crossvalidate(dataset, kernelsets, spec, tconfig, folds=folds, repeats=repeats)
     final = {
@@ -415,21 +426,28 @@ def cmd_train(args) -> int:
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
     _check_out_dir(out_dir, "output_dir")
-    # settings only the other dataset kind runs are refused before any set-up
-    if kind == "single" and tconfig.loss != "softmax_ce":
-        raise ConfigError(f"loss {tconfig.loss} applies to tu datasets only; "
-                          "a single dataset trains with softmax_ce")
-    if kind == "tu" and _field(cfg, "sweep_eta", list, []):
-        raise ConfigError("sweep_eta applies to single datasets only; "
-                          "a tu dataset runs cross-validation")
-
+    # settings a dataset kind cannot run are refused before the dataset is loaded
     if kind == "single":
+        if tconfig.loss != "softmax_ce":
+            raise ConfigError(f"loss {tconfig.loss} applies to tu datasets only; "
+                              "a single dataset trains with softmax_ce")
         dataset, run = load_single_graph(path), _run_transductive
         graphs = [dataset.graph]
     elif kind == "tu":
+        if _field(cfg, "sweep_eta", list, []):
+            raise ConfigError("sweep_eta applies to single datasets only; "
+                              "a tu dataset runs cross-validation")
+        if any(isinstance(d, Tabulated) for d in designs):
+            raise ConfigError("a tabulated design applies to single datasets only; "
+                              "its values belong to one graph's eigenvalues")
+        folds, repeats = _cv_settings(cfg)
         use_attributes = _field(ds, "use_attributes", bool, False)
-        dataset, run = load_tu_dataset(path, use_attributes=use_attributes), _run_inductive
+        dataset = load_tu_dataset(path, use_attributes=use_attributes)
         graphs = dataset.graphs
+        if folds > len(graphs):
+            raise ConfigError(f"cross-validation cannot make {folds} folds "
+                              f"out of {len(graphs)} graphs")
+        run = functools.partial(_run_inductive, folds=folds, repeats=repeats)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
     n_max = max(g.n for g in graphs)
@@ -479,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--graph", required=True, help="ring<N> or a single-graph dataset directory")
     pa.add_argument("--kernel", required=True,
                     help="gcn | cheb:<k> | cayley:<h>:<r> | design:<expr>[;<expr>...] | gat:<seed>")
-    pa.add_argument("--laplacian", default="sym", choices=("sym", "comb"))
+    pa.add_argument("--laplacian", default="sym", choices=[k.value for k in LaplacianKind])
     pa.add_argument("--trials", type=int, default=1,
                     help="with gat kernels: number of sampled kernels for mean/std profiles")
     pa.add_argument("--abs", action="store_true", help="export absolute values (plotting)")

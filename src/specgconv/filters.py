@@ -199,6 +199,12 @@ class Tabulated(FilterDesign, key="tabulated"):
                              f"for {lam.shape[0]} eigenvalues")
         return self.values.copy()
 
+    def check_graph(self, n):
+        # one value per eigenvalue: the values fit graphs of exactly n nodes
+        if self.values.shape[0] != n:
+            raise ValueError(f"design {self.text()}: {self.values.shape[0]} values "
+                             f"for a graph of {n} nodes")
+
     def text(self):
         return f"tabulated(n={self.values.shape[0]})"
 
@@ -292,7 +298,7 @@ def coverage(designs: Sequence[FilterDesign], basis: SpectralBasis) -> float:
     total = np.zeros(COVERAGE_GRID)
     for d in designs:
         if isinstance(d, Tabulated):
-            total += np.interp(lam, basis.eigenvalues, d.values)
+            total += np.interp(lam, basis.eigenvalues, evaluate(d, basis))
         else:
             total += evaluate_on(d, lam, basis.lambda_max)
     return float(total.min())

@@ -12,7 +12,7 @@ across threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class Graph:
         A.setflags(write=False)
         return A
 
-    def with_features(self, features: np.ndarray) -> "Graph":
-        return replace(self, features=features)
-
 
 def _scatter(g: Graph, values: np.ndarray, diagonal) -> np.ndarray:
     """A fresh n x n array of values' dtype: values[k] at (i, j) and (j, i) of
@@ -153,53 +150,11 @@ def average_degree(g: Graph) -> float:
     return float(g.degrees.mean())
 
 
-def _unit(edges, features) -> Graph:
-    return Graph(edges=edges, weights=np.ones(len(edges)), features=features)
-
-
 def make_ring(n: int) -> Graph:
     """Cycle graph on n >= 3 nodes, unit weights, all degrees 2, with a
-    single all-ones feature column (Graph.with_features gives it others)."""
+    single all-ones feature column."""
     if n < 3:
         raise ValueError(f"a ring needs at least 3 nodes, got {n}")
     idx = np.arange(n)
-    return _unit(np.column_stack([idx, (idx + 1) % n]), np.ones((n, 1)))
-
-
-def random_graph(n: int, edge_prob: float, seed: int, features_dim: int = 1) -> Graph:
-    """Erdos-Renyi graph with unit weights and seeded standard-normal features.
-
-    A spanning random path is added first so every node has degree >= 1 (the
-    symmetric-normalized Laplacian is then well defined).
-    """
-    rng = np.random.default_rng(seed)
-    edges = np.argwhere(np.triu(rng.random((n, n)) < edge_prob, 1))
-    order = rng.permutation(n)
-    path = np.sort(np.column_stack([order[:-1], order[1:]]), axis=1)
-    feats = rng.standard_normal((n, features_dim))
-    return _unit(np.unique(np.vstack([edges, path]), axis=0), feats)
-
-
-def near_regular_graph(n: int, seed: int, features_dim: int = 1) -> Graph:
-    """Connected random graph with all node degrees in {3, 4}.
-
-    Built from the 4-regular circulant with offsets {1, 2}; a random set of
-    pairwise disjoint distance-2 chords is removed, dropping the endpoints of
-    each removed chord to degree 3 while the base cycle keeps the graph
-    connected.
-    """
-    if n < 6:
-        raise ValueError("need n >= 6 for the {3,4}-degree construction")
-    rng = np.random.default_rng(seed)
-    idx = np.arange(n)
-    removed = np.zeros(n, dtype=bool)   # chord (i, i + 2) is gone
-    touched = np.zeros(n, dtype=bool)
-    for i in rng.permutation(n):
-        j = (i + 2) % n
-        if touched[i] or touched[j] or rng.random() < 0.5:
-            continue
-        removed[i] = True
-        touched[i] = touched[j] = True
-    chords = np.column_stack([idx, (idx + 2) % n])[~removed]
-    feats = rng.standard_normal((n, features_dim))
-    return _unit(np.vstack([np.column_stack([idx, (idx + 1) % n]), chords]), feats)
+    return Graph(edges=np.column_stack([idx, (idx + 1) % n]), weights=np.ones(n),
+                 features=np.ones((n, 1)))

@@ -72,6 +72,8 @@ _CONV = (MultiSupportConv, DepthwiseSeparableConv)
 
 
 def _check_layer(layer: LayerSpec) -> None:
+    if not isinstance(layer, (*_TRAINABLE, ReadoutMeanMax)):
+        raise TypeError(f"not a LayerSpec: {layer!r}")
     if isinstance(layer, _TRAINABLE):
         if layer.out < 1:
             raise ValueError(f"layer width must be >= 1, got {layer.out}")
@@ -84,22 +86,17 @@ class ModelSpec:
     layers: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("a model needs at least one layer")
         for layer in self.layers:
             _check_layer(layer)
-        object.__setattr__(self, "layers", tuple(self.layers))
 
     def widths(self, f0: int) -> list:
         """Feature widths through the pipeline, starting at the input width."""
         ws = [f0]
         for layer in self.layers:
-            if isinstance(layer, _TRAINABLE):
-                ws.append(layer.out)
-            elif isinstance(layer, ReadoutMeanMax):
-                ws.append(2 * ws[-1])
-            else:
-                raise TypeError(f"not a LayerSpec: {layer!r}")
+            ws.append(layer.out if isinstance(layer, _TRAINABLE) else 2 * ws[-1])
         return ws
 
 
@@ -210,39 +207,20 @@ def flatten_params(params: Sequence[LayerParams]) -> list:
     return flat
 
 
-def count_parameters(params: Sequence[LayerParams]) -> int:
-    """Number of trainable weights and depthwise entries, biases excluded,
-    as param_count counts them."""
-    total = 0
-    for lp in params:
-        total += sum(w.size for w in lp.weights)
-        if lp.depthwise is not None:
-            total += lp.depthwise.size
-    return total
-
-
-def param_count(
-    spec: ModelSpec, f0: int, n_supports: int, separable: Optional[bool] = None
-) -> int:
+def param_count(spec: ModelSpec, f0: int, n_supports: int) -> int:
     """Closed-form trainable parameter count, biases excluded.
 
     Conv layers contribute S*f_in*f_out (multi-support) or S*f_in +
     f_in*f_out (depthwise separable); dense layers f_in*f_out; readout
-    nothing. With separable set, every conv layer is counted as that kind
-    regardless of its spec, which is how the two formulas are compared on a
-    single architecture.
+    nothing.
     """
     total = 0
     for layer, width in zip(spec.layers, spec.widths(f0)):
-        if isinstance(layer, ReadoutMeanMax):
-            continue
-        if isinstance(layer, _CONV):
-            dsg = isinstance(layer, DepthwiseSeparableConv) if separable is None else separable
-            if dsg:
-                total += n_supports * width + width * layer.out
-            else:
-                total += n_supports * width * layer.out
-        else:
+        if isinstance(layer, MultiSupportConv):
+            total += n_supports * width * layer.out
+        elif isinstance(layer, DepthwiseSeparableConv):
+            total += n_supports * width + width * layer.out
+        elif isinstance(layer, Dense):
             total += width * layer.out
     return total
 
@@ -596,7 +574,7 @@ def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
 
     if isinstance(layer, Dense):
         Z = Hin @ lp.weights[0]
-    elif conv:
+    else:
         Cs = cache["Cs"] = batch.supports if rows is None else \
             [[C[rows] for C in batch.supports[0]]]
         if _narrowing(layer, Hin):
@@ -610,8 +588,6 @@ def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
             kernel = cache["kernel"] = None if drop is None else drop.kernels(batch, rows)
             PS = cache["PS"] = [_propagate(Cs, s, Hin, dropout=kernel) for s in range(len(Cs[0]))]
             Z = sum(P @ A for P, A in zip(PS, _mixing(layer, lp)))
-    else:
-        raise TypeError(f"not a LayerSpec: {layer!r}")
     if lp.bias is not None:
         Z += lp.bias
     cache["act"], out = _activate(Z, layer.activation)
@@ -737,29 +713,6 @@ def model_backward(spec, params, caches, dout, into=None):
             for a, b in zip(flatten_params([grads[i]]), flatten_params([g])):
                 a += b
     return grads
-
-
-def _single_layer(layer, lp, H, kernels):
-    H = np.asarray(H, dtype=np.float64)
-    out, _ = _layer_forward(layer, lp, H, GraphBatch.single(kernels, H.shape[0]))
-    return out
-
-
-def forward_multisupport(H, kernels, weights, bias=None, activation="linear"):
-    """Single multi-support convolution: act(sum_s C_s H W_s (+ bias))."""
-    layer = MultiSupportConv(out=weights[0].shape[1], use_bias=bias is not None,
-                             activation=activation)
-    return _single_layer(layer, LayerParams(weights=list(weights), bias=bias), H, kernels)
-
-
-def forward_depthwise(H, kernels, depthwise, weight, bias=None, activation="linear"):
-    """Single depthwise separable convolution:
-    act((sum_s w_s * (C_s H)) W (+ bias))."""
-    layer = DepthwiseSeparableConv(out=weight.shape[1], use_bias=bias is not None,
-                                   activation=activation)
-    lp = LayerParams(weights=[weight], depthwise=np.asarray(depthwise, dtype=np.float64),
-                     bias=bias)
-    return _single_layer(layer, lp, H, kernels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from specgconv.analysis import (
 )
 from specgconv.data import load_matrix_csv
 from specgconv.filters import BandPass, ChebBasis, evaluate, gcn_theoretical_profile
-from specgconv.graphs import LaplacianKind, average_degree, build_laplacian, make_ring, random_graph
+from specgconv.graphs import LaplacianKind, average_degree, build_laplacian, make_ring
 from specgconv.kernels import cheb_kernels, design_kernel, gcn_kernel
 from specgconv.spectral import decompose
+from scaffold import random_graph
 
 SYM = LaplacianKind.SYM_NORMALIZED
 
@@ -113,7 +116,7 @@ def test_export_import_bitwise(tmp_path):
     basis = sym_basis(g)
     p = profile(gcn_kernel(g), basis)
     path = tmp_path / "prof.csv"
-    export_profile(p, path, include_full=True)
+    export_profile(p, path)
     lam, std = load_profile_csv(path)
     assert np.array_equal(lam, p.lam)
     assert np.array_equal(std, p.standard)
@@ -168,7 +171,7 @@ def test_degenerate_eigenspace_trace_is_basis_invariant():
     # the trace of the full profile over an eigenspace does not
     from specgconv.kernels import gat_sample_kernel
 
-    g = make_ring(6).with_features(np.random.default_rng(3).standard_normal((6, 3)))
+    g = replace(make_ring(6), features=np.random.default_rng(3).standard_normal((6, 3)))
     basis = sym_basis(g)
     lam, U = basis.eigenvalues, basis.eigenvectors
     pairs = [i for i in range(5) if abs(lam[i + 1] - lam[i]) < 1e-12]

@@ -1,4 +1,5 @@
 """Stacked multi-graph batches against separate per-graph passes."""
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from specgconv import nn
 from specgconv.data import MultiGraphDataset
-from specgconv.graphs import random_graph
 from specgconv.nn import (
     Dense,
     DepthwiseSeparableConv,
@@ -21,6 +21,7 @@ from specgconv.nn import (
     softmax_cross_entropy,
     stack_graphs,
 )
+from scaffold import random_graph
 
 SIZES = (7, 12, 5, 9)
 S = 3
@@ -40,7 +41,7 @@ def dataset_and_kernels():
     rng = np.random.default_rng(11)
     graphs, kernelsets = [], []
     for i, n in enumerate(SIZES):
-        graphs.append(random_graph(n, 0.4, seed=i).with_features(rng.standard_normal((n, 4))))
+        graphs.append(replace(random_graph(n, 0.4, seed=i), features=rng.standard_normal((n, 4))))
         kernelsets.append([rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(S)])
     ds = MultiGraphDataset(graphs=tuple(graphs), labels=np.array([0, 2, 1, 2]), n_classes=3)
     return ds, kernelsets

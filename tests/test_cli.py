@@ -405,6 +405,54 @@ def test_train_refuses_what_only_the_other_dataset_kind_runs_before_loading(
     assert decomposed == []
 
 
+@pytest.mark.parametrize("kind", ["single", "tu"])
+def test_train_refuses_a_tabulated_design_that_cannot_fit_before_any_decomposition(
+        tmp_path, capsys, monkeypatch, kind):
+    """A tabulated design holds one value per eigenvalue of one graph: a
+    single dataset refuses one of another length before the decomposition,
+    and a tu dataset refuses any before it is loaded."""
+    decomposed = []
+    monkeypatch.setattr(cli, "decompose", lambda *a, **k: decomposed.append(1))
+    (tmp_path / "vals.csv").write_text("value\n1\n0.5\n0.25\n0\n")
+    designs = ["tabulated(file=vals.csv)", "lowpass(eta=2)"]
+    if kind == "single":
+        write_toy_dataset(tmp_path / "ring6", n=6)
+        path = write_toy_config(tmp_path, designs=designs,
+                                dataset={"path": "ring6", "kind": "single"})
+        message = "config error: design tabulated(n=4): 4 values for a graph of 6 nodes\n"
+    else:
+        monkeypatch.setattr(cli, "load_tu_dataset", lambda *a, **k: pytest.fail("dataset loaded"))
+        path = write_tu_config(tmp_path, designs=designs)
+        message = ("config error: a tabulated design applies to single datasets only; "
+                   "its values belong to one graph's eigenvalues\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert decomposed == []
+
+
+@pytest.mark.parametrize("cv,loaded,message", [
+    ({"folds": 1}, False, "cross-validation needs at least 2 folds, got 1"),
+    ({"folds": 3, "repeats": 0}, False, "cross-validation needs at least 1 repeat, got 0"),
+    ({"folds": 13}, True, "cross-validation cannot make 13 folds out of 12 graphs"),
+])
+def test_train_refuses_cross_validation_it_cannot_run_before_any_decomposition(
+        tmp_path, capsys, monkeypatch, cv, loaded, message):
+    """Fold and repeat counts that need no dataset are refused before it is
+    loaded, and more folds than graphs before any graph is decomposed."""
+    decomposed, loads = [], []
+    monkeypatch.setattr(cli, "decompose", lambda *a, **k: decomposed.append(1))
+    load = cli.load_tu_dataset
+    monkeypatch.setattr(cli, "load_tu_dataset", lambda *a, **k: loads.append(1) or load(*a, **k))
+    path = write_tu_config(tmp_path, cv=cv)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+    assert decomposed == [] and len(loads) == loaded
+
+
 def test_tu_run_trains_with_binary_ce(tmp_path):
     path = write_tu_config(tmp_path, train={"epochs": 2, "batch_size": 4, "loss": "binary_ce"})
     assert main(["train", "--config", str(path)]) == 0
@@ -649,6 +697,7 @@ def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, kind, arch,
     ("single", {"designs": ["allpass", 3]}, "designs must be a list of strings"),
     ("single", {"architecture": 7}, "architecture must be a string, got 7"),
     ("single", {"laplacian": ["sym"]}, 'laplacian must be a string, got ["sym"]'),
+    ("single", {"laplacian": "rw"}, "unknown Laplacian kind 'rw' (use sym or comb)"),
     ("single", {"train": {"epochs": 2.5}}, "epochs must be an integer, got 2.5"),
     ("single", {"train": {"epochs": 2, "seed": "a"}}, "seed must be an integer, got 'a'"),
     ("single", {"train": {"epochs": 2, "weight_decay": "x"}}, "weight_decay must be a number"),
@@ -677,7 +726,7 @@ def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overri
     ("single", {"architecture": "DSG4-DSG5"}),            # found after loading
     ("single", {"sweep_eta": [1, None]}),                 # found by the run itself
     ("single", {"architecture": "DSG8-meanmax-D2"}),      # found by train
-    ("tu", {"cv": {"folds": 100}}),                       # found by make_folds
+    ("tu", {"cv": {"folds": 100}}),                       # found after loading
 ])
 def test_refused_train_run_leaves_no_output_directory(tmp_path, kind, overrides):
     write = write_toy_config if kind == "single" else write_tu_config

@@ -12,7 +12,7 @@ from specgconv.data import (
     make_folds,
     save_matrix_csv,
 )
-from specgconv.graphs import random_graph
+from scaffold import random_graph
 
 
 def write_single_graph(root, with_split=True, weight_col=False):

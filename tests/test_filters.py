@@ -24,8 +24,9 @@ from specgconv.filters import (
     gcn_theoretical_profile,
     parse_design,
 )
-from specgconv.graphs import LaplacianKind, build_laplacian, random_graph
+from specgconv.graphs import LaplacianKind, build_laplacian
 from specgconv.spectral import decompose
+from scaffold import random_graph
 
 SYM = LaplacianKind.SYM_NORMALIZED
 
@@ -229,6 +230,20 @@ def test_chebyshev_index_is_bounded_by_the_node_count(basis):
     AllPass().check_graph(1)
     B = design_bmatrix(basis, [ChebBasis(k=k) for k in range(1, basis.n + 3)])
     assert np.linalg.matrix_rank(B) == basis.n
+
+
+def test_tabulated_design_fits_graphs_of_its_length_only(basis):
+    """A tabulated design holds one value per eigenvalue of one graph:
+    check_graph refuses any other node count, and coverage, like every
+    evaluation, refuses it on a basis of another size, naming both counts."""
+    Tabulated(values=np.ones(basis.n)).check_graph(basis.n)
+    short = Tabulated(values=np.ones(4))
+    for n in (3, basis.n):
+        with pytest.raises(ValueError, match=rf"^design tabulated\(n=4\): 4 values for a graph "
+                                             rf"of {n} nodes$"):
+            short.check_graph(n)
+    with pytest.raises(ValueError, match=f"tabulated design has 4 values for {basis.n} eigenvalues"):
+        coverage([AllPass(), short], basis)
 
 
 def test_design_bmatrix_columns(basis):

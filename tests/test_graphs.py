@@ -10,9 +10,8 @@ from specgconv.graphs import (
     average_degree,
     build_laplacian,
     make_ring,
-    near_regular_graph,
-    random_graph,
 )
+from scaffold import near_regular_graph, random_graph
 
 
 def unit_graph(edges, n):

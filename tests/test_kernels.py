@@ -9,8 +9,6 @@ from specgconv.graphs import (
     LaplacianKind,
     build_laplacian,
     make_ring,
-    near_regular_graph,
-    random_graph,
 )
 from specgconv.kernels import (
     KernelSet,
@@ -21,6 +19,7 @@ from specgconv.kernels import (
     gcn_kernel,
 )
 from specgconv.spectral import SpectralBasis, decompose
+from scaffold import near_regular_graph, random_graph
 
 SYM = LaplacianKind.SYM_NORMALIZED
 

@@ -9,7 +9,7 @@ import pytest
 
 from specgconv import nn
 from specgconv.filters import Tabulated
-from specgconv.graphs import LaplacianKind, build_laplacian, random_graph
+from specgconv.graphs import LaplacianKind, build_laplacian
 from specgconv.kernels import design_kernel
 from specgconv.nn import (
     Dense,
@@ -19,9 +19,6 @@ from specgconv.nn import (
     MultiSupportConv,
     ReadoutMeanMax,
     binary_cross_entropy_tansig,
-    count_parameters,
-    forward_depthwise,
-    forward_multisupport,
     init_parameters,
     micro_f1,
     model_backward,
@@ -34,11 +31,12 @@ from specgconv.nn import (
     _scaled,
 )
 from specgconv.spectral import decompose
+from scaffold import count_parameters, layer_output, random_graph
 
 
 def test_identity_conv_passes_through():
     H = np.random.default_rng(0).standard_normal((6, 3))
-    out = forward_multisupport(H, [np.eye(6)], [np.eye(3)])
+    out = layer_output(MultiSupportConv(out=3, activation="linear"), H, [np.eye(6)], [np.eye(3)])
     assert np.array_equal(out, H)
 
 
@@ -63,7 +61,7 @@ def test_multisupport_matches_spectral_side():
         for i in range(4):
             w = np.array([W[i, j] for W in weights])
             spectral[:, j] += U @ np.diag(B @ w) @ U.T @ H[:, i]
-    out = forward_multisupport(H, supports, weights)
+    out = layer_output(MultiSupportConv(out=2, activation="linear"), H, supports, weights)
     assert np.max(np.abs(out - spectral)) < 1e-10
 
 
@@ -74,8 +72,9 @@ def test_depthwise_fresh_init_collapses_to_first_support():
     W = rng.standard_normal((5, 4))
     dw = np.zeros((3, 5))
     dw[0] = 1.0
-    dsg = forward_depthwise(H, supports, dw, W)
-    single = forward_multisupport(H, supports[:1], [W])
+    dsg = layer_output(DepthwiseSeparableConv(out=4, activation="linear"), H, supports, [W],
+                       depthwise=dw)
+    single = layer_output(MultiSupportConv(out=4, activation="linear"), H, supports[:1], [W])
     assert np.max(np.abs(dsg - single)) < 1e-14
 
 
@@ -84,8 +83,9 @@ def test_depthwise_single_support_unit_weights():
     H = rng.standard_normal((6, 3))
     C = rng.standard_normal((6, 6))
     W = rng.standard_normal((3, 2))
-    dsg = forward_depthwise(H, [C], np.ones((1, 3)), W)
-    conv = forward_multisupport(H, [C], [W])
+    dsg = layer_output(DepthwiseSeparableConv(out=2, activation="linear"), H, [C], [W],
+                       depthwise=np.ones((1, 3)))
+    conv = layer_output(MultiSupportConv(out=2, activation="linear"), H, [C], [W])
     assert np.array_equal(dsg, conv)
 
 
@@ -104,7 +104,8 @@ def test_depthwise_matches_naive_loop():
         for col in range(f_in):
             mixed[:, col] += dw[s, col] * filtered[:, col]
     want = np.tanh(mixed @ W + bias)
-    got = forward_depthwise(H, supports, dw, W, bias=bias, activation="tanh")
+    got = layer_output(DepthwiseSeparableConv(out=f_out, use_bias=True, activation="tanh"),
+                       H, supports, [W], depthwise=dw, bias=bias)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -630,21 +631,18 @@ def test_loss_rows_need_a_node_mask_of_one_graph():
 
 
 def test_param_count_cora_table_model():
-    spec = parse_architecture("DSG160-DSG7")
-    assert param_count(spec, f0=1433, n_supports=4, separable=True) == 236772
-    assert param_count(spec, f0=1433, n_supports=4, separable=False) == 921600
+    assert param_count(parse_architecture("DSG160-DSG7"), f0=1433, n_supports=4) == 236772
+    assert param_count(parse_architecture("G160-G7"), f0=1433, n_supports=4) == 921600
 
 
 def test_param_count_single_support_difference():
-    spec = ModelSpec((
-        MultiSupportConv(out=6, activation="relu"),
-        MultiSupportConv(out=4, activation="relu"),
-        MultiSupportConv(out=2, activation="linear"),
-    ))
+    def spec(cls):
+        return ModelSpec((cls(out=6), cls(out=4), cls(out=2, activation="linear")))
+
     f0 = 5
     widths_sum = f0 + 6 + 4  # conv input widths
-    multi = param_count(spec, f0, n_supports=1, separable=False)
-    sep = param_count(spec, f0, n_supports=1, separable=True)
+    multi = param_count(spec(MultiSupportConv), f0, n_supports=1)
+    sep = param_count(spec(DepthwiseSeparableConv), f0, n_supports=1)
     assert sep - multi == widths_sum
 
 
@@ -749,6 +747,13 @@ def test_model_spec_validation():
         ModelSpec((MultiSupportConv(out=3, activation="softmax"),))
     with pytest.raises(ValueError):
         ModelSpec(())
+    # layers given once, as an iterator, are kept, not used up by the checks
+    layers = (MultiSupportConv(out=3), ReadoutMeanMax())
+    assert ModelSpec(iter(layers)).layers == layers
+    # a layer that is no LayerSpec is refused when the spec is made, not when it is used
+    for layer in (object(), "G4", None):
+        with pytest.raises(TypeError, match="not a LayerSpec"):
+            ModelSpec((MultiSupportConv(out=3), layer))
 
 
 def test_unlabelled_scored_node_is_refused():

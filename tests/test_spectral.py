@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from specgconv import spectral
-from specgconv.graphs import LaplacianKind, build_laplacian, make_ring, random_graph
+from specgconv.graphs import LaplacianKind, build_laplacian, make_ring
 from specgconv.spectral import (
     SpectralBasis, _apply_sign_rule, _asymmetry, _validate, decompose, fourier, inverse_fourier,
 )
+from scaffold import random_graph
 
 SYM = LaplacianKind.SYM_NORMALIZED
 COMB = LaplacianKind.COMBINATORIAL

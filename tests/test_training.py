@@ -6,7 +6,7 @@ import pytest
 
 from specgconv.data import MultiGraphDataset, SingleGraphDataset
 from specgconv.filters import AllPass, LowPass
-from specgconv.graphs import LaplacianKind, build_laplacian, make_ring, random_graph
+from specgconv.graphs import LaplacianKind, build_laplacian, make_ring
 from specgconv.kernels import design_kernelset, gcn_kernel
 from specgconv import nn
 from specgconv.nn import (
@@ -24,6 +24,7 @@ from specgconv.nn import (
     train,
 )
 from specgconv.spectral import decompose
+from scaffold import random_graph
 
 SYM = LaplacianKind.SYM_NORMALIZED
 
@@ -34,7 +35,7 @@ def separable_dataset(seed=0):
     feats = rng.standard_normal((20, 2))
     labels = (feats[:, 0] > 0).astype(int)
     feats[:, 0] += np.where(labels, 0.5, -0.5)
-    g = g.with_features(feats)
+    g = replace(g, features=feats)
     masks = {"train": np.ones(20, bool), "val": np.zeros(20, bool), "test": np.zeros(20, bool)}
     return SingleGraphDataset(graph=g, labels=labels, masks=masks)
 
@@ -91,7 +92,7 @@ def test_kernel_dropout_epoch_holds_no_float_copy_of_the_supports():
     them as it multiplies."""
     n, S = 200, 4
     rng = np.random.default_rng(3)
-    g = random_graph(n, 0.05, seed=3).with_features(rng.standard_normal((n, 8)))
+    g = replace(random_graph(n, 0.05, seed=3), features=rng.standard_normal((n, 8)))
     labels = rng.integers(0, 3, n)
     masks = {"train": np.arange(n) < 60, "val": np.zeros(n, bool), "test": np.zeros(n, bool)}
     data = SingleGraphDataset(graph=g, labels=labels, masks=masks)
@@ -220,7 +221,7 @@ def graph_classification_dataset(n_graphs=40, seed=0):
     for i in range(n_graphs):
         cls = i % 2
         g = random_graph(10 + (i % 4), 0.15 if cls == 0 else 0.5, seed=seed + i)
-        graphs.append(g.with_features(g.degrees[:, None]))
+        graphs.append(replace(g, features=g.degrees[:, None]))
         labels.append(cls)
     return MultiGraphDataset(graphs=tuple(graphs), labels=np.array(labels), n_classes=2)
 
@@ -387,7 +388,7 @@ def _pinned_dsg_run():
     dropout 0.75, whose 1/keep = 4 is exact."""
     rng = np.random.default_rng(21)
     n = 60
-    g = random_graph(n, 0.1, seed=21).with_features(rng.standard_normal((n, 12)))
+    g = replace(random_graph(n, 0.1, seed=21), features=rng.standard_normal((n, 12)))
     labels = rng.integers(0, 3, n)
     split = rng.permutation(n)
     masks = {name: np.isin(np.arange(n), split[a:b])
@@ -406,7 +407,7 @@ def _pinned_graph_run():
     G5 layer narrows; graphs wider and narrower than X meet both scalings."""
     rng = np.random.default_rng(22)
     sizes = (5, 14, 7, 11, 9, 6, 13, 8)
-    graphs = tuple(random_graph(m, 0.4, seed=30 + i).with_features(rng.standard_normal((m, 4)))
+    graphs = tuple(replace(random_graph(m, 0.4, seed=30 + i), features=rng.standard_normal((m, 4)))
                    for i, m in enumerate(sizes))
     kernelsets = [[rng.standard_normal((m, m)) / np.sqrt(m) for _ in range(2)] for m in sizes]
     data = MultiGraphDataset(graphs=graphs, labels=rng.integers(0, 3, len(sizes)), n_classes=3)
@@ -445,7 +446,7 @@ def test_training_trajectories_match_the_recorded_ones(run, apply_bytes, want, m
 
 
 def test_single_graph_training_refuses_supports_of_another_size():
-    data = make_ring(12).with_features(np.ones((12, 2)))
+    data = replace(make_ring(12), features=np.ones((12, 2)))
     data = SingleGraphDataset(graph=data, labels=np.zeros(12, int),
                               masks={"train": np.arange(12) < 6, "val": np.arange(12) >= 6,
                                      "test": np.zeros(12, bool)})
