@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .analysis import export_profile, gat_profile_stats, profile
 from .data import MultiGraphDataset, load_single_graph, load_tu_dataset, save_matrix_csv
-from .filters import (CayleyBasis, LowPass, Tabulated, coverage, format_design, gcn_cutoff,
-                      parse_design)
+from .filters import (CayleyBasis, ChebBasis, LowPass, Tabulated, coverage, format_design,
+                      gcn_cutoff, parse_design)
 from .gradcheck import gradcheck_suite
 from .graphs import IsolatedNode, LaplacianKind, average_degree, build_laplacian, make_ring
 from .kernels import (
@@ -101,7 +101,7 @@ def _parse_kernel_spec(arg: str) -> tuple:
     design:<expr>[;<expr>...] | gat:<seed>: the argument is None for gcn, the
     order for cheb, the designs for cayley and design, the seed for gat. Needs
     no graph, so a bad spec is refused before any decomposition; what depends
-    on the graph is checked by _build_kernels."""
+    on the graph is checked by cmd_analyze once the graph is loaded."""
     head, colon, rest = arg.partition(":")
     if head == "gcn" and not colon:
         return head, None
@@ -146,8 +146,6 @@ def _build_kernels(head: str, value, graph, basis):
         ks = design_kernelset(basis, value)
         return list(ks.supports), [f"cayley_{d.s}" for d in value]
     if head == "design":
-        for d in value:
-            d.check_graph(graph.n)
         ks = design_kernelset(basis, value)
         return list(ks.supports), [format_design(d) for d in value]
     return [gat_sample_kernel(graph, value)], [f"gat_{value}"]
@@ -167,6 +165,11 @@ def cmd_analyze(args) -> int:
     _check_out_dir(args.out, "--out")
     graph = _load_graph(args.graph)
     kind = _laplacian_kind(args.laplacian)
+    # what the spec needs of the graph, checked before the decomposition and --out
+    designs = (value if head in ("cayley", "design") else
+               [ChebBasis(k=value)] if head == "cheb" else [])
+    for d in designs:
+        d.check_graph(graph.n)
     basis = decompose(build_laplacian(graph, kind), kind, cache_dir=_cache_dir())
     os.makedirs(args.out, exist_ok=True)
 

@@ -42,10 +42,6 @@ class KernelSet:
     def n_kernels(self) -> int:
         return len(self.supports)
 
-    @property
-    def n(self) -> int:
-        return self.supports[0].shape[0]
-
 
 def design_kernel(basis: SpectralBasis, design: FilterDesign) -> np.ndarray:
     """Support with the designed spectral response: U diag(F(lambda)) U^T,
@@ -60,8 +56,6 @@ def design_kernelset(basis: SpectralBasis, designs: Sequence[FilterDesign]) -> K
 def cheb_kernels(L: np.ndarray, lambda_max: float, n_kernels: int) -> KernelSet:
     """First S Chebyshev supports: C1 = I, C2 = 2L/lambda_max - I, then
     C_k = 2 C2 C_{k-1} - C_{k-2}."""
-    if n_kernels < 1:
-        raise ValueError("need at least one Chebyshev kernel")
     if lambda_max <= 0:
         raise ValueError(f"lambda_max must be positive, got {lambda_max}")
     L = np.asarray(L, dtype=np.float64)

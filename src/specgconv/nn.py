@@ -188,13 +188,6 @@ def init_parameters(
     return params
 
 
-def zero_like_params(params: Sequence[LayerParams]) -> list:
-    return [LayerParams(weights=[np.zeros_like(w) for w in lp.weights],
-                        depthwise=None if lp.depthwise is None else np.zeros_like(lp.depthwise),
-                        bias=None if lp.bias is None else np.zeros_like(lp.bias))
-            for lp in params]
-
-
 def flatten_params(params: Sequence[LayerParams]) -> list:
     """Deterministic flat list of parameter arrays (shared references)."""
     flat = []
@@ -997,9 +990,9 @@ def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_row
     for epoch in range(config.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         for start in range(0, order.size, config.batch_size):
-            grads = _batch_gradients(spec, params, graphs, kernelsets,
-                                     order[start : start + config.batch_size],
-                                     chunk_loss, config, rng, epoch, loss_rows)
+            _, grads = _batch_gradients(spec, params, graphs, kernelsets,
+                                        order[start : start + config.batch_size],
+                                        chunk_loss, config, rng, epoch, loss_rows)
             add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
             adam.step(flatten_params(params), flatten_params(grads))
             del grads   # else it stays alive beside the next batch's gradients
@@ -1082,12 +1075,13 @@ def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
 
 def _batch_gradients(spec, params, graphs, kernelsets, batch_ids, chunk_loss,
                      config, rng, epoch, loss_rows=None):
-    """Gradient of the mean loss over one mini-batch of graphs, without
-    decay. The batch runs as consecutive chunks of stacked graphs whose
-    gradients add up; chunk_loss(out, chunk)
-    gives a chunk's mean loss and its gradient; dropout masks come from rng
-    graph by graph, in batch order. loss_rows goes to model_forward."""
-    grads = None
+    """(mean loss, its gradient) over one mini-batch of graphs, without
+    decay: the training step, which the gradient check runs too. The batch
+    runs as consecutive chunks of stacked graphs whose shares of the loss and
+    gradient add up; chunk_loss(out, chunk) gives a chunk's mean loss and its
+    gradient; dropout masks come from rng graph by graph, in batch order.
+    loss_rows goes to model_forward."""
+    loss_sum, grads = 0.0, None
     for chunk in _chunks(batch_ids, graphs):
         H0, batch = stack_graphs([graphs[i].features for i in chunk],
                                  [kernelsets[i] for i in chunk], chunk)
@@ -1099,9 +1093,11 @@ def _batch_gradients(spec, params, graphs, kernelsets, batch_ids, chunk_loss,
         loss, dout = chunk_loss(out, chunk)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch, loss)
-        dout *= len(chunk) / len(batch_ids)
+        share = len(chunk) / len(batch_ids)
+        loss_sum += share * loss
+        dout *= share
         grads = model_backward(spec, params, caches, dout, into=grads)
-    return grads
+    return loss_sum, grads
 
 
 def save_checkpoint(params: Sequence[LayerParams], path) -> None:

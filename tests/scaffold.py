@@ -1,6 +1,6 @@
 """What only the tests use: seeded random graphs, the enumerated parameter
-count that nn.param_count is checked against, and one layer run alone
-through nn.model_forward."""
+count that nn.param_count is checked against, zero gradients shaped like a
+model's parameters, and one layer run alone through nn.model_forward."""
 import numpy as np
 
 from specgconv.graphs import Graph
@@ -59,6 +59,14 @@ def count_parameters(params) -> int:
         if lp.depthwise is not None:
             total += lp.depthwise.size
     return total
+
+
+def zero_like_params(params) -> list:
+    """Zero arrays shaped like each layer's parameters, as LayerParams."""
+    return [LayerParams(weights=[np.zeros_like(w) for w in lp.weights],
+                        depthwise=None if lp.depthwise is None else np.zeros_like(lp.depthwise),
+                        bias=None if lp.bias is None else np.zeros_like(lp.bias))
+            for lp in params]
 
 
 def layer_output(layer, H, kernels, weights, depthwise=None, bias=None):

@@ -59,23 +59,26 @@ def parameters():
 
 
 def per_graph_gradients(ds, kernelsets, params, ids, rng):
-    """Mean over the graphs of separate batch-of-one gradients, in order."""
-    total = None
+    """Mean over the graphs of separate batch-of-one losses and gradients, in
+    order: (mean loss, mean gradient)."""
+    loss, total = 0.0, None
     for i in ids:
         out, caches = model_forward(SPEC, params, ds.graphs[i].features, kernelsets[i],
                                     train=True, rng=rng, input_dropout=CONFIG.input_dropout,
                                     kernel_dropout=CONFIG.kernel_dropout)
-        _, dout = softmax_cross_entropy(out, ds.labels[i : i + 1])
+        graph_loss, dout = softmax_cross_entropy(out, ds.labels[i : i + 1])
+        loss += graph_loss / len(ids)
         grads = model_backward(SPEC, params, caches, dout / len(ids))
         total = grads if total is None else [
             nn.LayerParams(weights=[a + b for a, b in zip(t.weights, g.weights)],
                            depthwise=None if t.depthwise is None else t.depthwise + g.depthwise,
                            bias=None if t.bias is None else t.bias + g.bias)
             for t, g in zip(total, grads)]
-    return total
+    return loss, total
 
 
 def batch_gradients(ds, kernelsets, params, ids, rng):
+    """(mean loss, gradient) of nn._batch_gradients over the graphs ids."""
     def chunk_loss(out, chunk):
         return nn._graph_loss(out, ds, chunk, CONFIG.loss)[:2]
 
@@ -93,10 +96,23 @@ def max_relative_difference(a, b):
 def test_batch_gradient_is_mean_of_per_graph_gradients():
     ds, kernelsets = dataset_and_kernels()
     params, ids = parameters(), [2, 0, 3, 1]
-    want = per_graph_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
-    got = batch_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
+    _, want = per_graph_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
+    _, got = batch_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
     assert len(list(nn._chunks(ids, ds.graphs))) == 1
     assert max_relative_difference(got, want) < 1e-12
+
+
+def test_batch_loss_is_mean_of_per_graph_losses(monkeypatch):
+    """The loss that _batch_gradients returns with the gradient is the mean
+    of the graphs' losses, in one chunk or in several."""
+    ds, kernelsets = dataset_and_kernels()
+    params, ids = parameters(), [2, 0, 3, 1]
+    want, _ = per_graph_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
+    one, _ = batch_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
+    monkeypatch.setattr(nn, "_CHUNK_ROWS", 20)   # 5 + 7 rows, then 9, then 12
+    assert [len(c) for c in nn._chunks(ids, ds.graphs)] == [2, 1, 1]
+    split, _ = batch_gradients(ds, kernelsets, params, ids, np.random.default_rng(5))
+    assert abs(one - want) < 1e-12 * want and abs(split - want) < 1e-12 * want
 
 
 def test_batch_leaves_generator_where_per_graph_passes_do():
@@ -112,10 +128,10 @@ def test_batch_split_into_chunks_matches_one_chunk(monkeypatch):
     ds, kernelsets = dataset_and_kernels()
     params, ids = parameters(), [0, 1, 2, 3]
     one_rng, split_rng = np.random.default_rng(8), np.random.default_rng(8)
-    one = batch_gradients(ds, kernelsets, params, ids, one_rng)
+    _, one = batch_gradients(ds, kernelsets, params, ids, one_rng)
     monkeypatch.setattr(nn, "_CHUNK_ROWS", 20)   # 7 + 12 rows, then 5 + 9
     assert [len(c) for c in nn._chunks(ids, ds.graphs)] == [2, 2]
-    split = batch_gradients(ds, kernelsets, params, ids, split_rng)
+    _, split = batch_gradients(ds, kernelsets, params, ids, split_rng)
     assert max_relative_difference(split, one) < 1e-12
     assert split_rng.random() == one_rng.random()
 

@@ -273,12 +273,24 @@ def test_analyze_non_finite_design_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kernel,k", [("cheb:17", 17), ("cheb:40", 40),
-                                      ("design:cheb(k=17)", 17)])
-def test_analyze_chebyshev_order_above_node_count_is_config_error(tmp_path, capsys, kernel, k):
-    assert main(["analyze", "--graph", "ring16", "--kernel", kernel,
-                 "--out", str(tmp_path / "c")]) == 2
-    assert capsys.readouterr().err == (f"config error: design cheb(k={k}): Chebyshev index "
-                                       "above the node count 16\n")
+                                      ("design:cheb(k=17)", 17),
+                                      ("design:tabulated(file=vals.csv)", None)])
+def test_analyze_chebyshev_order_above_node_count_is_config_error(
+        tmp_path, capsys, monkeypatch, kernel, k):
+    """A kernel that does not fit the graph, a Chebyshev order k above its
+    node count or a tabulated file of another length, is refused on one line
+    before the decomposition and before --out is made."""
+    decomposed = []
+    monkeypatch.setattr(cli, "decompose", lambda *a, **kw: decomposed.append(1))
+    monkeypatch.chdir(tmp_path)   # a tabulated file is read from the working directory
+    (tmp_path / "vals.csv").write_text("value\n1\n0.5\n0.25\n0\n")
+    out = tmp_path / "c"
+    assert main(["analyze", "--graph", "ring16", "--kernel", kernel, "--out", str(out)]) == 2
+    message = ("design tabulated(n=4): 4 values for a graph of 16 nodes" if k is None else
+               f"design cheb(k={k}): Chebyshev index above the node count 16")
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+    assert decomposed == []
 
 
 @pytest.mark.parametrize("name,text,message", [
@@ -652,6 +664,19 @@ def test_tu_set_up_error_names_the_graph(tmp_path, capsys):
     assert main(["train", "--config", str(path)]) == 2
     assert capsys.readouterr().err == ("config error: graph 3: symmetric-normalized Laplacian "
                                        "undefined: node 14 has degree 0\n")
+
+
+def test_single_graph_with_an_isolated_node_is_config_error(tmp_path, capsys):
+    """A single graph whose node 3 has no edge has no sym Laplacian: one
+    line naming the node, and no output directory."""
+    path = write_toy_config(tmp_path)
+    write_toy_dataset(tmp_path / "toyds", n=4)
+    (tmp_path / "toyds" / "edges.csv").write_text("src,dst\n0,1\n1,2\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: symmetric-normalized Laplacian "
+                                       "undefined: node 3 has degree 0\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cell", ["inf", "nan", "1e999"])

@@ -209,14 +209,16 @@ def test_any_analyze_run_exits_with_a_documented_code(graph, changes, kernel, tr
 # or 6 nodes, 66 nodes): empty, non-numeric, non-finite, fractional, zero,
 # negative and out-of-range ids, and a row with three fields
 TU_BAD_CELLS = ("", "x", "nan", "inf", "1e999", "1.5", "2.0", "0", "-1", "13", "67", "1000000",
-                "99999999999999999999", "1, 2, 3", "5")
+                "99999999999999999999", "1, 2, 3", "1 2 3", "5")
 
 
 @st.composite
 def malformed_tu_files(draw):
     """{file suffix: change} for one to three of the toy TU set's files; a
     change deletes the file (None), empties it (""), reverses its lines
-    ("decreasing") or is a list of (edit, line, field, cell) line edits."""
+    ("decreasing") or is a list of (edit, line, field, cell) line edits: a
+    cell replaced, a line dropped, inserted, repeated or swapped with the
+    one before it, or a field appended to a line (a ragged row)."""
     changes = {}
     # DS_A.txt, the attributes and line edits are drawn more often: a broken
     # indicator fails first
@@ -225,7 +227,8 @@ def malformed_tu_files(draw):
                                 min_size=1, max_size=3, unique=True)):
         how = draw(one_of("missing", "empty", "decreasing", "edit", "edit", "edit"))
         changes[suffix] = {"missing": None, "empty": "", "decreasing": "decreasing"}.get(how, [
-            (draw(one_of("bad_cell", "drop_line", "extra_line")), draw(st.integers(0, 160)),
+            (draw(one_of("bad_cell", "drop_line", "extra_line", "repeat_line", "swap_lines",
+                         "extra_field")), draw(st.integers(0, 160)),
              draw(st.integers(0, 2)), draw(one_of(*TU_BAD_CELLS)))
             for _ in range(draw(st.integers(1, 3)))])
     return changes
@@ -249,9 +252,15 @@ def apply_tu_changes(directory, changes):
                     continue
                 elif edit == "drop_line":
                     del lines[line]
-                elif suffix == "A" and field < 2:   # one of the two node ids
-                    ids = lines[line].split(", ")
-                    lines[line] = ", ".join(ids[:field] + [cell] + ids[field + 1:])
+                elif edit == "repeat_line":
+                    lines.insert(line, lines[line])
+                elif edit == "swap_lines":   # line 0 swaps with the last
+                    lines[line - 1], lines[line] = lines[line], lines[line - 1]
+                elif edit == "extra_field":
+                    lines[line] += f", {cell}"
+                elif suffix in ("A", "node_attributes") and field < 2:   # one of the two fields
+                    fields = lines[line].split(", ")
+                    lines[line] = ", ".join(fields[:field] + [cell] + fields[field + 1:])
                 else:
                     lines[line] = cell
         else:

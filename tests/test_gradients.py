@@ -1,26 +1,46 @@
 import numpy as np
 
+from specgconv import nn
 from specgconv.gradcheck import gradcheck_suite
 from specgconv.nn import (
     Dense,
     ModelSpec,
     add_decay_grads,
     init_parameters,
-    zero_like_params,
 )
+from scaffold import zero_like_params
 
 TOL = 1e-5
+
+# the cases of the suite, in the order `specgconv gradcheck` prints them
+CASES = [f"{kind}/{act}/{loss}" for kind in ("multisupport", "dsg", "dense")
+         for act in ("relu", "linear", "tanh") for loss in ("softmax_ce", "binary_ce")] + [
+    "readout/relu/softmax_ce", "readout/relu/binary_ce",
+    "multisupport/relu/softmax_ce+dropout", "dsg/relu/softmax_ce+dropout",
+    "dsg-dense/relu/binary_ce+dropout", "batch2/readout/softmax_ce+dropout",
+]
 
 
 def test_all_layer_loss_combinations_pass():
     report = gradcheck_suite(seed=0)
-    assert len(report) >= 20
-    names = {name for name, _ in report}
-    for needle in ("multisupport", "dsg", "dense", "readout", "binary_ce",
-                   "softmax_ce", "tanh", "dropout"):
-        assert any(needle in n for n in names), needle
+    assert [name for name, _ in report] == CASES
+    assert len(CASES) == 24
     for name, err in report:
         assert err < TOL, f"{name}: {err}"
+
+
+def test_the_check_runs_the_training_step(monkeypatch):
+    """Every case takes its analytic gradient from nn._batch_gradients, the
+    step train runs: a backward pass that doubles the loss gradient, patched
+    where that step looks it up, fails every case."""
+    backward = nn.model_backward
+
+    def doubled(spec, params, caches, dout, into=None):
+        return backward(spec, params, caches, 2.0 * dout, into=into)
+
+    monkeypatch.setattr(nn, "model_backward", doubled)
+    report = gradcheck_suite(seed=0)
+    assert [name for name, err in report if err >= TOL] == CASES
 
 
 def test_injected_sign_flip_is_caught():
