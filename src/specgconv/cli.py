@@ -348,6 +348,8 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
         raise ConfigError(f"sweep_eta must be a list of numbers, got {json.dumps(sweep)}")
     if sweep and not any(isinstance(d, LowPass) for d in designs):
         raise ConfigError("sweep_eta varies the eta of a lowpass design, but designs has none")
+    if not dataset.masks["train"].any():
+        raise ConfigError("the split has no train nodes")
     if sweep and not dataset.masks["val"].any():
         raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")
     points = _set_up(dataset, lap, designs, [

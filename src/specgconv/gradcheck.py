@@ -160,18 +160,14 @@ def _gradcheck_cases(seed: int) -> list:
     return cases
 
 
-def gradcheck_suite(seed: int = 0, mutate=None) -> list:
+def gradcheck_suite(seed: int = 0) -> list:
     """Finite-difference check over every layer/activation/loss combination.
 
-    Returns (case name, max relative error) pairs. mutate, when given, is
-    applied as mutate(name, grads) to the analytic gradients before the
-    comparison; tests use it to prove the check catches injected bugs.
+    Returns (case name, max relative error) pairs.
     """
     report = []
     for case in _gradcheck_cases(seed):
         _, analytic = case.objective()
-        if mutate is not None:
-            mutate(case.name, analytic)
         numeric = finite_difference_gradients(case)
         report.append((case.name, max_relative_error(analytic, numeric)))
     return report

@@ -722,62 +722,53 @@ def _check_labels(labels, n_classes: int, names, kind: str = "node") -> None:
                          f"outside the classes 0..{n_classes - 1}")
 
 
-def softmax_cross_entropy(outputs, labels, mask=None):
-    """Masked mean cross-entropy of softmaxed outputs; returns (loss, grad)."""
+def softmax_cross_entropy(outputs, labels):
+    """Mean cross-entropy of softmaxed outputs over every row given; returns
+    (loss, grad)."""
     outputs = np.asarray(outputs, dtype=np.float64)
     labels = np.asarray(labels)
     n = outputs.shape[0]
-    rows = np.arange(n) if mask is None else np.flatnonzero(mask)
-    if rows.size == 0:
-        raise ValueError("loss mask selects no nodes")
-    _check_labels(labels[rows], outputs.shape[1], rows)
-    z = outputs[rows]
-    z = z - z.max(axis=1, keepdims=True)
+    if n == 0:
+        raise ValueError("no rows to score")
+    _check_labels(labels, outputs.shape[1], np.arange(n))
+    z = outputs - outputs.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(rows.size), labels[rows]]
+    picked = z[np.arange(n), labels]
     loss = float(np.mean(logsum - picked))
-    grad = np.zeros_like(outputs)
     softmax = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    softmax[np.arange(rows.size), labels[rows]] -= 1.0
-    grad[rows] = softmax / rows.size
-    return loss, grad
+    softmax[np.arange(n), labels] -= 1.0
+    return loss, softmax / n
 
 
 def _softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
-def binary_cross_entropy_tansig(outputs, targets, mask=None):
+def binary_cross_entropy_tansig(outputs, targets):
     """Per-output binary cross-entropy of tansig-squashed outputs.
 
     Probabilities are p = (1 + tanh(z))/2 = sigmoid(2z); the loss is the mean
-    over all scored (node, output) entries. Returns (loss, grad).
+    over every (row, output) entry given. Returns (loss, grad).
     """
-    outputs = np.asarray(outputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != outputs.shape:
-        raise ValueError(f"targets shape {targets.shape} != outputs {outputs.shape}")
-    rows = np.arange(outputs.shape[0]) if mask is None else np.flatnonzero(mask)
-    if rows.size == 0:
-        raise ValueError("loss mask selects no nodes")
-    z, y = outputs[rows], targets[rows]
+    z = np.asarray(outputs, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != z.shape:
+        raise ValueError(f"targets shape {y.shape} != outputs {z.shape}")
+    if z.shape[0] == 0:
+        raise ValueError("no rows to score")
     # -log p = softplus(-2z), -log(1-p) = softplus(2z)
     loss = float(np.mean(y * _softplus(-2.0 * z) + (1.0 - y) * _softplus(2.0 * z)))
     p = 0.5 * (1.0 + np.tanh(z))
-    grad = np.zeros_like(outputs)
-    grad[rows] = 2.0 * (p - y) / z.size
-    return loss, grad
+    return loss, 2.0 * (p - y) / z.size
 
 
 LOSSES = {"softmax_ce": softmax_cross_entropy, "binary_ce": binary_cross_entropy_tansig}
 
 
-def accuracy_multiclass(outputs, labels, mask=None) -> float:
-    rows = np.arange(outputs.shape[0]) if mask is None else np.flatnonzero(mask)
-    labels = np.asarray(labels)[rows]
-    _check_labels(labels, outputs.shape[1], rows)
-    pred = np.argmax(outputs[rows], axis=1)
-    return float(np.mean(pred == labels))
+def accuracy_multiclass(outputs, labels) -> float:
+    labels = np.asarray(labels)
+    _check_labels(labels, outputs.shape[1], np.arange(labels.size))
+    return float(np.mean(np.argmax(outputs, axis=1) == labels))
 
 
 def micro_f1(outputs, targets) -> float:
@@ -934,10 +925,11 @@ def train(
             raise ValueError(f"a single-graph run trains with softmax_ce, not {config.loss}")
         graphs, kernelsets, train_idx = (data.graph,), (kernelsets,), [0]
         y = data.labels
-        scored = [name for name in ("train", "val", "test")[:3 if track_test else 2]
-                  if name == "train" or data.masks[name].any()]
+        masks = {name: data.masks[name]
+                 for name in ("train", "val", "test")[:3 if track_test else 2]
+                 if name == "train" or data.masks[name].any()}
         # refuse a scored label outside the output classes before any epoch runs
-        rows = np.flatnonzero(np.logical_or.reduce([data.masks[name] for name in scored]))
+        rows = np.flatnonzero(np.logical_or.reduce(list(masks.values())))
         _check_labels(y[rows], spec.widths(data.graph.features.shape[1])[-1], rows)
 
         loss_rows = data.masks["train"]
@@ -948,9 +940,8 @@ def train(
 
         def epoch_scores(params):
             out, _ = model_forward(spec, params, data.graph.features, kernelsets[0])
-            return {name: (softmax_cross_entropy(out, y, data.masks[name])[0],
-                           accuracy_multiclass(out, y, data.masks[name]))
-                    for name in scored}
+            return {name: (softmax_cross_entropy(out[m], y[m])[0],
+                           accuracy_multiclass(out[m], y[m])) for name, m in masks.items()}
     elif isinstance(data, MultiGraphDataset):
         if train_idx is None or val_idx is None:
             raise ValueError("multi-graph training needs train_idx and val_idx")

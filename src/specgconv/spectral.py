@@ -22,8 +22,9 @@ SYM_TOL = 1e-10
 # rows at Cora's n = 2708). On a 2-core x86 box a 2708^2 check took 65-72 ms
 # with blocks of 0.25-1 MB, against 110-117 ms for the whole-array |M - M^T|.
 _ASYM_BYTES = 1 << 20
-# part of every cache key: change it with the sign rule, the eigenvalue order or
-# the entry layout, so that entries written before miss instead of serving stale bases
+# part of every cache key, with the specgconv and numpy versions: change it with
+# the sign rule, the eigenvalue order or the entry layout, so that entries
+# written before miss instead of serving stale bases
 _CACHE_VERSION = 1
 
 
@@ -45,9 +46,13 @@ class SpectralBasis:
 
 
 def _apply_sign_rule(U: np.ndarray) -> np.ndarray:
-    """Flip, in place, each column of U whose pivot entry is negative; returns U."""
-    pivot = np.argmax(np.abs(U), axis=0)
-    flip = U[pivot, np.arange(U.shape[1])] < 0
+    """Flip, in place, each column of U whose pivot entry is negative; returns U.
+    A column's pivot is its largest entry or its smallest, whichever is larger
+    in magnitude; only where they tie (+a and -a) is the first |a| looked up."""
+    hi, lo = U.max(axis=0), U.min(axis=0)
+    flip = -lo > hi
+    tied = np.flatnonzero(hi == -lo)
+    flip[tied] = U[np.argmax(np.abs(U[:, tied]), axis=0), tied] < 0
     U *= np.where(flip, -1.0, 1.0)
     return U
 
@@ -120,9 +125,10 @@ def decompose(L: np.ndarray, kind: LaplacianKind, cache_dir=None) -> SpectralBas
 
     L must be finite and symmetric within 1e-10. With cache_dir set, each
     basis is stored as one ``<key>.npy`` file holding the (n+1) x n array
-    [lambda; U], keyed by a hash of the cache version, the kind and the bytes
-    of L. Every hit is validated; an entry that is unreadable, of the wrong
-    shape or fails the basis invariants is discarded and recomputed.
+    [lambda; U], keyed by a hash of the cache version, the specgconv and numpy
+    versions, the kind and the bytes of L. Every hit is validated; an entry
+    that is unreadable, of the wrong shape or fails the basis invariants is
+    discarded and recomputed.
     """
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -171,8 +177,9 @@ def inverse_fourier(basis: SpectralBasis, x_ft: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cache_key(L: np.ndarray, kind: LaplacianKind) -> str:
+    from . import __version__   # the package's, looked up when the key is made
     h = hashlib.sha256()
-    h.update(f"v{_CACHE_VERSION}".encode())
+    h.update(f"v{_CACHE_VERSION} {__version__} numpy {np.__version__}".encode())
     h.update(str(L.shape).encode())
     h.update(kind.value.encode())
     h.update(np.ascontiguousarray(L).tobytes())

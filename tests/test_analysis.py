@@ -96,6 +96,12 @@ def test_gat_stats_single_trial_zero_std():
     assert np.max(stats["std_full"]) == 0.0
 
 
+def test_gat_stats_need_a_trial():
+    g = random_graph(12, 0.3, seed=7, features_dim=5)
+    with pytest.raises(ValueError, match="need at least one trial"):
+        gat_profile_stats(g, 0, 3, sym_basis(g))
+
+
 def test_gat_stats_deterministic():
     g = random_graph(12, 0.3, seed=8, features_dim=5)
     basis = sym_basis(g)

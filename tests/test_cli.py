@@ -300,6 +300,7 @@ def test_analyze_chebyshev_order_above_node_count_is_config_error(
      "{dir}: edge 1 (1, 2): weight inf; edge weights must be finite and nonnegative"),
     ("features.csv", "c0\n" + "1\n" * 23 + "-inf\n",
      "{dir}: feature entries must be finite; node 23 has one that is not"),
+    ("features.csv", "", "{dir}/features.csv: empty CSV"),
 ])
 def test_analyze_non_finite_dataset_cell_is_config_error(tmp_path, capsys, name, text, message):
     write_toy_dataset(tmp_path / "toyds")
@@ -308,6 +309,7 @@ def test_analyze_non_finite_dataset_cell_is_config_error(tmp_path, capsys, name,
                  "--out", str(tmp_path / "a")]) == 2
     message = message.format(dir=tmp_path / "toyds")
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "a").exists()
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])
@@ -497,6 +499,22 @@ def test_train_without_val_nodes_reports_no_best_val_epoch(tmp_path):
     assert 0.0 <= result["test_accuracy"] <= 1.0
     rows = [line.split(",") for line in (run / "metrics.csv").read_text().splitlines()]
     assert len(rows) == 1 + 5 and all(row[3:5] == ["", ""] for row in rows[1:])
+
+
+def test_train_without_train_nodes_is_refused_before_any_decomposition(tmp_path, capsys,
+                                                                       monkeypatch):
+    """A split with no train node has nothing to train on: one line, before
+    the graph is decomposed, and no output directory."""
+    decomposed = []
+    monkeypatch.setattr(cli, "decompose", lambda *a, **k: decomposed.append(1))
+    cfg = write_toy_config(tmp_path)
+    split = tmp_path / "toyds" / "split.csv"
+    split.write_text(split.read_text().replace(",train", ",val"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: the split has no train nodes\n"
+    assert not out.exists()
+    assert decomposed == []
 
 
 @pytest.mark.parametrize("where", ["config", "cli"])
@@ -735,6 +753,8 @@ def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, kind, arch,
     ("single", {"sweep_eta": [1, True]}, "sweep_eta must be a list of numbers, got [1, true]"),
     ("tu", {"cv": {"folds": True}}, "folds must be an integer, got true"),
     ("tu", {"cv": {"repeats": True}}, "repeats must be an integer, got true"),
+    ("single", {"designs": ["lowpass(5)"]}, "malformed design argument '5' (expected key=value)"),
+    ("single", {"designs": ["cayley(s=1,h=1,r=0)"]}, "Cayley order must be >= 1, got 0"),
 ])
 def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overrides, message):
     write = write_toy_config if kind == "single" else write_tu_config

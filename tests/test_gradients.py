@@ -43,16 +43,19 @@ def test_the_check_runs_the_training_step(monkeypatch):
     assert [name for name, err in report if err >= TOL] == CASES
 
 
-def test_injected_sign_flip_is_caught():
-    def flip_depthwise(name, grads):
-        if name.startswith("dsg"):
-            for g in grads:
-                if g.depthwise is not None:
-                    g.depthwise *= -1.0
+def test_injected_sign_flip_is_caught(monkeypatch):
+    """A depthwise gradient of the wrong sign fails exactly the cases that
+    hold a DSG layer."""
+    mixing_grads = nn._mixing_grads
 
-    report = gradcheck_suite(seed=0, mutate=flip_depthwise)
-    bad = [name for name, err in report if err >= TOL]
-    assert bad and all(name.startswith("dsg") for name in bad)
+    def flipped(layer, lp, RS):
+        weights, depthwise = mixing_grads(layer, lp, RS)
+        return weights, None if depthwise is None else -depthwise
+
+    monkeypatch.setattr(nn, "_mixing_grads", flipped)
+    report = gradcheck_suite(seed=0)
+    assert [name for name, err in report if err >= TOL] == [
+        name for name in CASES if name.startswith(("dsg/", "dsg-dense/", "batch2/"))]
 
 
 def test_biases_never_decayed():

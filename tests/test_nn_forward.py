@@ -557,7 +557,9 @@ def _step(spec, params, H0, supports, y, loss, rows, seed, loss_rows):
     if loss_rows:
         value, dout = nn.LOSSES[loss](out, y[rows])
     else:
-        value, dout = nn.LOSSES[loss](out, y, rows)
+        value, g = nn.LOSSES[loss](out[rows], y[rows])
+        dout = np.zeros_like(out)
+        dout[rows] = g
         out = out[rows]
     return out, value, model_backward(spec, params, caches, dout), rng
 
@@ -692,8 +694,13 @@ def test_softmax_cross_entropy_values():
 
 
 def test_softmax_cross_entropy_empty_mask():
-    with pytest.raises(ValueError, match="mask"):
-        softmax_cross_entropy(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros(3, bool))
+    """Both losses refuse the rows an empty mask selects: there is no mean."""
+    none = np.zeros(3, bool)
+    outputs = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="^no rows to score$"):
+        softmax_cross_entropy(outputs[none], np.zeros(3, dtype=int)[none])
+    with pytest.raises(ValueError, match="^no rows to score$"):
+        binary_cross_entropy_tansig(outputs[none], np.zeros((3, 2))[none])
 
 
 def test_binary_cross_entropy_values():
@@ -760,13 +767,17 @@ def test_unlabelled_scored_node_is_refused():
     # a -1 label used to be scored as the last class (loss 0.013 here)
     with pytest.raises(ValueError, match="node 0 has label -1"):
         softmax_cross_entropy(np.array([[0.0, 0.0, 5.0]]), np.array([-1]))
+    # a refusal names the row among the rows given
     outputs = np.zeros((4, 3))
     labels = np.array([0, 2, -1, 3])
-    with pytest.raises(ValueError, match="node 2 has label -1"):
-        accuracy_multiclass(outputs, labels, np.array([False, True, True, False]))
-    with pytest.raises(ValueError, match="node 3 has label 3, outside the classes 0..2"):
-        softmax_cross_entropy(outputs, labels, np.array([True, False, False, True]))
-    # unscored nodes may stay unlabelled
-    loss, _ = softmax_cross_entropy(outputs, labels, np.array([True, True, False, False]))
-    assert abs(loss - np.log(3.0)) < 1e-12
-    assert accuracy_multiclass(outputs, labels, np.array([True, False, False, False])) == 1.0
+    rows = np.array([False, True, True, False])
+    with pytest.raises(ValueError, match="node 1 has label -1"):
+        accuracy_multiclass(outputs[rows], labels[rows])
+    rows = np.array([True, False, False, True])
+    with pytest.raises(ValueError, match="node 1 has label 3, outside the classes 0..2"):
+        softmax_cross_entropy(outputs[rows], labels[rows])
+    # rows not given may stay unlabelled
+    rows = np.array([True, True, False, False])
+    loss, grad = softmax_cross_entropy(outputs[rows], labels[rows])
+    assert abs(loss - np.log(3.0)) < 1e-12 and grad.shape == (2, 3)
+    assert accuracy_multiclass(outputs[:1], labels[:1]) == 1.0

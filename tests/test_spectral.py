@@ -111,9 +111,11 @@ def test_sign_rule_flips_in_place_as_the_copying_rule_did():
     U = rng.standard_normal((30, 30))
     U[:, 3] = -np.abs(U[:, 3])
     U[0, 5], U[1, 5] = -9.0, 9.0   # a tie: the smallest index is the pivot, so it flips
+    U[2, 7], U[4, 7] = 9.0, -9.0    # and here it does not
     want = U.copy()
     pivot = np.argmax(np.abs(want), axis=0)
     flip = want[pivot, np.arange(30)] < 0
+    assert flip[3] and flip[5] and not flip[7]
     want[:, flip] *= -1.0
     got = _apply_sign_rule(U)
     assert got is U
@@ -125,6 +127,8 @@ def test_non_symmetric_rejected():
     L = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         decompose(L, COMB)
+    with pytest.raises(ValueError, match=r"^Laplacian must be square, got shape \(2, 3\)$"):
+        decompose(np.zeros((2, 3)), COMB)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -323,13 +327,20 @@ def test_unreadable_cache_entry_is_discarded_never_unpickled(tmp_path, bad):
         assert fh.read() == whole
 
 
-def test_cache_key_changes_with_cache_version(tmp_path, monkeypatch):
-    from specgconv import spectral
+@pytest.mark.parametrize("module,name,value", [
+    ("specgconv.spectral", "_CACHE_VERSION", 99),
+    ("numpy", "__version__", "0.0.1"),
+    ("specgconv", "__version__", "0.0.1"),
+], ids=["_CACHE_VERSION", "numpy.__version__", "specgconv.__version__"])
+def test_cache_key_changes_with_cache_version(tmp_path, monkeypatch, module, name, value):
+    """An entry written under another cache version, numpy or specgconv
+    release is never read."""
+    import importlib
 
     L = build_laplacian(random_graph(8, 0.5, seed=8), SYM)
     decompose(L, SYM, cache_dir=tmp_path)
     old = _entry_path(tmp_path, L)
-    monkeypatch.setattr(spectral, "_CACHE_VERSION", spectral._CACHE_VERSION + 1)
+    monkeypatch.setattr(importlib.import_module(module), name, value)
     new = _entry_path(tmp_path, L)
     assert new != old
     # an entry written under another version is never read: this is a miss

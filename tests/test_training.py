@@ -294,6 +294,13 @@ def test_crossvalidate_needs_two_folds(monkeypatch, folds):
         crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1), folds=folds)
 
 
+def test_crossvalidate_needs_a_repeat(monkeypatch):
+    ds = graph_classification_dataset(n_graphs=8)
+    monkeypatch.setattr(nn, "_fit", lambda *a, **k: pytest.fail("a fold was trained"))
+    with pytest.raises(ValueError, match="need at least one repeat"):
+        crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1), repeats=0)
+
+
 def test_crossvalidate_scores_only_validation_graphs(monkeypatch):
     """Each fold-epoch scores the fold's validation graphs and nothing else,
     and the CV result is the one the public train's val_acc rows give."""
