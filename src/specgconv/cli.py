@@ -16,6 +16,7 @@ check failure. The eigendecomposition cache directory is taken from the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -25,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .analysis import export_profile, gat_profile_stats, profile
 from .data import MultiGraphDataset, load_single_graph, load_tu_dataset, save_matrix_csv
 from .filters import (CayleyBasis, ChebBasis, LowPass, Tabulated, coverage, format_design,
@@ -42,6 +43,7 @@ from .nn import (
     Adam,
     TrainConfig,
     TrainingDiverged,
+    _check_readout,
     crossvalidate,
     parse_architecture,
     save_checkpoint,
@@ -431,14 +433,17 @@ def cmd_train(args) -> int:
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
     _check_out_dir(out_dir, "output_dir")
+    if kind not in ("single", "tu"):
+        raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
     # settings a dataset kind cannot run are refused before the dataset is loaded
+    _check_readout(spec, graph_level=kind == "tu")
     if kind == "single":
         if tconfig.loss != "softmax_ce":
             raise ConfigError(f"loss {tconfig.loss} applies to tu datasets only; "
                               "a single dataset trains with softmax_ce")
         dataset, run = load_single_graph(path), _run_transductive
         graphs = [dataset.graph]
-    elif kind == "tu":
+    else:
         if _field(cfg, "sweep_eta", list, []):
             raise ConfigError("sweep_eta applies to single datasets only; "
                               "a tu dataset runs cross-validation")
@@ -453,8 +458,6 @@ def cmd_train(args) -> int:
             raise ConfigError(f"cross-validation cannot make {folds} folds "
                               f"out of {len(graphs)} graphs")
         run = functools.partial(_run_inductive, folds=folds, repeats=repeats)
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
     n_max = max(g.n for g in graphs)
     for d in designs:
         d.check_graph(n_max)
@@ -525,73 +528,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# (setter, getter) symbol pairs of OpenBLAS builds: the plain library, and the
-# scipy-openblas build bundled with numpy wheels (64-bit integer interface)
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-)
-
-
-def _openblas_libraries() -> list:
-    """Paths of the OpenBLAS libraries loaded into this process, read from
-    its memory map (Linux); empty where there is none or no map to read."""
-    try:
-        with open("/proc/self/maps", "r", encoding="utf-8") as fh:
-            paths = [line.split()[-1] for line in fh if "openblas" in line.lower()]
-    except OSError:
-        paths = []
-    return list(dict.fromkeys(p for p in paths if os.path.isfile(p)))
-
-
-def _openblas_thread_functions():
-    """(set_num_threads, get_num_threads) of the OpenBLAS numpy has loaded,
-    as ctypes functions, or None."""
-    import ctypes
-
-    for path in _openblas_libraries():
-        lib = ctypes.CDLL(path)
-        for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, setter) and hasattr(lib, getter):
-                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
-    return None
-
-
-def _limit_blas_threads():
-    """Pin BLAS to one thread; returns a callable that restores the old count.
-    Uses threadpoolctl when installed, else the thread setter of the OpenBLAS
-    numpy has loaded; warns when neither is there."""
-    try:
-        import threadpoolctl
-    except ImportError:
-        functions = _openblas_thread_functions()
-        if functions is None:
-            warnings.warn("neither threadpoolctl nor an OpenBLAS thread setter is "
-                          "available; cannot pin BLAS threads for strict repro")
-            return lambda: None
-        set_threads, get_threads = functions
-        old = get_threads()
-        set_threads(1)
-        return lambda: set_threads(old)
-    return threadpoolctl.threadpool_limits(1).restore_original_limits
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    restore_blas = _limit_blas_threads() if args.strict_repro else None
-    try:
-        return _run(args)
-    finally:
-        if restore_blas is not None:
-            restore_blas()
+    return _run(_build_parser().parse_args(argv))
 
 
 def _run(args) -> int:
     try:
-        return args.func(args)
+        # --strict-repro pins BLAS or refuses here, before the command runs
+        with _blas.one_thread() if args.strict_repro else contextlib.nullcontext():
+            return args.func(args)
     # before the config-error handler: LinAlgError is a ValueError
     except (TrainingDiverged, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -767,6 +767,8 @@ LOSSES = {"softmax_ce": softmax_cross_entropy, "binary_ce": binary_cross_entropy
 
 def accuracy_multiclass(outputs, labels) -> float:
     labels = np.asarray(labels)
+    if outputs.shape[0] == 0:
+        raise ValueError("no rows to score")
     _check_labels(labels, outputs.shape[1], np.arange(labels.size))
     return float(np.mean(np.argmax(outputs, axis=1) == labels))
 
@@ -923,6 +925,8 @@ def train(
     if isinstance(data, SingleGraphDataset):
         if config.loss != "softmax_ce":
             raise ValueError(f"a single-graph run trains with softmax_ce, not {config.loss}")
+        if not data.masks["train"].any():
+            raise ValueError("the split has no train nodes")
         graphs, kernelsets, train_idx = (data.graph,), (kernelsets,), [0]
         y = data.labels
         masks = {name: data.masks[name]

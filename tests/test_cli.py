@@ -1,12 +1,17 @@
 import gc
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specgconv.analysis import load_profile_csv
-from specgconv import cli
+from specgconv import _blas, cli
 from specgconv.cli import main
 from specgconv.filters import ChebBasis, evaluate
 from specgconv.graphs import LaplacianKind, build_laplacian, make_ring
@@ -720,12 +725,18 @@ def test_train_non_finite_tu_attribute_is_config_error_naming_file_and_line(
     ("tu", "G6-meanmax-D3", "ends with width 3, dataset has 2 classes"),
     ("tu", "G6-meanmax-D1", "ends with width 1, dataset has 2 classes"),
 ])
-def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, kind, arch, message):
+def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, monkeypatch, kind, arch,
+                                                   message):
+    """Refused in one line before any graph is decomposed."""
+    decomposed = []
+    monkeypatch.setattr(cli, "decompose",
+                        lambda *a, **k: decomposed.append(1) or decompose(*a, **k))
     write = write_toy_config if kind == "single" else write_tu_config
     assert main(["train", "--config", str(write(tmp_path, architecture=arch))]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert not list(tmp_path.glob("*/result.json"))
+    assert decomposed == []
 
 
 @pytest.mark.parametrize("kind,overrides,message", [
@@ -826,31 +837,74 @@ def test_strict_repro_flag_accepted(tmp_path):
                  "--kernel", "gcn", "--out", str(tmp_path / "s")]) == 0
 
 
-def test_strict_repro_pins_openblas_without_threadpoolctl(tmp_path, monkeypatch):
-    import sys
+def test_strict_repro_pins_openblas_without_threadpoolctl(tmp_path, capsys, monkeypatch):
+    """--strict-repro runs the command at one BLAS thread and restores the old
+    count after it. Where no OpenBLAS thread setter is loaded it refuses in
+    one line, before the command runs."""
+    seen = []
+    real = cli.cmd_analyze
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args) or real(args))
+    argv = ["--strict-repro", "analyze", "--graph", "ring8", "--kernel", "gcn",
+            "--out", str(tmp_path / "s")]
+    with monkeypatch.context() as m:
+        m.setattr(_blas, "_openblas_thread_functions", lambda: None)
+        assert main(argv) == 2
+    assert capsys.readouterr().err == ("config error: cannot pin BLAS threads: numpy has no "
+                                       "OpenBLAS thread setter loaded in this process\n")
+    assert seen == [] and not (tmp_path / "s").exists()
 
-    from specgconv import cli
-
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import fails
-    functions = cli._openblas_thread_functions()
+    functions = _blas._openblas_thread_functions()
     if functions is None:
         pytest.skip("numpy has no OpenBLAS loaded in this process")
     set_threads, get_threads = functions
     old = get_threads()
     try:
-        restore = cli._limit_blas_threads()
-        assert get_threads() == 1
-        restore()
-        assert get_threads() == old
-
-        seen = []
-        real = cli.cmd_analyze
-        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(get_threads()) or real(args))
-        assert main(["--strict-repro", "analyze", "--graph", "ring8", "--kernel", "gcn",
-                     "--out", str(tmp_path / "s")]) == 0
+        monkeypatch.setattr(cli, "cmd_analyze",
+                            lambda args: seen.append(get_threads()) or real(args))
+        assert main(argv) == 0
         assert seen == [1] and get_threads() == old
     finally:
         set_threads(old)
+
+
+def test_strict_repro_writes_the_bytes_of_a_one_thread_run(tmp_path, monkeypatch):
+    """A --strict-repro run at the default BLAS thread count writes, byte for
+    byte, what a run in a one-thread process writes. The Cora-shaped graph of
+    perfbench's cora-dsg canary is large enough for OpenBLAS to split its
+    products over threads, which changes their bits; smaller ones do not."""
+    if _blas._openblas_thread_functions() is None:
+        pytest.skip("numpy has no OpenBLAS loaded in this process")
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "perfbench_gen", gen)   # dataclasses look it up
+    spec.loader.exec_module(gen)
+    gen.write_single_graph(tmp_path / "cora", gen.make_single_graph(gen.scaled_cora(240, 300), 0))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {"path": "cora", "kind": "single"},
+        "designs": ["lowpass(eta=5)", "bandpass(c=0.25,gamma=0.25)",
+                    "bandpass(c=0.5,gamma=0.25)", "bandpass(c=0.75,gamma=0.25)"],
+        "architecture": "DSG160-DSG7",
+        "train": {"learning_rate": 0.01, "epochs": 3, "weight_decay": 3e-4,
+                  "depthwise_decay": 3e-3, "input_dropout": 0.75, "kernel_dropout": 0.75,
+                  "seed": 0},
+    }))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "SPECGCONV_CACHE")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    for out, flags, threads in (("pinned", ["--strict-repro"], {}),
+                                ("one", [], {"OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run([sys.executable, "-m", "specgconv.cli", *flags, "train",
+                        "--config", str(config), "--out", str(tmp_path / out)],
+                       env={**env, **threads}, check=True, capture_output=True, timeout=300)
+    pinned, one = tmp_path / "pinned", tmp_path / "one"
+    files = sorted(p.name for p in pinned.iterdir())
+    assert files == sorted(p.name for p in one.iterdir())
+    assert {"checkpoint.json", "metrics.csv", "result.json"} <= set(files)
+    for name in files:
+        assert (pinned / name).read_bytes() == (one / name).read_bytes(), name
 
 
 def test_result_and_provenance_name_the_same_optimizer(tmp_path):

@@ -694,13 +694,16 @@ def test_softmax_cross_entropy_values():
 
 
 def test_softmax_cross_entropy_empty_mask():
-    """Both losses refuse the rows an empty mask selects: there is no mean."""
+    """Both losses and the accuracy refuse the rows an empty mask selects:
+    there is no mean."""
     none = np.zeros(3, bool)
     outputs = np.zeros((3, 2))
     with pytest.raises(ValueError, match="^no rows to score$"):
         softmax_cross_entropy(outputs[none], np.zeros(3, dtype=int)[none])
     with pytest.raises(ValueError, match="^no rows to score$"):
         binary_cross_entropy_tansig(outputs[none], np.zeros((3, 2))[none])
+    with pytest.raises(ValueError, match="^no rows to score$"):
+        accuracy_multiclass(outputs[none], np.zeros(3, dtype=int)[none])
 
 
 def test_binary_cross_entropy_values():

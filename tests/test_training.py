@@ -173,6 +173,21 @@ def test_scored_label_outside_classes_refused_before_first_forward(monkeypatch, 
     assert calls == []
 
 
+def test_split_without_train_nodes_refused_before_first_forward(monkeypatch):
+    full = separable_dataset()
+    none = np.zeros(20, bool)
+    data = SingleGraphDataset(graph=full.graph, labels=full.labels,
+                              masks={"train": none, "val": ~none, "test": none})
+    calls = []
+    forward = nn.model_forward
+    monkeypatch.setattr(nn, "model_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    spec = ModelSpec((MultiSupportConv(out=2, use_bias=True, activation="linear"),))
+    cfg = TrainConfig(learning_rate=0.02, epochs=2, seed=1)
+    with pytest.raises(ValueError, match="^the split has no train nodes$"):
+        train(spec, two_support_kernels(data.graph), data, cfg)
+    assert calls == []
+
+
 def test_unscored_test_label_is_not_checked():
     data = split_dataset(17, 5)
     spec = ModelSpec((MultiSupportConv(out=2, use_bias=True, activation="linear"),))
