@@ -23,14 +23,19 @@ those rows of their masks, skipping the others in the stream.
 """
 from __future__ import annotations
 
+import multiprocessing
 import numbers
+import os
 import re
+import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import _blas
 from .data import MultiGraphDataset, SingleGraphDataset, make_folds
 
 ACTIVATIONS = ("relu", "linear", "tanh")
@@ -824,7 +829,12 @@ class Adam:
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int, value: float):
         super().__init__(f"non-finite loss {value} at epoch {epoch}")
-        self.epoch = epoch
+        self.epoch, self.value = epoch, value
+
+    def __reduce__(self):
+        # args hold the message, not (epoch, value): rebuild from the fields,
+        # so that an error raised in a fold worker reaches the caller intact
+        return type(self), (self.epoch, self.value)
 
 
 @dataclass
@@ -1152,6 +1162,15 @@ def crossvalidate(
     curve is train(...)'s val_acc column, but each epoch scores the fold's
     validation graphs only: the training-set scores, which the epoch rule
     never reads, are not computed.
+
+    The folds of a repeat are independent, so they train side by side, one
+    process per CPU this process may use and at most one per fold, each at
+    one BLAS thread: this process trains folds 0, w, 2w, ... and w - 1
+    forked children the others (see _folds_side_by_side). The curves are
+    gathered in fold order, so the result is the in-process one. With one
+    CPU, without fork, or where no OpenBLAS thread setter is loaded (nothing
+    could pin BLAS, and the processes would oversubscribe the cores), the
+    folds run here one after another.
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
@@ -1159,19 +1178,21 @@ def crossvalidate(
         raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
     _check_readout(spec, graph_level=True)
     chunk_loss = _graph_chunk_loss(dataset, config.loss)
+
+    def fold_curve(rep, fold_ids, f):
+        tr = np.flatnonzero(fold_ids != f)
+        va = np.flatnonzero(fold_ids == f)
+        cfg = replace(config, seed=config.seed + 1000 * rep + f + 1)
+        fit = _fit(spec, dataset.graphs, kernelsets, tr, chunk_loss, cfg, Adam(cfg.learning_rate))
+        next(fit)   # the initial parameters are not scored
+        return [evaluate_graphs(spec, params, kernelsets, dataset, va, cfg.loss)[1]
+                for params in fit]
+
+    processes = _fold_processes(folds)
     accs, best_epochs = [], []
     for rep in range(repeats):
         fold_ids = make_folds(dataset, folds, seed=config.seed + 7919 * rep)
-        curves = []
-        for f in range(folds):
-            tr = np.flatnonzero(fold_ids != f)
-            va = np.flatnonzero(fold_ids == f)
-            cfg = replace(config, seed=config.seed + 1000 * rep + f + 1)
-            fit = _fit(spec, dataset.graphs, kernelsets, tr, chunk_loss, cfg,
-                       Adam(cfg.learning_rate))
-            next(fit)   # the initial parameters are not scored
-            curves.append([evaluate_graphs(spec, params, kernelsets, dataset, va, cfg.loss)[1]
-                           for params in fit])
+        curves = _folds_side_by_side(partial(fold_curve, rep, fold_ids), folds, processes)
         avg = np.mean(np.array(curves), axis=0)
         best = int(np.argmax(avg))
         best_epochs.append(best)
@@ -1183,3 +1204,85 @@ def crossvalidate(
         repeat_accuracies=accs,
         best_epochs=best_epochs,
     )
+
+
+def _fold_processes(folds: int) -> int:
+    """How many processes train a repeat's folds: one per CPU this process
+    may use, at most one per fold; 1 where fork is not available or no
+    OpenBLAS thread setter is loaded."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or _blas._openblas_thread_functions() is None):
+        return 1
+    return min(folds, len(os.sched_getaffinity(0)))
+
+
+def _folds_side_by_side(fold_curve, folds: int, processes: int) -> list:
+    """[fold_curve(f) for f in range(folds)], trained by `processes`
+    processes at one BLAS thread each, or here alone below 2.
+
+    This process trains folds 0, w, 2w, ... (w = processes) and w - 1 forked
+    children the others round-robin, each sending its curves back over a pipe
+    as it finishes them. fold_curve reaches the children through fork, so only
+    the curves are pickled. A fork, not a thread or a Pool: Python threads
+    would contend for the interpreter lock in the per-graph loops, and a Pool
+    runs helper threads here and hangs on a result it cannot unpickle.
+
+    Raises what the in-process loop would: the error of the lowest failing
+    fold, a child's with its type and message, or ChildProcessError naming
+    the exit code of a child that ended before it returned a fold. Every
+    child has ended when this returns or raises."""
+    if processes < 2:
+        return [fold_curve(f) for f in range(folds)]
+    context = multiprocessing.get_context("fork")
+    curves, errors, children = {}, {}, []
+    with _blas.one_thread():
+        try:
+            for k in range(1, processes):
+                receiver, sender = context.Pipe(duplex=False)
+                share = range(k, folds, processes)
+                child = context.Process(target=_fold_worker, args=(fold_curve, share, sender))
+                child.start()
+                sender.close()
+                children.append((child, receiver, share))
+            for f in range(0, folds, processes):
+                try:
+                    curves[f] = fold_curve(f)
+                except Exception as exc:
+                    errors[f] = exc
+                    break
+            for child, receiver, share in children:
+                for f in share:
+                    if errors and f > min(errors):
+                        break   # the in-process loop would have stopped before f
+                    try:
+                        curves[f], error = receiver.recv()
+                    except EOFError:
+                        child.join()
+                        error = ChildProcessError(f"fold worker exited with code "
+                                                  f"{child.exitcode} before returning fold {f}")
+                    if error is not None:
+                        errors[f] = error
+                        break
+            if errors:
+                raise errors[min(errors)]
+        except BaseException:
+            for child, _, _ in children:
+                child.kill()
+            raise
+        finally:
+            for child, receiver, _ in children:
+                receiver.close()
+                child.join()
+    return [curves[f] for f in range(folds)]
+
+
+def _fold_worker(fold_curve, share, sender) -> None:
+    """A forked child's body: sends (curve, None) for each fold of its share,
+    or (None, exception) for the first that fails, and stops there."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C ends the parent, which ends this
+    for f in share:
+        try:
+            sender.send((fold_curve(f), None))
+        except Exception as exc:
+            sender.send((None, exc))
+            return

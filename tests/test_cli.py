@@ -1,6 +1,7 @@
 import gc
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from specgconv.analysis import load_profile_csv
-from specgconv import _blas, cli
+from specgconv import _blas, cli, nn
 from specgconv.cli import main
 from specgconv.filters import ChebBasis, evaluate
 from specgconv.graphs import LaplacianKind, build_laplacian, make_ring
@@ -796,6 +797,49 @@ def test_train_divergence_exits_3(tmp_path):
     with np.errstate(all="ignore"):
         assert main(["train", "--config", str(cfg), "--lr", "1e308",
                      "--epochs", "40"]) == 3
+
+
+def test_tu_divergence_exits_3_with_the_line_of_an_in_process_run(tmp_path, capfd, monkeypatch):
+    """A cross-validation run whose folds diverge ends as an in-process run
+    does: exit 3 with the same one `numerical failure` line, captured at the
+    file descriptor so that fold workers' output shows, and no worker left."""
+    cfg = write_tu_config(tmp_path)
+    err = []
+    for run, cpus in (("side", None), ("serial", {0})):
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            if cpus:
+                m.setattr(nn.os, "sched_getaffinity", lambda pid: cpus)
+            assert main(["train", "--config", str(cfg), "--lr", "1e308", "--epochs", "40",
+                         "--out", str(tmp_path / run)]) == 3
+        assert multiprocessing.active_children() == []
+        err.append(capfd.readouterr().err)
+    assert err[0] == err[1]
+    assert err[0].startswith("numerical failure: non-finite loss ") and err[0].count("\n") == 1
+
+
+def test_side_by_side_folds_give_the_in_process_result(tmp_path, monkeypatch):
+    """3 folds x 2 repeats with dropout on the toy TU set: the CVResult of
+    folds trained side by side is bitwise the in-process one."""
+    if nn._fold_processes(3) < 2:
+        pytest.skip("this host trains folds in-process only")
+    cfg = write_tu_config(tmp_path, cv={"folds": 3, "repeats": 2},
+                          train={"learning_rate": 0.02, "epochs": 4, "batch_size": 4, "seed": 0,
+                                 "input_dropout": 0.2, "kernel_dropout": 0.2})
+    results, processes = [], []
+    crossvalidate, side_by_side = cli.crossvalidate, nn._folds_side_by_side
+    monkeypatch.setattr(cli, "crossvalidate",
+                        lambda *a, **k: results.append(crossvalidate(*a, **k)) or results[-1])
+    monkeypatch.setattr(nn, "_folds_side_by_side",
+                        lambda job, folds, n: processes.append(n) or side_by_side(job, folds, n))
+    for run in ("side", "serial"):
+        if run == "serial":
+            monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+    assert processes[2:] == [1, 1] and min(processes[:2]) >= 2
+    side, serial = results
+    assert repr(side) == repr(serial)
+    assert ((tmp_path / "side" / "result.json").read_bytes()
+            == (tmp_path / "serial" / "result.json").read_bytes())
 
 
 def test_train_writes_checkpoint(tmp_path):

@@ -1,4 +1,10 @@
+import multiprocessing
+import os
+import pickle
+import signal
+import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +14,7 @@ from specgconv.data import MultiGraphDataset, SingleGraphDataset
 from specgconv.filters import AllPass, LowPass
 from specgconv.graphs import LaplacianKind, build_laplacian, make_ring
 from specgconv.kernels import design_kernelset, gcn_kernel
-from specgconv import nn
+from specgconv import _blas, nn
 from specgconv.nn import (
     Dense,
     DepthwiseSeparableConv,
@@ -316,19 +322,28 @@ def test_crossvalidate_needs_a_repeat(monkeypatch):
         crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1), repeats=0)
 
 
-def test_crossvalidate_scores_only_validation_graphs(monkeypatch):
+def test_crossvalidate_scores_only_validation_graphs(monkeypatch, tmp_path):
     """Each fold-epoch scores the fold's validation graphs and nothing else,
-    and the CV result is the one the public train's val_acc rows give."""
+    and the CV result is the one the public train's val_acc rows give. The
+    spy appends one line per call to a file, so that it records the calls
+    made in fold workers too; folds run side by side, so the calls are
+    compared as a multiset."""
     ds = graph_classification_dataset(n_graphs=12)
     sets = allpass_kernelsets(ds)
     cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=4, input_dropout=0.2,
                       kernel_dropout=0.2, seed=2)
     folds, repeats = 3, 2
-    scored, evaluate = [], nn.evaluate_graphs
-    monkeypatch.setattr(nn, "evaluate_graphs",
-                        lambda *a: scored.append(list(a[4])) or evaluate(*a))
+    log, evaluate = tmp_path / "scored.txt", nn.evaluate_graphs
+
+    def spy(*a):
+        with open(log, "a") as fh:
+            fh.write(" ".join(map(str, a[4])) + "\n")
+        return evaluate(*a)
+
+    monkeypatch.setattr(nn, "evaluate_graphs", spy)
     cv = crossvalidate(ds, sets, GRAPH_SPEC, cfg, folds=folds, repeats=repeats)
     monkeypatch.undo()
+    scored = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
     expected_scored, accs, best_epochs = [], [], []
     for rep in range(repeats):
@@ -340,13 +355,102 @@ def test_crossvalidate_scores_only_validation_graphs(monkeypatch):
             result = train(GRAPH_SPEC, sets, ds, fold_cfg,
                            train_idx=np.flatnonzero(fold_ids != f), val_idx=va)
             curves.append([m["val_acc"] for m in result.metrics])
-            expected_scored += [list(va)] * cfg.epochs
+            expected_scored += [tuple(va)] * cfg.epochs
         avg = np.mean(np.array(curves), axis=0)
         best_epochs.append(int(np.argmax(avg)))
         accs.append(float(avg[best_epochs[-1]]))
-    assert scored == expected_scored
+    assert Counter(scored) == Counter(expected_scored)
     assert cv == nn.CVResult(mean=float(np.mean(accs)), std=float(np.std(accs)),
                              std_defined=True, repeat_accuracies=accs, best_epochs=best_epochs)
+
+
+fold_workers = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or _blas._openblas_thread_functions() is None,
+    reason="fold workers need fork and an OpenBLAS thread setter")
+
+
+@pytest.fixture
+def hang_guard():
+    """Turns a hang into a failure: SIGALRM raises in the test after 60 s."""
+    def on_alarm(signum, frame):
+        raise TimeoutError("no result within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@fold_workers
+def test_folds_side_by_side_keep_fold_order_and_split_round_robin(hang_guard):
+    """The caller trains folds 0, 2, 4 and one child 1 and 3, each at one
+    BLAS thread; the caller's thread count is restored afterwards."""
+    _, get_threads = _blas._openblas_thread_functions()
+    before = get_threads()
+    curves = nn._folds_side_by_side(lambda f: (f, os.getpid(), get_threads()), 5, 2)
+    assert [f for f, _, _ in curves] == [0, 1, 2, 3, 4]
+    pids = [pid for _, pid, _ in curves]
+    assert pids[0::2] == [os.getpid()] * 3
+    assert pids[1] == pids[3] != os.getpid()
+    assert [threads for _, _, threads in curves] == [1] * 5
+    assert get_threads() == before
+    assert multiprocessing.active_children() == []
+
+
+def failing_at(failures):
+    """A fold job that raises failures[f] at fold f, sleeps a minute at a fold
+    mapped to None, and returns a curve otherwise."""
+    def job(f):
+        if f in failures:
+            if failures[f] is None:
+                time.sleep(60)
+            else:
+                raise failures[f]
+        return [float(f)]
+    return job
+
+
+@fold_workers
+@pytest.mark.parametrize("folds,failures,raised,message", [
+    # a child's error reaches the caller with its type and message
+    (2, {1: ValueError("fold 1 broke")}, ValueError, "fold 1 broke"),
+    (3, {1: TrainingDiverged(4, float("nan"))}, TrainingDiverged,
+     "non-finite loss nan at epoch 4"),
+    # the lowest failing fold's error, as the in-process loop raises it:
+    # this process fails at fold 2, the child at fold 1
+    (4, {1: ValueError("fold 1"), 2: ValueError("fold 2"), 3: ValueError("fold 3")},
+     ValueError, "fold 1"),
+    # this process fails at fold 0 and ends the child, which would sleep a minute
+    (2, {0: ValueError("fold 0"), 1: None}, ValueError, "fold 0"),
+])
+def test_fold_worker_failure_reaches_the_caller(hang_guard, folds, failures, raised, message):
+    started = time.monotonic()
+    with pytest.raises(raised) as info:
+        nn._folds_side_by_side(failing_at(failures), folds, 2)
+    assert type(info.value) is raised and str(info.value) == message
+    assert time.monotonic() - started < 30
+    assert multiprocessing.active_children() == []
+
+
+@fold_workers
+def test_fold_worker_that_exits_without_a_result_is_named(hang_guard):
+    def job(f):
+        if f == 1:
+            os._exit(9)
+        return [0.0]
+
+    with pytest.raises(ChildProcessError, match="exited with code 9 before returning fold 1"):
+        nn._folds_side_by_side(job, 3, 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_training_diverged_survives_pickling():
+    exc = pickle.loads(pickle.dumps(TrainingDiverged(3, float("nan"))))
+    assert type(exc) is TrainingDiverged
+    assert exc.epoch == 3 and np.isnan(exc.value)
+    assert str(exc) == "non-finite loss nan at epoch 3"
 
 
 def test_crossvalidate_rejects_too_many_folds():
