@@ -23,11 +23,9 @@ those rows of their masks, skipping the others in the stream.
 """
 from __future__ import annotations
 
-import multiprocessing
 import numbers
 import os
 import re
-import signal
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate
@@ -973,11 +971,14 @@ def train(
     fit = _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_rows)
     params = next(fit)
     metrics = []
-    for epoch, _ in enumerate(fit):
-        row = {"epoch": epoch}
-        for name, (loss, acc) in epoch_scores(params).items():
-            row[f"{name}_loss"], row[f"{name}_acc"] = loss, acc
-        metrics.append(row)
+    # a non-finite loss is reported once, as TrainingDiverged: numpy's overflow
+    # and invalid-value warnings on the way there would print several lines first
+    with np.errstate(all="ignore"):
+        for epoch, _ in enumerate(fit):
+            row = {"epoch": epoch}
+            for name, (loss, acc) in epoch_scores(params).items():
+                row[f"{name}_loss"], row[f"{name}_acc"] = loss, acc
+            metrics.append(row)
     return TrainResult(params=params, metrics=metrics, config=config, optimizer=adam.metadata())
 
 
@@ -1192,7 +1193,10 @@ def crossvalidate(
     accs, best_epochs = [], []
     for rep in range(repeats):
         fold_ids = make_folds(dataset, folds, seed=config.seed + 7919 * rep)
-        curves = _folds_side_by_side(partial(fold_curve, rep, fold_ids), folds, processes)
+        # as in train; fold workers inherit it through fork, else each would
+        # print its own copies of the warnings, as many as timing lets it reach
+        with np.errstate(all="ignore"):
+            curves = _folds_side_by_side(partial(fold_curve, rep, fold_ids), folds, processes)
         avg = np.mean(np.array(curves), axis=0)
         best = int(np.argmax(avg))
         best_epochs.append(best)
@@ -1210,8 +1214,7 @@ def _fold_processes(folds: int) -> int:
     """How many processes train a repeat's folds: one per CPU this process
     may use, at most one per fold; 1 where fork is not available or no
     OpenBLAS thread setter is loaded."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or _blas._openblas_thread_functions() is None):
+    if not hasattr(os, "fork") or _blas._openblas_thread_functions() is None:
         return 1
     return min(folds, len(os.sched_getaffinity(0)))
 
@@ -1222,17 +1225,20 @@ def _folds_side_by_side(fold_curve, folds: int, processes: int) -> list:
 
     This process trains folds 0, w, 2w, ... (w = processes) and w - 1 forked
     children the others round-robin, each sending its curves back over a pipe
-    as it finishes them. fold_curve reaches the children through fork, so only
-    the curves are pickled. A fork, not a thread or a Pool: Python threads
-    would contend for the interpreter lock in the per-graph loops, and a Pool
-    runs helper threads here and hangs on a result it cannot unpickle.
+    once it is done with its share. fold_curve reaches the children through
+    fork, so only the curves are pickled. A fork, not a thread or a Pool:
+    Python threads would contend for the interpreter lock in the per-graph
+    loops, and a Pool runs helper threads here and hangs on a result it
+    cannot unpickle.
 
     Raises what the in-process loop would: the error of the lowest failing
     fold, a child's with its type and message, or ChildProcessError naming
-    the exit code of a child that ended before it returned a fold. Every
+    the exit code of a child that ended without sending its share. Every
     child has ended when this returns or raises."""
     if processes < 2:
         return [fold_curve(f) for f in range(folds)]
+    import multiprocessing   # here, not at the top: only cross-validation forks
+
     context = multiprocessing.get_context("fork")
     curves, errors, children = {}, {}, []
     with _blas.one_thread():
@@ -1244,25 +1250,18 @@ def _folds_side_by_side(fold_curve, folds: int, processes: int) -> list:
                 child.start()
                 sender.close()
                 children.append((child, receiver, share))
-            for f in range(0, folds, processes):
-                try:
-                    curves[f] = fold_curve(f)
-                except Exception as exc:
-                    errors[f] = exc
-                    break
+            _train_share(fold_curve, range(0, folds, processes), curves, errors)
             for child, receiver, share in children:
-                for f in share:
-                    if errors and f > min(errors):
-                        break   # the in-process loop would have stopped before f
-                    try:
-                        curves[f], error = receiver.recv()
-                    except EOFError:
-                        child.join()
-                        error = ChildProcessError(f"fold worker exited with code "
-                                                  f"{child.exitcode} before returning fold {f}")
-                    if error is not None:
-                        errors[f] = error
-                        break
+                if errors and min(errors) < share[0]:
+                    continue   # the in-process loop would have stopped before this share
+                try:
+                    share_curves, share_errors = receiver.recv()
+                except EOFError:
+                    child.join()
+                    share_curves, share_errors = {}, {share[0]: ChildProcessError(
+                        f"fold worker exited with code {child.exitcode} without its folds")}
+                curves.update(share_curves)
+                errors.update(share_errors)
             if errors:
                 raise errors[min(errors)]
         except BaseException:
@@ -1276,13 +1275,24 @@ def _folds_side_by_side(fold_curve, folds: int, processes: int) -> list:
     return [curves[f] for f in range(folds)]
 
 
-def _fold_worker(fold_curve, share, sender) -> None:
-    """A forked child's body: sends (curve, None) for each fold of its share,
-    or (None, exception) for the first that fails, and stops there."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C ends the parent, which ends this
+def _train_share(fold_curve, share, curves: dict, errors: dict) -> None:
+    """Puts fold_curve(f) into curves[f] for each fold f of share, in order,
+    until one raises: its exception goes into errors[f]."""
     for f in share:
         try:
-            sender.send((fold_curve(f), None))
+            curves[f] = fold_curve(f)
         except Exception as exc:
-            sender.send((None, exc))
+            errors[f] = exc
             return
+
+
+def _fold_worker(fold_curve, share, sender) -> None:
+    """A forked child's body: trains its share, up to the first fold that
+    fails, and sends what _train_share gathered, ({fold: curve}, {fold:
+    exception})."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C ends the parent, which ends this
+    curves, errors = {}, {}
+    _train_share(fold_curve, share, curves, errors)
+    sender.send((curves, errors))

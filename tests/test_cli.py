@@ -799,20 +799,35 @@ def test_train_divergence_exits_3(tmp_path):
                      "--epochs", "40"]) == 3
 
 
-def test_tu_divergence_exits_3_with_the_line_of_an_in_process_run(tmp_path, capfd, monkeypatch):
+# Runs the CLI on argv[2:], on one CPU where argv[1] is "serial", and prints
+# the worker processes still alive when it returns.
+RUN_CLI = """
+import multiprocessing, os, sys
+from specgconv.cli import main
+if sys.argv[1] == "serial":
+    os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+code = main(sys.argv[2:])
+print(multiprocessing.active_children())
+sys.exit(code)
+"""
+
+
+def test_tu_divergence_exits_3_with_the_line_of_an_in_process_run(tmp_path):
     """A cross-validation run whose folds diverge ends as an in-process run
-    does: exit 3 with the same one `numerical failure` line, captured at the
-    file descriptor so that fold workers' output shows, and no worker left."""
+    does: exit 3 with the same one `numerical failure` line and no worker
+    left. Each run is a process of its own, so stderr is what the CLI and
+    its fold workers print."""
     cfg = write_tu_config(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
     err = []
-    for run, cpus in (("side", None), ("serial", {0})):
-        with monkeypatch.context() as m, np.errstate(all="ignore"):
-            if cpus:
-                m.setattr(nn.os, "sched_getaffinity", lambda pid: cpus)
-            assert main(["train", "--config", str(cfg), "--lr", "1e308", "--epochs", "40",
-                         "--out", str(tmp_path / run)]) == 3
-        assert multiprocessing.active_children() == []
-        err.append(capfd.readouterr().err)
+    for run in ("side", "serial"):
+        done = subprocess.run([sys.executable, "-c", RUN_CLI, run, "train", "--config", str(cfg),
+                               "--lr", "1e308", "--epochs", "40", "--out", str(tmp_path / run)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (3, "[]\n")
+        err.append(done.stderr)
     assert err[0] == err[1]
     assert err[0].startswith("numerical failure: non-finite loss ") and err[0].count("\n") == 1
 

@@ -441,7 +441,7 @@ def test_fold_worker_that_exits_without_a_result_is_named(hang_guard):
             os._exit(9)
         return [0.0]
 
-    with pytest.raises(ChildProcessError, match="exited with code 9 before returning fold 1"):
+    with pytest.raises(ChildProcessError, match="^fold worker exited with code 9 without its folds$"):
         nn._folds_side_by_side(job, 3, 2)
     assert multiprocessing.active_children() == []
 

@@ -5,8 +5,8 @@ Criterion 10a (tests/test_acceptance.py) trains DSG160-DSG7 on Cora for
 20 seeds x 400 epochs; criterion 10b cross-validates G200x4-meanmax-D6 on
 ENZYMES over 10 folds x 5 repeats x 500 epochs. This tool runs the exact
 configuration of each for a few units on the synthetic shapes of
-perfbench/gen.py, which it imports and never writes: 10a as --seeds seeds of
---epochs epochs, 10b as one 10-fold repeat of --cv-epochs epochs.
+perfbench/gen.py, which it imports and never writes: 10a as SEEDS seeds of
+EPOCHS epochs, 10b as one 10-fold repeat of CV_EPOCHS epochs.
 
 Each check runs in its own child process. The child generates its data into
 a temporary directory and sets it up untimed, then times the training: wall
@@ -16,9 +16,8 @@ per unit (an epoch, a fold-epoch) and extrapolated to the release's unit
 count, in hours.
 
 Usage:
-    python3 tools/release_cost.py [--seeds 2] [--epochs 4] [--cv-epochs 2]
+    python3 tools/release_cost.py
 """
-import argparse
 import importlib.util
 import multiprocessing
 import os
@@ -39,6 +38,8 @@ CORA_DESIGNS = ("lowpass(eta=5)", "bandpass(c=0.25,gamma=0.25)",
                 "bandpass(c=0.5,gamma=0.25)", "bandpass(c=0.75,gamma=0.25)")
 ENZYMES_DESIGNS = ("cheb(k=1)", "cheb(k=2)", "cheb(k=3)")
 CV_FOLDS = 10
+# what is timed: 10a seeds, 10a epochs per seed, 10b epochs per fold
+SEEDS, EPOCHS, CV_EPOCHS = 2, 4, 2
 # check: (unit, units in the release reproduction)
 RELEASE = {"10a": ("epoch", 20 * 400), "10b": ("fold-epoch", CV_FOLDS * 5 * 500)}
 COLUMNS = ("check", "unit", "timed", "wall_s/unit", "cpu_s/unit", "release_units",
@@ -164,18 +165,11 @@ def measure(gen, cora_shape, tu_shape, seeds, epochs, cv_epochs) -> list:
                 estimate("10b", *in_child(time_10b, gen, tu_shape, cv_epochs, work))]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=2, help="10a seeds to time")
-    parser.add_argument("--epochs", type=int, default=4, help="10a epochs per seed")
-    parser.add_argument("--cv-epochs", type=int, default=2, help="10b epochs per fold")
-    args = parser.parse_args(argv)
-    if min(args.seeds, args.epochs, args.cv_epochs) < 1:
-        parser.error("--seeds, --epochs and --cv-epochs must be at least 1")
+def main() -> int:
     gen = load_gen()
     print(f"release_cost: {len(os.sched_getaffinity(0))} CPUs, numpy {np.__version__}, "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
-    for text in report(measure(gen, gen.CORA, gen.ENZYMES, args.seeds, args.epochs, args.cv_epochs)):
+    for text in report(measure(gen, gen.CORA, gen.ENZYMES, SEEDS, EPOCHS, CV_EPOCHS)):
         print(text)
     return 0
 
