@@ -389,9 +389,9 @@ def make_folds(dataset: MultiGraphDataset, k: int = 10, seed: int = 0) -> np.nda
     """
     n = len(dataset)
     if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
+        raise ValueError(f"cross-validation needs at least 2 folds, got {k}")
     if k > n:
-        raise ValueError(f"cannot make {k} folds out of {n} graphs")
+        raise ValueError(f"cross-validation cannot make {k} folds out of {n} graphs")
     rng = np.random.default_rng(seed)
     folds = np.empty(n, dtype=int)
     counts = np.bincount(dataset.labels, minlength=dataset.n_classes)

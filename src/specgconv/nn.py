@@ -255,12 +255,6 @@ class GraphBatch:
     supports: tuple         # per graph, a sequence of S (n_g, n_g) supports
     offsets: np.ndarray     # (B + 1,) row offsets, offsets[0] == 0
 
-    @classmethod
-    def single(cls, supports, n: int) -> "GraphBatch":
-        supports = tuple(supports)
-        _check_supports(supports, n)
-        return cls((supports,), np.array([0, n]))
-
     def segments(self):
         return zip(self.offsets[:-1], self.offsets[1:])
 
@@ -268,26 +262,13 @@ class GraphBatch:
         return replace(self, offsets=np.arange(len(self.supports) + 1))
 
 
-def _check_supports(supports, n: int, graph=None) -> None:
-    """Refuse a support that is not n x n for a graph of n nodes, naming the
-    graph by its index when one is given."""
-    for C in supports:
-        if C.shape != (n, n):
-            name = "the graph" if graph is None else f"graph {graph}"
-            raise ValueError(f"{name} has {n} nodes, but a support of shape {C.shape}")
-
-
-def stack_graphs(features: Sequence[np.ndarray], kernels: Sequence, ids=None) -> tuple:
+def stack_graphs(features: Sequence[np.ndarray], kernels: Sequence) -> tuple:
     """Stack the node rows of several graphs; returns (H0, GraphBatch) for
-    model_forward. kernels holds one KernelSet (or support list) per graph;
-    a support that does not fit its graph's feature rows is refused, naming
-    the graph by its entry in ids (by default its place in features).
+    model_forward. kernels holds one KernelSet (or support list) per graph,
+    whose supports fit that graph's feature rows (see _check_kernelsets).
     A lone graph's feature matrix is returned itself, not copied."""
-    supports = tuple(tuple(k) for k in kernels)
-    for g, (f, ks) in enumerate(zip(features, supports, strict=True)):
-        _check_supports(ks, f.shape[0], g if ids is None else ids[g])
     offsets = np.concatenate([[0], np.cumsum([f.shape[0] for f in features])]).astype(int)
-    batch = GraphBatch(supports, offsets)
+    batch = GraphBatch(tuple(tuple(k) for k in kernels), offsets)
     return (features[0] if len(features) == 1 else np.concatenate(features, axis=0)), batch
 
 
@@ -651,7 +632,9 @@ def model_forward(
 
     kernels is one graph's supports (a KernelSet or a list of n x n arrays)
     or a GraphBatch whose graphs own consecutive row blocks of H0 (see
-    stack_graphs); after a readout the output has one row per graph.
+    stack_graphs); after a readout the output has one row per graph. The
+    supports are not checked here: train and crossvalidate check a run's
+    kernel sets once (see _check_kernelsets).
 
     rows, a boolean mask over the nodes of one graph, asks a node-level model
     for those nodes' outputs only, in node order: the rows a loss reads. The
@@ -659,8 +642,7 @@ def model_forward(
     for those rows alone (see _loss_rows), with the same dropout draws.
     """
     H = np.asarray(H0, dtype=np.float64)
-    batch = kernels if isinstance(kernels, GraphBatch) else \
-        GraphBatch.single(kernels, H.shape[0])
+    H, batch = (H, kernels) if isinstance(kernels, GraphBatch) else stack_graphs([H], [kernels])
     layer_rows = _loss_rows(spec, batch, rows)
     drop = None
     if train and (input_dropout > 0 or kernel_dropout > 0):
@@ -944,7 +926,7 @@ def train(
         rows = np.flatnonzero(np.logical_or.reduce(list(masks.values())))
         _check_labels(y[rows], spec.widths(data.graph.features.shape[1])[-1], rows)
 
-        loss_rows = data.masks["train"]
+        loss_rows, empty = data.masks["train"], ()   # an empty val or test set is not scored
         y_train = y[loss_rows]
 
         def chunk_loss(out, chunk):
@@ -957,8 +939,11 @@ def train(
     elif isinstance(data, MultiGraphDataset):
         if train_idx is None or val_idx is None:
             raise ValueError("multi-graph training needs train_idx and val_idx")
+        if len(train_idx) == 0:
+            raise ValueError("the split has no train graphs")
         graphs, chunk_loss = data.graphs, _graph_chunk_loss(data, config.loss)
         loss_rows = None
+        empty = () if len(val_idx) else ("val",)   # scored nan, which is no divergence
 
         def epoch_scores(params):
             return {name: evaluate_graphs(spec, params, kernelsets, data, idx, config.loss)
@@ -967,6 +952,7 @@ def train(
         raise TypeError(f"unsupported dataset type {type(data).__name__}")
 
     _check_readout(spec, graph_level=isinstance(data, MultiGraphDataset))
+    _check_kernelsets(graphs, kernelsets)
     adam = Adam(config.learning_rate)
     fit = _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_rows)
     params = next(fit)
@@ -976,10 +962,23 @@ def train(
     with np.errstate(all="ignore"):
         for epoch, _ in enumerate(fit):
             row = {"epoch": epoch}
-            for name, (loss, acc) in epoch_scores(params).items():
-                row[f"{name}_loss"], row[f"{name}_acc"] = loss, acc
+            for name, scores in epoch_scores(params).items():
+                row[f"{name}_loss"], row[f"{name}_acc"] = \
+                    scores if name in empty else _scored(scores, epoch)
             metrics.append(row)
     return TrainResult(params=params, metrics=metrics, config=config, optimizer=adam.metadata())
+
+
+def _scored(scores: tuple, epoch: int) -> tuple:
+    """The (loss, score) of a non-empty set scored after epoch's updates,
+    refused when the loss is not finite: otherwise a run's last update could
+    overflow unreported. TrainingDiverged names epoch + 1, the epoch that
+    would train from these parameters and whose first step would refuse the
+    same loss (see _batch_gradients), so a divergence is named alike however
+    many epochs a run has."""
+    if not np.isfinite(scores[0]):
+        raise TrainingDiverged(epoch + 1, scores[0])
+    return scores
 
 
 def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_rows=None):
@@ -1003,6 +1002,22 @@ def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_row
             adam.step(flatten_params(params), flatten_params(grads))
             del grads   # else it stays alive beside the next batch's gradients
         yield params
+
+
+def _check_kernelsets(graphs, kernelsets) -> None:
+    """The kernel-set rule of a run, checked once before its first step: one
+    kernel set per graph, each holding as many supports as graph 0's (support
+    s of every graph is filtered by the same weights), each support of graph
+    g n_g x n_g. stack_graphs, model_forward and evaluate_graphs trust it."""
+    if len(kernelsets) != len(graphs):
+        raise ValueError(f"{len(kernelsets)} kernel sets for {len(graphs)} graphs")
+    for g, (graph, supports) in enumerate(zip(graphs, kernelsets)):
+        n, count = graph.n, len(kernelsets[0])
+        if len(supports) != count:
+            raise ValueError(f"graph {g} has {len(supports)} supports, graph 0 has {count}")
+        for C in supports:
+            if C.shape != (n, n):
+                raise ValueError(f"graph {g} has {n} nodes, but a support of shape {C.shape}")
 
 
 def _check_readout(spec: ModelSpec, graph_level: bool) -> None:
@@ -1068,7 +1083,7 @@ def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
     loss_sum = score_sum = 0.0
     for chunk in _chunks(idx, data.graphs):
         H0, batch = stack_graphs([data.graphs[i].features for i in chunk],
-                                 [kernelsets[i] for i in chunk], chunk)
+                                 [kernelsets[i] for i in chunk])
         out, _ = model_forward(spec, params, H0, batch)
         loss, _, target = _graph_loss(out, data, chunk, loss_kind)
         loss_sum += loss * len(chunk)
@@ -1090,7 +1105,7 @@ def _batch_gradients(spec, params, graphs, kernelsets, batch_ids, chunk_loss,
     loss_sum, grads = 0.0, None
     for chunk in _chunks(batch_ids, graphs):
         H0, batch = stack_graphs([graphs[i].features for i in chunk],
-                                 [kernelsets[i] for i in chunk], chunk)
+                                 [kernelsets[i] for i in chunk])
         out, caches = model_forward(
             spec, params, H0, batch, train=True, rng=rng,
             input_dropout=config.input_dropout, kernel_dropout=config.kernel_dropout,
@@ -1174,10 +1189,9 @@ def crossvalidate(
     folds run here one after another.
     """
     if repeats < 1:
-        raise ValueError("need at least one repeat")
-    if folds < 2:
-        raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
+        raise ValueError(f"cross-validation needs at least 1 repeat, got {repeats}")
     _check_readout(spec, graph_level=True)
+    _check_kernelsets(dataset.graphs, kernelsets)
     chunk_loss = _graph_chunk_loss(dataset, config.loss)
 
     def fold_curve(rep, fold_ids, f):
@@ -1186,8 +1200,8 @@ def crossvalidate(
         cfg = replace(config, seed=config.seed + 1000 * rep + f + 1)
         fit = _fit(spec, dataset.graphs, kernelsets, tr, chunk_loss, cfg, Adam(cfg.learning_rate))
         next(fit)   # the initial parameters are not scored
-        return [evaluate_graphs(spec, params, kernelsets, dataset, va, cfg.loss)[1]
-                for params in fit]
+        return [_scored(evaluate_graphs(spec, params, kernelsets, dataset, va, cfg.loss), epoch)[1]
+                for epoch, params in enumerate(fit)]
 
     processes = _fold_processes(folds)
     accs, best_epochs = [], []

@@ -238,13 +238,6 @@ def swapped_kernelsets(kernelsets):
     return [kernelsets[i] for i in (1, 0, 3, 2)]
 
 
-def test_evaluate_graphs_refuses_a_kernel_set_of_another_graph():
-    ds, kernelsets = dataset_and_kernels()
-    with pytest.raises(ValueError, match=r"^graph 0 has 7 nodes, but a support of shape \(12, 12\)$"):
-        nn.evaluate_graphs(SPEC, parameters(), swapped_kernelsets(kernelsets), ds, [0, 1, 2, 3],
-                           "softmax_ce")
-
-
 def test_multi_graph_training_refuses_a_kernel_set_of_another_graph():
     ds, kernelsets = dataset_and_kernels()
     with pytest.raises(ValueError, match=r"^graph [0-3] has \d+ nodes, but a support of shape"):

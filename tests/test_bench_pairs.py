@@ -111,6 +111,32 @@ def test_no_regression_is_unresolved_when_the_parent_spread_exceeds_the_bound():
     assert line.endswith("no regression unresolved (bound 25%)")
 
 
+def test_extending_a_file_with_runs_of_another_commit_is_refused(tmp_path, monkeypatch):
+    """A BENCH file records the parent and change revisions of its runs; a
+    checkout at another revision is refused before any run, with one line,
+    and the file is left as it was. An unknown revision is not compared."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    out = tmp_path / "BENCH_1.json"
+    out.write_text(json.dumps({"parent": "aaa1111", "change": "bbb2222", "runs": []}))
+    before = out.read_text()
+    revisions = {str(parent): "aaa1111", str(change): "ccc3333"}
+    monkeypatch.setattr(bench_pairs, "_revision", lambda checkout: revisions[str(checkout)])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a benchmark ran"))
+    argv = [str(parent), str(change), "--workload", "cora-dsg", "--seeds", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv)
+    assert str(info.value) == f"{out} holds change runs of bbb2222, but {change} is at ccc3333"
+    assert out.read_text() == before
+    revisions[str(change)] = None                  # not a git checkout
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: {"failed": 0, "attempted": 1,
+                                                             "step_s": 1.0, "calibration": {}})
+    bench_pairs.main(argv)
+    assert json.loads(out.read_text())["change"] == "bbb2222"
+
+
 def test_run_record_keeps_the_host_calibration():
     """The "perfbench" line before the result carries the host's calibration;
     the run record keeps both figures beside the metrics it measured."""

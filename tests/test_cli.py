@@ -832,6 +832,22 @@ def test_tu_divergence_exits_3_with_the_line_of_an_in_process_run(tmp_path):
     assert err[0].startswith("numerical failure: non-finite loss ") and err[0].count("\n") == 1
 
 
+def test_train_divergence_in_the_last_epoch_exits_3_with_one_line(tmp_path):
+    """A one-epoch single-graph run whose only update overflows the outputs
+    ends in exit 3 and one `numerical failure` line, and writes no metrics."""
+    cfg = write_toy_config(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, "side", "train", "--config", str(cfg),
+                           "--lr", "1e308", "--epochs", "1", "--out", str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (3, "[]\n")
+    assert done.stderr.startswith("numerical failure: non-finite loss ")
+    assert done.stderr.count("\n") == 1
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 def test_side_by_side_folds_give_the_in_process_result(tmp_path, monkeypatch):
     """3 folds x 2 repeats with dropout on the toy TU set: the CVResult of
     folds trained side by side is bitwise the in-process one."""

@@ -473,13 +473,13 @@ def test_make_folds_small_class_fallback():
 @pytest.mark.parametrize("k", [1, 0, -3])
 def test_make_folds_needs_two_folds(k):
     ds = dataset_with_labels(np.zeros(6, int))
-    with pytest.raises(ValueError, match=f"need at least 2 folds, got {k}"):
+    with pytest.raises(ValueError, match=f"^cross-validation needs at least 2 folds, got {k}$"):
         make_folds(ds, k=k, seed=0)
 
 
 def test_make_folds_too_few_graphs():
     ds = dataset_with_labels(np.zeros(4, int))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cross-validation cannot make 10 folds out of 4 graphs$"):
         make_folds(ds, k=10, seed=0)
 
 

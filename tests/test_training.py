@@ -136,6 +136,45 @@ def test_divergence_raises_with_epoch():
     assert info.value.epoch >= 1
 
 
+def test_divergence_in_the_last_update_is_reported():
+    """A one-epoch run whose only update overflows the outputs, with every
+    parameter still finite, raises as a longer run would at its next epoch."""
+    data = separable_dataset()
+    cfg = TrainConfig(learning_rate=1e300, epochs=1, seed=0)
+    with pytest.raises(TrainingDiverged, match="^non-finite loss nan at epoch 1$") as info:
+        train(nn.parse_architecture("G8-G2"), two_support_kernels(data.graph), data, cfg)
+    assert info.value.epoch == 1
+
+
+def test_crossvalidate_reports_a_divergence_in_the_last_update():
+    """One epoch, one mini-batch per fold: the update overflows the weights,
+    and the validation loss scored after it is not finite."""
+    ds = graph_classification_dataset(n_graphs=12)
+    cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=8)
+    with pytest.raises(TrainingDiverged, match="^non-finite loss (nan|inf) at epoch 1$"):
+        crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, cfg, folds=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_graph_set_without_train_graphs_refused_before_first_forward(monkeypatch):
+    ds = graph_classification_dataset(n_graphs=6)
+    monkeypatch.setattr(nn, "model_forward", lambda *a, **k: pytest.fail("a forward ran"))
+    with pytest.raises(ValueError, match="^the split has no train graphs$"):
+        train(GRAPH_SPEC, allpass_kernelsets(ds), ds, TrainConfig(epochs=2), train_idx=[],
+              val_idx=np.arange(6))
+
+
+def test_graph_set_without_val_graphs_scores_nan_val():
+    """An empty val set is allowed; its nan scores are no divergence."""
+    ds = graph_classification_dataset(n_graphs=6)
+    result = train(GRAPH_SPEC, allpass_kernelsets(ds), ds, TrainConfig(epochs=2, batch_size=3),
+                   train_idx=np.arange(6), val_idx=[])
+    assert len(result.metrics) == 2
+    for row in result.metrics:
+        assert np.isfinite(row["train_loss"])
+        assert np.isnan(row["val_loss"]) and np.isnan(row["val_acc"])
+
+
 def test_train_records_metrics_per_epoch():
     data = separable_dataset()
     masks = {"train": np.zeros(20, bool), "val": np.zeros(20, bool), "test": np.zeros(20, bool)}
@@ -318,7 +357,7 @@ def test_crossvalidate_needs_two_folds(monkeypatch, folds):
 def test_crossvalidate_needs_a_repeat(monkeypatch):
     ds = graph_classification_dataset(n_graphs=8)
     monkeypatch.setattr(nn, "_fit", lambda *a, **k: pytest.fail("a fold was trained"))
-    with pytest.raises(ValueError, match="need at least one repeat"):
+    with pytest.raises(ValueError, match="^cross-validation needs at least 1 repeat, got 0$"):
         crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1), repeats=0)
 
 
@@ -579,6 +618,54 @@ def test_single_graph_training_refuses_supports_of_another_size():
     spec = ModelSpec((MultiSupportConv(out=2, use_bias=True, activation="linear"),))
     with pytest.raises(ValueError, match=r"^graph 0 has 12 nodes, but a support of shape \(11, 11\)$"):
         train(spec, two_support_kernels(make_ring(11)), data, TrainConfig(epochs=2))
-    with pytest.raises(ValueError, match=r"^the graph has 12 nodes, but a support of shape"):
-        model_forward(spec, init_parameters(spec, 2, 2, np.random.default_rng(0)),
-                      data.graph.features, two_support_kernels(make_ring(11)))
+
+
+def support_counts_dataset(counts=(3, 4, 3, 5)):
+    """Four graphs whose kernel sets hold counts[g] fitting supports each."""
+    ds = graph_classification_dataset(n_graphs=len(counts))
+    rng = np.random.default_rng(4)
+    return ds, [[rng.standard_normal((g.n, g.n)) for _ in range(k)]
+                for g, k in zip(ds.graphs, counts)]
+
+
+def refuse_steps(monkeypatch):
+    """Make any training step, and any start of the fold workers, fail the test."""
+    monkeypatch.setattr(nn, "model_forward", lambda *a, **k: pytest.fail("a forward ran"))
+    monkeypatch.setattr(nn, "_folds_side_by_side", lambda *a: pytest.fail("folds were started"))
+
+
+def test_unequal_support_counts_are_refused_before_the_first_step(monkeypatch):
+    """Support s of every graph is filtered by the same weights, so each kernel
+    set of a run holds as many supports as graph 0's; train on a graph set and
+    crossvalidate refuse the first graph that does not, before any step and
+    before a fold worker starts."""
+    ds, kernelsets = support_counts_dataset()
+    refuse_steps(monkeypatch)
+    message = "^graph 1 has 4 supports, graph 0 has 3$"
+    with pytest.raises(ValueError, match=message):
+        train(GRAPH_SPEC, kernelsets, ds, TrainConfig(epochs=1), train_idx=[0, 2], val_idx=[3])
+    with pytest.raises(ValueError, match=message):
+        crossvalidate(ds, kernelsets, GRAPH_SPEC, TrainConfig(epochs=1), folds=2)
+    _, kernelsets = support_counts_dataset((3, 3, 3, 5))
+    with pytest.raises(ValueError, match="^graph 3 has 5 supports, graph 0 has 3$"):
+        crossvalidate(ds, kernelsets, GRAPH_SPEC, TrainConfig(epochs=1), folds=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_crossvalidate_refuses_a_kernel_set_of_another_graph(monkeypatch):
+    ds, kernelsets = support_counts_dataset((2, 2, 2, 2))
+    refuse_steps(monkeypatch)
+    with pytest.raises(ValueError, match=r"^graph 0 has 10 nodes, but a support of shape \(11, 11\)$"):
+        crossvalidate(ds, kernelsets[1:2] + kernelsets[1:], GRAPH_SPEC, TrainConfig(epochs=1),
+                      folds=2)
+
+
+def test_fewer_kernel_sets_than_graphs_are_refused(monkeypatch):
+    ds, kernelsets = support_counts_dataset((2, 2, 2, 2))
+    refuse_steps(monkeypatch)
+    message = "^3 kernel sets for 4 graphs$"
+    with pytest.raises(ValueError, match=message):
+        train(GRAPH_SPEC, kernelsets[:3], ds, TrainConfig(epochs=1), train_idx=[0, 1, 2, 3],
+              val_idx=[])
+    with pytest.raises(ValueError, match=message):
+        crossvalidate(ds, kernelsets[:3], GRAPH_SPEC, TrainConfig(epochs=1), folds=2)

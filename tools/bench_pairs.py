@@ -10,7 +10,9 @@ quartiles (numpy's weibull method), the parent's interquartile range, the
 number of pairs in which the change is lower (a tie counts for neither side)
 and the relative change of the medians, plus the failed operations per side.
 An existing file is extended: its runs are kept, its other fields left as
-they are, and the summary is recomputed over all runs.
+they are, and the summary is recomputed over all runs. A checkout at
+another revision than the one the file records for its side is refused,
+so that one summary never pools the runs of two commits.
 
 Usage:
     python3 tools/bench_pairs.py <parent-dir> <change-dir> --workload cora-dsg \\
@@ -200,12 +202,16 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc.setdefault("parent", _revision(args.parent))
-    doc.setdefault("change", _revision(args.change))
+    checkouts = dict(zip(SIDES, (args.parent, args.change)))
+    for side, checkout in checkouts.items():
+        revision = _revision(checkout)
+        recorded = doc.setdefault(side, revision)
+        if None not in (revision, recorded) and revision != recorded:
+            raise SystemExit(f"{args.out} holds {side} runs of {recorded}, "
+                             f"but {checkout} is at {revision}")
     doc.setdefault("command", "python3 perfbench/run.py --workload <w> --seed <s> "
                               f"--seconds {args.seconds:g} --trace 0")
     runs = doc.setdefault("runs", [])
-    checkouts = dict(zip(SIDES, (args.parent, args.change)))
     done = len(_pairs(runs, args.workload))
     repeated = sorted({run["seed"] for run in runs if run["workload"] == args.workload}
                       & set(args.seeds))
