@@ -137,8 +137,8 @@ def test_divergence_raises_with_epoch():
 
 
 def test_divergence_in_the_last_update_is_reported():
-    """A one-epoch run whose only update overflows the outputs, with every
-    parameter still finite, raises as a longer run would at its next epoch."""
+    """A one-epoch run whose only update overflows the outputs raises as a
+    longer run would at its next epoch."""
     data = separable_dataset()
     cfg = TrainConfig(learning_rate=1e300, epochs=1, seed=0)
     with pytest.raises(TrainingDiverged, match="^non-finite loss nan at epoch 1$") as info:
