@@ -101,7 +101,8 @@ def _bad_matrix_line(path) -> str:
 
 @dataclass(frozen=True)
 class SingleGraphDataset:
-    """One graph plus per-node labels and disjoint train/val/test masks."""
+    """One graph plus per-node labels and exactly three disjoint masks:
+    train, val and test."""
 
     graph: Graph
     labels: np.ndarray          # (n,) class index, -1 for unlabeled
@@ -111,6 +112,13 @@ class SingleGraphDataset:
         n = self.graph.n
         if self.labels.shape != (n,):
             raise ValueError("labels must be one class index per node")
+        splits = ("train", "val", "test")
+        missing = [m for m in splits if m not in self.masks]
+        unknown = [m for m in self.masks if m not in splits]
+        if missing or unknown:
+            wrong = [f"{kind} {', '.join(map(repr, names))}"
+                     for kind, names in (("missing", missing), ("unknown", unknown)) if names]
+            raise ValueError(f"split masks must be train, val and test: {'; '.join(wrong)}")
         stacked = np.zeros(n, dtype=int)
         for name, m in self.masks.items():
             if m.shape != (n,) or m.dtype != np.bool_:
@@ -118,8 +126,8 @@ class SingleGraphDataset:
             stacked += m.astype(int)
         if np.any(stacked > 1):
             raise ValueError("split masks must be disjoint")
-        train = self.masks.get("train")
-        if train is not None and np.any(self.labels[train] < 0):
+        train = self.masks["train"]
+        if np.any(self.labels[train] < 0):
             bad = int(np.flatnonzero(train & (self.labels < 0))[0])
             raise ValueError(f"training node {bad} has no valid class label")
 

@@ -451,14 +451,6 @@ def _masked_product(C, mask, keep, X, out, transpose=False) -> None:
         out[...] = acc.T
 
 
-def _narrowing(layer, Hin) -> bool:
-    """Whether a conv layer applies its n x n supports to the f_out-wide
-    side: C_s (Hin A_s) costs n^2 f_out per support instead of the n^2 f_in
-    of (C_s Hin) A_s, and caches no rows x f_in product per support, so it is
-    chosen whenever f_in >= f_out."""
-    return Hin.shape[1] >= layer.out
-
-
 def _mixing(layer, lp):
     """Per-support f_in x f_out matrices A_s of a conv layer, so that its
     pre-activation is sum_s C_s Hin A_s: diag(w_s) W for DSG (made one at a
@@ -533,13 +525,13 @@ def _readout_backward(cache, dout):
 def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
     """One layer over a batch; drop is the training forward's _Dropout.
     Returns (output, cache for the backward pass). A conv layer forms sum_s
-    C_s Hin A_s (see _mixing) as sum_s C_s (Hin A_s) when it narrows, else as
-    sum_s P_s A_s with P_s = C_s Hin cached. With rows, ascending node rows
-    of a single graph, it forms only those rows of its output: its supports
-    are the row slices C_s[rows], gathered here and cached for the backward,
-    while its kernel masks are drawn for those rows from the full supports'
-    shapes. The cache holds the input H and its input mask, not the scaled
-    input."""
+    C_s Hin A_s (see _mixing) as sum_s C_s (Hin A_s): each support multiplies
+    the f_out-wide Hin A_s, whichever of f_in and f_out is larger. With rows,
+    ascending node rows of a single graph, it forms only those rows of its
+    output: its supports are the row slices C_s[rows], gathered here and
+    cached for the backward, while its kernel masks are drawn for those rows
+    from the full supports' shapes. The cache holds the input H and its input
+    mask, not the scaled input."""
     if isinstance(layer, ReadoutMeanMax):
         return _readout_forward(H, batch)
 
@@ -554,17 +546,12 @@ def _layer_forward(layer, lp, H, batch, drop=None, rows=None):
     else:
         Cs = cache["Cs"] = batch.supports if rows is None else \
             [[C[rows] for C in batch.supports[0]]]
-        if _narrowing(layer, Hin):
-            # the scaled input is let go before the kernel masks are drawn,
-            # so the two are never alive together
-            HA = [Hin @ A for A in _mixing(layer, lp)]
-            del Hin
-            kernel = cache["kernel"] = None if drop is None else drop.kernels(batch, rows)
-            Z = _accumulated(_propagate(Cs, s, X, dropout=kernel) for s, X in enumerate(HA))
-        else:
-            kernel = cache["kernel"] = None if drop is None else drop.kernels(batch, rows)
-            PS = cache["PS"] = [_propagate(Cs, s, Hin, dropout=kernel) for s in range(len(Cs[0]))]
-            Z = sum(P @ A for P, A in zip(PS, _mixing(layer, lp)))
+        # the scaled input is let go before the kernel masks are drawn, so
+        # the two are never alive together
+        HA = [Hin @ A for A in _mixing(layer, lp)]
+        del Hin
+        kernel = cache["kernel"] = None if drop is None else drop.kernels(batch, rows)
+        Z = _accumulated(_propagate(Cs, s, X, dropout=kernel) for s, X in enumerate(HA))
     if lp.bias is not None:
         Z += lp.bias
     cache["act"], out = _activate(Z, layer.activation)
@@ -576,7 +563,7 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
     input (None when input_grad is false). Consumes the cache: its kernel
     masks are let go once the products that read them are formed. A conv
     layer's R_s, the gradient for its A_s (see _mixing_grads), is Hin^T G_s
-    with G_s = C_s^T dZ when it narrows, and P_s^T dZ otherwise."""
+    with G_s = C_s^T dZ, and its input gradient is sum_s G_s A_s^T."""
     if isinstance(layer, ReadoutMeanMax):
         return (_readout_backward(cache, dout) if input_grad else None), LayerParams()
 
@@ -585,14 +572,13 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
     if lp.bias is not None:
         grads.bias = dZ.sum(axis=0)
 
-    H, Cs = cache["H"], cache.get("Cs")
-    kernel = cache.pop("kernel", None)
-    dHin = None
+    H, dHin = cache["H"], None
     if isinstance(layer, Dense):
         grads.weights = [_layer_input(H, cache["mask"]).T @ dZ]
         if input_grad:
             dHin = dZ @ lp.weights[0].T
-    elif _narrowing(layer, H):
+    else:
+        Cs, kernel = cache["Cs"], cache.pop("kernel")
         # G_s = C_s^T dZ is f_out wide, and R_s = Hin^T G_s. The scaled input
         # is rebuilt only after every G_s is formed and the kernel masks are
         # let go, and let go before dHin, of its shape.
@@ -601,15 +587,9 @@ def _layer_backward(layer, lp, cache, dout, input_grad=True):
         Hin = _layer_input(H, cache["mask"])
         RS = [Hin.T @ G for G in GS]
         del Hin
+        grads.weights, grads.depthwise = _mixing_grads(layer, lp, RS)
         if input_grad:
             dHin = _accumulated(G @ A.T for G, A in zip(GS, _mixing(layer, lp)))
-    else:
-        RS = [P.T @ dZ for P in cache["PS"]]
-        if input_grad:
-            dHin = _accumulated(_propagate(Cs, s, dZ @ A.T, transpose=True, dropout=kernel)
-                                for s, A in enumerate(_mixing(layer, lp)))
-    if isinstance(layer, _CONV):
-        grads.weights, grads.depthwise = _mixing_grads(layer, lp, RS)
     if dHin is not None and cache["mask"] is not None:
         mask, keep = cache["mask"]
         dHin *= mask
@@ -894,7 +874,8 @@ def train(
     """Train a model to a fixed epoch count; deterministic per config.seed.
 
     Inductive (MultiGraphDataset): kernelsets holds one KernelSet per graph,
-    train_idx/val_idx select graphs, and the model ends in a meanmax readout.
+    train_idx/val_idx select graphs by their integer indices in
+    0..n_graphs-1, and the model ends in a meanmax readout.
     Transductive (SingleGraphDataset): kernelsets is the graph's KernelSet,
     the model has no readout, and the graph is a training set of one graph
     whose loss is masked over data.masks['train']; its training forward
@@ -939,6 +920,12 @@ def train(
     elif isinstance(data, MultiGraphDataset):
         if train_idx is None or val_idx is None:
             raise ValueError("multi-graph training needs train_idx and val_idx")
+        for name, idx in (("train_idx", train_idx), ("val_idx", val_idx)):
+            for i in idx:   # a bool or a float is no graph index, and none wraps
+                if not isinstance(i, numbers.Integral) or isinstance(i, bool) \
+                        or not 0 <= i < len(data):
+                    raise ValueError(f"{name} holds {i!r}, not a graph index in "
+                                     f"0..{len(data) - 1}")
         if len(train_idx) == 0:
             raise ValueError("the split has no train graphs")
         graphs, chunk_loss = data.graphs, _graph_chunk_loss(data, config.loss)
@@ -1006,13 +993,16 @@ def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_row
 
 def _check_kernelsets(graphs, kernelsets) -> None:
     """The kernel-set rule of a run, checked once before its first step: one
-    kernel set per graph, each holding as many supports as graph 0's (support
-    s of every graph is filtered by the same weights), each support of graph
-    g n_g x n_g. stack_graphs, model_forward and evaluate_graphs trust it."""
+    kernel set per graph, each holding as many supports as graph 0's, at least
+    one (support s of every graph is filtered by the same weights), each
+    support of graph g n_g x n_g. stack_graphs, model_forward and
+    evaluate_graphs trust it."""
     if len(kernelsets) != len(graphs):
         raise ValueError(f"{len(kernelsets)} kernel sets for {len(graphs)} graphs")
     for g, (graph, supports) in enumerate(zip(graphs, kernelsets)):
         n, count = graph.n, len(kernelsets[0])
+        if len(supports) == 0:
+            raise ValueError(f"graph {g} has no supports")
         if len(supports) != count:
             raise ValueError(f"graph {g} has {len(supports)} supports, graph 0 has {count}")
         for C in supports:

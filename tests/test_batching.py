@@ -26,8 +26,8 @@ from scaffold import random_graph
 SIZES = (7, 12, 5, 9)
 S = 3
 CONFIG = TrainConfig(input_dropout=0.3, kernel_dropout=0.4)
-# widening multi-support 4 -> 6, equal-width DSG 6 -> 6 (supports on the output
-# side), narrowing DSG 6 -> 3, readout, dense head
+# widening multi-support 4 -> 6, equal-width DSG 6 -> 6, narrowing DSG 6 -> 3
+# (each applies its supports to the f_out-wide Hin A_s), readout, dense head
 SPEC = ModelSpec((
     MultiSupportConv(out=6, use_bias=True, activation="relu"),
     DepthwiseSeparableConv(out=6, use_bias=True, activation="tanh"),

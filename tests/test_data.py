@@ -527,6 +527,15 @@ def test_dataset_invariants():
             masks={"train": np.ones(4, bool), "val": np.ones(4, bool),
                    "test": np.zeros(4, bool)},
         )
+    for masks, message in [({"train": np.ones(4, bool)}, "missing 'val', 'test'"),
+                           ({"train": np.ones(4, bool), "val": np.zeros(4, bool),
+                             "test": np.zeros(4, bool), "dev": np.zeros(4, bool)},
+                            "unknown 'dev'"),
+                           ({"train": np.ones(4, bool), "valid": np.zeros(4, bool)},
+                            "missing 'val', 'test'; unknown 'valid'")]:
+        with pytest.raises(ValueError, match=f"^split masks must be train, val and test: "
+                                             f"{message}$"):
+            SingleGraphDataset(graph=g, labels=np.zeros(4, int), masks=masks)
     g2 = random_graph(4, 0.5, seed=1, features_dim=2)
     with pytest.raises(ValueError, match="feature widths"):
         MultiGraphDataset(graphs=(g, g2), labels=np.zeros(2, int), n_classes=1)

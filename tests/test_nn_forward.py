@@ -496,40 +496,42 @@ def test_input_dropout_caches_the_input_and_its_mask_not_a_scaled_copy():
 
 
 def test_scaled_input_and_kernel_masks_are_never_alive_together(monkeypatch):
-    """A narrowing layer lets go of its scaled input before it draws its
-    kernel masks, and its backward lets go of the masks before it rebuilds
-    the scaled input."""
+    """A conv layer lets go of its scaled input before it draws its kernel
+    masks, and its backward lets go of the masks before it rebuilds the
+    scaled input, whether it narrows (DSG2) or widens (G16) its 9 inputs."""
     n, f0, S = 12, 9, 3
-    scaled, kernel_masks, overlaps = [], [], []
     real_scaled, real_mask = nn._scaled, nn._kernel_mask
 
     def alive(refs):
         return any(r() is not None for r in refs)
 
-    def recorded_scaled(x, mask, keep):
-        out = real_scaled(x, mask, keep)
-        if out.shape == (n, f0):
-            overlaps.append(alive(kernel_masks))
-            scaled.append(weakref.ref(out))
-        return out
+    for arch in ("DSG2", "G16"):
+        scaled, kernel_masks, overlaps = [], [], []
 
-    def recorded_mask(rng, shape, keep, rows=None):
-        out = real_mask(rng, shape, keep, rows)
-        if shape == (n, n):
-            overlaps.append(alive(scaled))
-            kernel_masks.append(weakref.ref(out))
-        return out
+        def recorded_scaled(x, mask, keep):
+            out = real_scaled(x, mask, keep)
+            if out.shape == (n, f0):
+                overlaps.append(alive(kernel_masks))
+                scaled.append(weakref.ref(out))
+            return out
 
-    monkeypatch.setattr(nn, "_scaled", recorded_scaled)
-    monkeypatch.setattr(nn, "_kernel_mask", recorded_mask)
-    rng = np.random.default_rng(4)
-    spec = parse_architecture("DSG2")
-    params = init_parameters(spec, f0, S, rng)
-    supports = [rng.standard_normal((n, n)) for _ in range(S)]
-    out, caches = model_forward(spec, params, rng.standard_normal((n, f0)), supports,
-                                train=True, rng=rng, input_dropout=0.5, kernel_dropout=0.5)
-    model_backward(spec, params, caches, np.ones_like(out))
-    assert len(scaled) == 2 and len(kernel_masks) == S and not any(overlaps)
+        def recorded_mask(rng, shape, keep, rows=None):
+            out = real_mask(rng, shape, keep, rows)
+            if shape == (n, n):
+                overlaps.append(alive(scaled))
+                kernel_masks.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(nn, "_scaled", recorded_scaled)
+        monkeypatch.setattr(nn, "_kernel_mask", recorded_mask)
+        rng = np.random.default_rng(4)
+        spec = parse_architecture(arch)
+        params = init_parameters(spec, f0, S, rng)
+        supports = [rng.standard_normal((n, n)) for _ in range(S)]
+        out, caches = model_forward(spec, params, rng.standard_normal((n, f0)), supports,
+                                    train=True, rng=rng, input_dropout=0.5, kernel_dropout=0.5)
+        model_backward(spec, params, caches, np.ones_like(out))
+        assert (len(scaled), len(kernel_masks), any(overlaps)) == (2, S, False), arch
 
 
 def _step_case(arch, loss, n=500, f0=12, S=3, seed=21):

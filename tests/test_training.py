@@ -164,6 +164,27 @@ def test_graph_set_without_train_graphs_refused_before_first_forward(monkeypatch
               val_idx=np.arange(6))
 
 
+@pytest.mark.parametrize("train_idx,val_idx,message", [
+    ([0, 1, -1], [-2], "train_idx holds -1"),
+    ([0, 1, 5], [-2], "val_idx holds -2"),
+    ([0, 1, 6], [4], "train_idx holds 6"),
+    ([0, 1], [7], "val_idx holds 7"),
+    ([0.5], [4], "train_idx holds 0.5"),
+    ([0, 1], [True], "val_idx holds True"),
+    (np.array([0.0, 1.0]), [4], r"train_idx holds np.float64\(0.0\)"),
+], ids=["negative-train", "negative-val", "past-the-end-train", "past-the-end-val", "float",
+        "bool", "float-array"])
+def test_graph_indices_outside_the_set_are_refused_before_any_step(monkeypatch, train_idx,
+                                                                   val_idx, message):
+    """No graph index wraps or is rounded: every entry of train_idx and
+    val_idx is an integer in 0..n_graphs-1, or train refuses it first."""
+    ds = graph_classification_dataset(n_graphs=6)
+    refuse_steps(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}, not a graph index in 0..5$"):
+        train(GRAPH_SPEC, allpass_kernelsets(ds), ds, TrainConfig(epochs=1),
+              train_idx=train_idx, val_idx=val_idx)
+
+
 def test_graph_set_without_val_graphs_scores_nan_val():
     """An empty val set is allowed; its nan scores are no divergence."""
     ds = graph_classification_dataset(n_graphs=6)
@@ -568,8 +589,9 @@ def _pinned_dsg_run():
 def _pinned_graph_run():
     """G6-G8-G5-meanmax-D3 on eight graphs of 5 to 14 nodes, four per
     mini-batch (one chunk), with dual dropout 0.1, whose 1/keep is inexact.
-    The G8 layer widens, so its backward adds C_s^T products into dHin; the
-    G5 layer narrows; graphs wider and narrower than X meet both scalings."""
+    The G8 layer widens and the G5 layer narrows, and every conv layer
+    applies its supports to Hin A_s; graphs wider and narrower than X meet
+    both scalings."""
     rng = np.random.default_rng(22)
     sizes = (5, 14, 7, 11, 9, 6, 13, 8)
     graphs = tuple(replace(random_graph(m, 0.4, seed=30 + i), features=rng.standard_normal((m, 4)))
@@ -610,7 +632,7 @@ def test_training_trajectories_match_the_recorded_ones(run, apply_bytes, want, m
     assert np.allclose(got, want, rtol=1e-10, atol=0)
 
 
-def test_single_graph_training_refuses_supports_of_another_size():
+def test_single_graph_training_refuses_supports_of_another_size(monkeypatch):
     data = replace(make_ring(12), features=np.ones((12, 2)))
     data = SingleGraphDataset(graph=data, labels=np.zeros(12, int),
                               masks={"train": np.arange(12) < 6, "val": np.arange(12) >= 6,
@@ -618,6 +640,10 @@ def test_single_graph_training_refuses_supports_of_another_size():
     spec = ModelSpec((MultiSupportConv(out=2, use_bias=True, activation="linear"),))
     with pytest.raises(ValueError, match=r"^graph 0 has 12 nodes, but a support of shape \(11, 11\)$"):
         train(spec, two_support_kernels(make_ring(11)), data, TrainConfig(epochs=2))
+    refuse_steps(monkeypatch)
+    for arch in ("G2", "DSG2"):   # a kernel set without supports
+        with pytest.raises(ValueError, match="^graph 0 has no supports$"):
+            train(nn.parse_architecture(arch), [], data, TrainConfig(epochs=2))
 
 
 def support_counts_dataset(counts=(3, 4, 3, 5)):
@@ -636,19 +662,20 @@ def refuse_steps(monkeypatch):
 
 def test_unequal_support_counts_are_refused_before_the_first_step(monkeypatch):
     """Support s of every graph is filtered by the same weights, so each kernel
-    set of a run holds as many supports as graph 0's; train on a graph set and
-    crossvalidate refuse the first graph that does not, before any step and
-    before a fold worker starts."""
-    ds, kernelsets = support_counts_dataset()
+    set of a run holds as many supports as graph 0's, and at least one; train
+    on a graph set and crossvalidate refuse the first graph that does not,
+    before any step and before a fold worker starts."""
     refuse_steps(monkeypatch)
-    message = "^graph 1 has 4 supports, graph 0 has 3$"
-    with pytest.raises(ValueError, match=message):
-        train(GRAPH_SPEC, kernelsets, ds, TrainConfig(epochs=1), train_idx=[0, 2], val_idx=[3])
-    with pytest.raises(ValueError, match=message):
-        crossvalidate(ds, kernelsets, GRAPH_SPEC, TrainConfig(epochs=1), folds=2)
-    _, kernelsets = support_counts_dataset((3, 3, 3, 5))
-    with pytest.raises(ValueError, match="^graph 3 has 5 supports, graph 0 has 3$"):
-        crossvalidate(ds, kernelsets, GRAPH_SPEC, TrainConfig(epochs=1), folds=2)
+    for counts, message in [((3, 4, 3, 5), "graph 1 has 4 supports, graph 0 has 3"),
+                            ((3, 3, 3, 5), "graph 3 has 5 supports, graph 0 has 3"),
+                            ((0, 0, 0, 0), "graph 0 has no supports"),
+                            ((2, 2, 0, 2), "graph 2 has no supports")]:
+        ds, kernelsets = support_counts_dataset(counts)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(GRAPH_SPEC, kernelsets, ds, TrainConfig(epochs=1), train_idx=[0, 2],
+                  val_idx=[3])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            crossvalidate(ds, kernelsets, GRAPH_SPEC, TrainConfig(epochs=1), folds=2)
     assert multiprocessing.active_children() == []
 
 
