@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__, _blas
 from .analysis import export_profile, gat_profile_stats, profile
-from .data import MultiGraphDataset, load_single_graph, load_tu_dataset, save_matrix_csv
+from .data import (MultiGraphDataset, _check_cv, load_single_graph, load_tu_dataset,
+                   save_matrix_csv)
 from .filters import (CayleyBasis, ChebBasis, LowPass, Tabulated, coverage, format_design,
                       gcn_cutoff, parse_design)
 from .gradcheck import gradcheck_suite
@@ -43,7 +44,8 @@ from .nn import (
     Adam,
     TrainConfig,
     TrainingDiverged,
-    _check_readout,
+    _check_problem,
+    _check_split,
     crossvalidate,
     parse_architecture,
     save_checkpoint,
@@ -101,9 +103,10 @@ def _check_out_dir(out_dir: str, what: str) -> None:
 def _parse_kernel_spec(arg: str) -> tuple:
     """(head, argument) of a kernel spec, gcn | cheb:<k> | cayley:<h>:<r> |
     design:<expr>[;<expr>...] | gat:<seed>: the argument is None for gcn, the
-    order for cheb, the designs for cayley and design, the seed for gat. Needs
-    no graph, so a bad spec is refused before any decomposition; what depends
-    on the graph is checked by cmd_analyze once the graph is loaded."""
+    order for cheb, (h, r) for cayley, the designs for design, the seed for
+    gat. Needs no graph, so a bad spec is refused before any decomposition;
+    what depends on the graph is checked by cmd_analyze once the graph is
+    loaded."""
     head, colon, rest = arg.partition(":")
     if head == "gcn" and not colon:
         return head, None
@@ -127,7 +130,8 @@ def _parse_kernel_spec(arg: str) -> tuple:
                               f"cayley:<h>:<r>; got {arg!r}") from None
         if r < 1:
             raise ConfigError(f"cayley kernel needs an order of at least 1; got {arg!r}")
-        return head, [CayleyBasis(s=s, h=h, r=r) for s in range(1, 2 * r + 2)]
+        CayleyBasis(s=1, h=h, r=r)   # refuses a bad scale
+        return head, (h, r)
     if head == "design":
         designs = [parse_design(t) for t in rest.split(";") if t]
         if not designs:
@@ -168,6 +172,13 @@ def cmd_analyze(args) -> int:
     graph = _load_graph(args.graph)
     kind = _laplacian_kind(args.laplacian)
     # what the spec needs of the graph, checked before the decomposition and --out
+    if head == "cayley":
+        h, r = value
+        # as with cheb:<k>, a graph of n nodes has at most n independent responses
+        if 2 * r + 1 > graph.n:
+            raise ConfigError(f"{args.kernel} makes 2r+1 = {2 * r + 1} supports, "
+                              f"above the node count {graph.n}")
+        value = [CayleyBasis(s=s, h=h, r=r) for s in range(1, 2 * r + 2)]
     designs = (value if head in ("cayley", "design") else
                [ChebBasis(k=value)] if head == "cheb" else [])
     for d in designs:
@@ -240,12 +251,9 @@ def _train_config(cfg: dict, args) -> TrainConfig:
         if val is not None:
             t[key] = val
     try:
-        tconfig = TrainConfig(**t)
+        return TrainConfig(**t)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad train config: {exc}") from None
-    if tconfig.epochs < 1:
-        raise ConfigError(f"bad train config: epochs must be >= 1, got {tconfig.epochs}")
-    return tconfig
 
 
 def _experiment_parts(cfg: dict, base_dir: str):
@@ -350,8 +358,7 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
         raise ConfigError(f"sweep_eta must be a list of numbers, got {json.dumps(sweep)}")
     if sweep and not any(isinstance(d, LowPass) for d in designs):
         raise ConfigError("sweep_eta varies the eta of a lowpass design, but designs has none")
-    if not dataset.masks["train"].any():
-        raise ConfigError("the split has no train nodes")
+    _check_split(dataset)
     if sweep and not dataset.masks["val"].any():
         raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")
     points = _set_up(dataset, lap, designs, [
@@ -393,18 +400,6 @@ def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
     return EXIT_OK
 
 
-def _cv_settings(cfg) -> tuple:
-    """(folds, repeats) of a TU config's cv section, refused unless there are
-    at least 2 folds and 1 repeat."""
-    cv_cfg = _field(cfg, "cv", dict, {})
-    folds, repeats = _field(cv_cfg, "folds", int, 10), _field(cv_cfg, "repeats", int, 1)
-    if folds < 2:
-        raise ConfigError(f"cross-validation needs at least 2 folds, got {folds}")
-    if repeats < 1:
-        raise ConfigError(f"cross-validation needs at least 1 repeat, got {repeats}")
-    return folds, repeats
-
-
 def _run_inductive(cfg, spec, designs, lap, dataset, tconfig, out_dir, folds, repeats):
     [(record, kernelsets)] = _set_up(dataset, lap, designs)
     result = crossvalidate(dataset, kernelsets, spec, tconfig, folds=folds, repeats=repeats)
@@ -436,11 +431,8 @@ def cmd_train(args) -> int:
     if kind not in ("single", "tu"):
         raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
     # settings a dataset kind cannot run are refused before the dataset is loaded
-    _check_readout(spec, graph_level=kind == "tu")
+    _check_problem(spec, tconfig.loss, graph_level=kind == "tu")
     if kind == "single":
-        if tconfig.loss != "softmax_ce":
-            raise ConfigError(f"loss {tconfig.loss} applies to tu datasets only; "
-                              "a single dataset trains with softmax_ce")
         dataset, run = load_single_graph(path), _run_transductive
         graphs = [dataset.graph]
     else:
@@ -450,13 +442,13 @@ def cmd_train(args) -> int:
         if any(isinstance(d, Tabulated) for d in designs):
             raise ConfigError("a tabulated design applies to single datasets only; "
                               "its values belong to one graph's eigenvalues")
-        folds, repeats = _cv_settings(cfg)
+        cv_cfg = _field(cfg, "cv", dict, {})
+        folds, repeats = _field(cv_cfg, "folds", int, 10), _field(cv_cfg, "repeats", int, 1)
+        _check_cv(folds, repeats)
         use_attributes = _field(ds, "use_attributes", bool, False)
         dataset = load_tu_dataset(path, use_attributes=use_attributes)
         graphs = dataset.graphs
-        if folds > len(graphs):
-            raise ConfigError(f"cross-validation cannot make {folds} folds "
-                              f"out of {len(graphs)} graphs")
+        _check_cv(folds, repeats, len(graphs))
         run = functools.partial(_run_inductive, folds=folds, repeats=repeats)
     n_max = max(g.n for g in graphs)
     for d in designs:

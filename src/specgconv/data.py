@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -388,6 +389,26 @@ def load_tu_dataset(directory, use_attributes: bool = False) -> MultiGraphDatase
     return MultiGraphDataset(graphs=graphs, labels=labels, n_classes=int(classes.size))
 
 
+def _check_integer(name: str, value) -> None:
+    # a bool is an Integral, but True is no count
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_cv(folds, repeats, n_graphs=None) -> None:
+    """The rules of a cross-validation run: integer counts, at least 2 folds
+    and 1 repeat, and, once the number of graphs n_graphs is known, no more
+    folds than graphs."""
+    _check_integer("folds", folds)
+    _check_integer("repeats", repeats)
+    if folds < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
+    if repeats < 1:
+        raise ValueError(f"cross-validation needs at least 1 repeat, got {repeats}")
+    if n_graphs is not None and folds > n_graphs:
+        raise ValueError(f"cross-validation cannot make {folds} folds out of {n_graphs} graphs")
+
+
 def make_folds(dataset: MultiGraphDataset, k: int = 10, seed: int = 0) -> np.ndarray:
     """Seeded, class-stratified fold assignment with near-equal fold sizes.
 
@@ -396,10 +417,7 @@ def make_folds(dataset: MultiGraphDataset, k: int = 10, seed: int = 0) -> np.nda
     fallback (plain seeded shuffle dealt round-robin).
     """
     n = len(dataset)
-    if k < 2:
-        raise ValueError(f"cross-validation needs at least 2 folds, got {k}")
-    if k > n:
-        raise ValueError(f"cross-validation cannot make {k} folds out of {n} graphs")
+    _check_cv(k, repeats=1, n_graphs=n)
     rng = np.random.default_rng(seed)
     folds = np.empty(n, dtype=int)
     counts = np.bincount(dataset.labels, minlength=dataset.n_classes)

@@ -311,7 +311,7 @@ def coverage(designs: Sequence[FilterDesign], basis: SpectralBasis) -> float:
 _DESIGN_RE = re.compile(r"^\s*([a-z]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
 
 
-def _parse_args(body: str) -> dict:
+def _parse_args(name: str, body: str) -> dict:
     args = {}
     if not body:
         return args
@@ -319,6 +319,8 @@ def _parse_args(body: str) -> dict:
         if "=" not in part:
             raise ValueError(f"malformed design argument {part!r} (expected key=value)")
         key, value = (t.strip() for t in part.split("=", 1))
+        if key in args:
+            raise ValueError(f"design {name!r} repeats argument {key!r}")
         args[key] = value
     return args
 
@@ -329,20 +331,24 @@ def parse_design(text: str, base_dir=None) -> FilterDesign:
     Examples: ``lowpass(eta=5)``, ``highpass``, ``bandpass(c=0.5,gamma=0.25)``,
     ``allpass``, ``explowpass(tau=10)``, ``oneminus``, ``cheb(k=3)``,
     ``cayley(s=4,h=1,r=3)``, ``tabulated(file=values.csv)``. Relative
-    tabulated paths resolve against base_dir when given.
+    tabulated paths resolve against base_dir when given. Each argument is
+    given once.
     """
     m = _DESIGN_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse filter design {text!r}")
     name, body = m.group(1), m.group(2) or ""
-    args = _parse_args(body)
+    args = _parse_args(name, body)
     if name not in FAMILIES:
         raise ValueError(f"unknown filter design {name!r}")
 
     def take(key, conv):
         if key not in args:
             raise ValueError(f"design {name!r} is missing argument {key!r}")
-        return conv(args.pop(key))
+        try:
+            return conv(args.pop(key))
+        except ValueError as exc:
+            raise ValueError(f"design {name!r} argument {key!r}: {exc}") from None
 
     design = FAMILIES[name].from_text(take, base_dir)
     if args:

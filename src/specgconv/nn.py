@@ -23,6 +23,7 @@ those rows of their masks, skipping the others in the stream.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import re
@@ -34,7 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _blas
-from .data import MultiGraphDataset, SingleGraphDataset, make_folds
+from .data import MultiGraphDataset, SingleGraphDataset, _check_cv, _check_integer, make_folds
 
 ACTIVATIONS = ("relu", "linear", "tanh")
 
@@ -810,26 +811,27 @@ class TrainConfig:
     loss: str = "softmax_ce"
 
     def __post_init__(self):
-        # a bool is an Integral, but True is no epoch count or rate
         for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
+        # a bool is a Real, but True is no rate
         for name in ("learning_rate", "weight_decay", "depthwise_decay",
                      "input_dropout", "kernel_dropout"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        for name in ("learning_rate", "weight_decay", "depthwise_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("input_dropout", "kernel_dropout"):
             rate = getattr(self, name)
             if not 0 <= rate < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
-            raise ValueError("epochs and seed must be >= 0 and batch size >= 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def decay_value(params, weight_decay, depthwise_decay) -> float:
@@ -893,11 +895,9 @@ def train(
     A single graph trains with the softmax_ce loss on its node labels;
     binary_ce (one-hot graph labels, scored by micro-F1) is for graph sets.
     """
+    _check_problem(spec, config.loss, graph_level=isinstance(data, MultiGraphDataset))
     if isinstance(data, SingleGraphDataset):
-        if config.loss != "softmax_ce":
-            raise ValueError(f"a single-graph run trains with softmax_ce, not {config.loss}")
-        if not data.masks["train"].any():
-            raise ValueError("the split has no train nodes")
+        _check_split(data)
         graphs, kernelsets, train_idx = (data.graph,), (kernelsets,), [0]
         y = data.labels
         masks = {name: data.masks[name]
@@ -938,7 +938,6 @@ def train(
     else:
         raise TypeError(f"unsupported dataset type {type(data).__name__}")
 
-    _check_readout(spec, graph_level=isinstance(data, MultiGraphDataset))
     _check_kernelsets(graphs, kernelsets)
     adam = Adam(config.learning_rate)
     fit = _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_rows)
@@ -1010,15 +1009,25 @@ def _check_kernelsets(graphs, kernelsets) -> None:
                 raise ValueError(f"graph {g} has {n} nodes, but a support of shape {C.shape}")
 
 
-def _check_readout(spec: ModelSpec, graph_level: bool) -> None:
+def _check_problem(spec: ModelSpec, loss: str, graph_level: bool) -> None:
     """A graph-level model pools each graph to one row with a meanmax readout
-    that no graph convolution follows; a node-level model has no readout."""
+    that no graph convolution follows; a node-level model has no readout, and
+    trains with softmax_ce on node labels (binary_ce scores one-hot graph
+    labels)."""
     readout = [isinstance(layer, ReadoutMeanMax) for layer in spec.layers]
     if graph_level != any(readout):
         raise ValueError("a graph-level model needs a meanmax readout" if graph_level else
                          "a single-graph (node-level) model cannot contain a meanmax readout")
     if graph_level and any(isinstance(layer, _CONV) for layer in spec.layers[readout.index(True):]):
         raise ValueError("a graph convolution cannot follow the meanmax readout")
+    if not graph_level and loss != "softmax_ce":
+        raise ValueError(f"a single-graph run trains with softmax_ce, not {loss}")
+
+
+def _check_split(data: SingleGraphDataset) -> None:
+    """A single graph's loss reads its train nodes, so its split needs one."""
+    if not data.masks["train"].any():
+        raise ValueError("the split has no train nodes")
 
 
 # Row bound of one chunk of stacked graphs. A chunk's caches and backward
@@ -1178,9 +1187,8 @@ def crossvalidate(
     could pin BLAS, and the processes would oversubscribe the cores), the
     folds run here one after another.
     """
-    if repeats < 1:
-        raise ValueError(f"cross-validation needs at least 1 repeat, got {repeats}")
-    _check_readout(spec, graph_level=True)
+    _check_cv(folds, repeats, len(dataset))
+    _check_problem(spec, config.loss, graph_level=True)
     _check_kernelsets(dataset.graphs, kernelsets)
     chunk_loss = _graph_chunk_loss(dataset, config.loss)
 

@@ -14,7 +14,7 @@ import pytest
 from specgconv.analysis import load_profile_csv
 from specgconv import _blas, cli, nn
 from specgconv.cli import main
-from specgconv.filters import ChebBasis, evaluate
+from specgconv.filters import CayleyBasis, ChebBasis, evaluate
 from specgconv.graphs import LaplacianKind, build_laplacian, make_ring
 from specgconv.spectral import decompose
 
@@ -299,6 +299,30 @@ def test_analyze_chebyshev_order_above_node_count_is_config_error(
     assert decomposed == []
 
 
+@pytest.mark.parametrize("r", [4, 50])
+def test_analyze_cayley_order_above_node_count_is_config_error(tmp_path, capsys, monkeypatch, r):
+    """cayley:<h>:<r> makes 2r+1 supports, and a graph of n nodes has at most
+    n independent responses: 2r+1 above n is refused on one line before the
+    supports' designs are built, the graph decomposed or --out made."""
+    built = []
+    monkeypatch.setattr(cli, "decompose", lambda *a, **kw: pytest.fail("decomposed"))
+    monkeypatch.setattr(cli, "CayleyBasis", lambda **kw: built.append(kw) or CayleyBasis(**kw))
+    out = tmp_path / "c"
+    kernel = f"cayley:1:{r}"
+    assert main(["analyze", "--graph", "ring8", "--kernel", kernel, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: {kernel} makes 2r+1 = {2 * r + 1} "
+                                       "supports, above the node count 8\n")
+    assert not out.exists()
+    assert len(built) <= 1
+
+
+def test_analyze_cayley_order_up_to_node_count_runs(tmp_path):
+    out = tmp_path / "c"
+    assert main(["analyze", "--graph", "ring7", "--kernel", "cayley:1:3", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["kernels"] == [
+        f"cayley_{s}" for s in range(1, 8)]
+
+
 @pytest.mark.parametrize("name,text,message", [
     ("labels.csv", "label\n" + "0\n" * 23 + "inf\n",
      "labels.csv line 25: expected an integer, got 'inf'"),
@@ -412,8 +436,7 @@ def test_train_refuses_what_only_the_other_dataset_kind_runs_before_loading(
         monkeypatch.setattr(cli, loader, lambda *a, **k: pytest.fail("dataset loaded"))
     if kind == "single":
         path = write_toy_config(tmp_path, train={"epochs": 2, "loss": "binary_ce"})
-        message = ("config error: loss binary_ce applies to tu datasets only; "
-                   "a single dataset trains with softmax_ce\n")
+        message = "config error: a single-graph run trains with softmax_ce, not binary_ce\n"
     else:
         path = write_tu_config(tmp_path, sweep_eta=[1, 3])
         message = ("config error: sweep_eta applies to single datasets only; "
@@ -767,6 +790,15 @@ def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, monkeypatch
     ("tu", {"cv": {"repeats": True}}, "repeats must be an integer, got true"),
     ("single", {"designs": ["lowpass(5)"]}, "malformed design argument '5' (expected key=value)"),
     ("single", {"designs": ["cayley(s=1,h=1,r=0)"]}, "Cayley order must be >= 1, got 0"),
+    ("single", {"train": {"epochs": 2, "learning_rate": float("nan")}},
+     "learning_rate must be finite and >= 0, got nan"),
+    ("single", {"train": {"epochs": 2, "learning_rate": float("inf")}},
+     "learning_rate must be finite and >= 0, got inf"),
+    ("single", {"train": {"epochs": 2, "depthwise_decay": float("nan")}},
+     "depthwise_decay must be finite and >= 0, got nan"),
+    ("single", {"train": {"epochs": 2, "weight_decay": -1.0}},
+     "weight_decay must be finite and >= 0, got -1.0"),
+    ("single", {"designs": ["lowpass(eta=5,eta=3)"]}, "design 'lowpass' repeats argument 'eta'"),
 ])
 def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overrides, message):
     write = write_toy_config if kind == "single" else write_tu_config

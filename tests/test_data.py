@@ -470,10 +470,13 @@ def test_make_folds_small_class_fallback():
     assert np.all(np.bincount(folds, minlength=10) == 2)
 
 
-@pytest.mark.parametrize("k", [1, 0, -3])
+@pytest.mark.parametrize("k", [1, 0, -3, 2.5, True])
 def test_make_folds_needs_two_folds(k):
+    # True is no fold count, though it equals 1
+    message = (f"^cross-validation needs at least 2 folds, got {k}$" if type(k) is int else
+               f"^folds must be an integer, got {k!r}$")
     ds = dataset_with_labels(np.zeros(6, int))
-    with pytest.raises(ValueError, match=f"^cross-validation needs at least 2 folds, got {k}$"):
+    with pytest.raises(ValueError, match=message):
         make_folds(ds, k=k, seed=0)
 
 

@@ -174,6 +174,20 @@ def test_parse_design_errors():
         parse_design("low pass(eta")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("lowpass(eta=5,eta=3)", "design 'lowpass' repeats argument 'eta'"),
+    ("bandpass(c=0.5,gamma=1,c=0.2)", "design 'bandpass' repeats argument 'c'"),
+    ("cheb(k=1.5)", "design 'cheb' argument 'k': invalid literal for int() with base 10: '1.5'"),
+    ("lowpass(eta=fast)", "design 'lowpass' argument 'eta': could not convert string to float"),
+])
+def test_parse_design_refuses_a_repeated_or_unreadable_argument(text, message):
+    """Each argument is given once, so none silently overrides another, and
+    a value that does not convert is named with its design and argument."""
+    with pytest.raises(ValueError) as info:
+        parse_design(text)
+    assert str(info.value).startswith(message)
+
+
 @pytest.mark.parametrize("text", [
     "lowpass(eta=nan)", "lowpass(eta=inf)", "bandpass(c=0.5,gamma=nan)",
     "explowpass(tau=nan)", "cayley(s=2,h=nan,r=1)",

@@ -1,7 +1,7 @@
 """The public API of specgconv, listed in full: every name the package
 exports, and the parameters of each exported function. Adding, removing or
 renaming one shows up as a change to these lists. And the library holds no
-function that only the tests call."""
+function that only the tests call, nor a refusal worded in two modules."""
 import ast
 import inspect
 import types
@@ -124,3 +124,31 @@ def test_every_library_function_has_a_caller_outside_the_tests():
         if all(p == path and id(node) in own for p, node in reads.get(fn.name, [])):
             uncalled.append(qualname)
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+def _refusal_template(node):
+    """The message template of `raise X("...")` or `raise X(f"...")`, each
+    formatted field blanked to {}; None for any other node."""
+    call = node.exc if isinstance(node, ast.Raise) else None
+    if not isinstance(call, ast.Call) or not call.args:
+        return None
+    message = call.args[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in message.values)
+    return None
+
+
+def test_no_refusal_is_worded_in_two_modules():
+    """Each rule a run must meet is refused from one module, so its wording
+    cannot drift between copies. One module may raise a message twice."""
+    modules = {}
+    for path in sorted((ROOT / "src" / "specgconv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            template = _refusal_template(node)
+            if template is not None:
+                modules.setdefault(template, set()).add(path.stem)
+    shared = {template: sorted(names) for template, names in modules.items() if len(names) > 1}
+    assert shared == {}

@@ -367,19 +367,38 @@ def test_crossvalidate_mean_degree_task():
     assert cv.mean >= 0.95
 
 
-@pytest.mark.parametrize("folds", [1, 0, -2])
+@pytest.mark.parametrize("folds", [1, 0, -2, 2.0, True])
 def test_crossvalidate_needs_two_folds(monkeypatch, folds):
+    message = (f"at least 2 folds, got {folds}" if type(folds) is int else
+               f"^folds must be an integer, got {folds!r}$")
     ds = graph_classification_dataset(n_graphs=8)
     monkeypatch.setattr(nn, "_fit", lambda *a, **k: pytest.fail("a fold was trained"))
-    with pytest.raises(ValueError, match=f"at least 2 folds, got {folds}"):
+    with pytest.raises(ValueError, match=message):
         crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1), folds=folds)
 
 
 def test_crossvalidate_needs_a_repeat(monkeypatch):
     ds = graph_classification_dataset(n_graphs=8)
     monkeypatch.setattr(nn, "_fit", lambda *a, **k: pytest.fail("a fold was trained"))
-    with pytest.raises(ValueError, match="^cross-validation needs at least 1 repeat, got 0$"):
-        crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1), repeats=0)
+    for repeats, message in ((0, "^cross-validation needs at least 1 repeat, got 0$"),
+                             (1.5, "^repeats must be an integer, got 1.5$"),
+                             (True, "^repeats must be an integer, got True$")):
+        with pytest.raises(ValueError, match=message):
+            crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=1),
+                          repeats=repeats)
+
+
+def test_zero_epochs_are_refused_before_any_work(monkeypatch):
+    """A run of no epochs has no curve to pick an epoch from: TrainConfig
+    refuses it, so train and crossvalidate never start."""
+    monkeypatch.setattr(nn, "_fit", lambda *a, **k: pytest.fail("an epoch loop was started"))
+    ds = graph_classification_dataset(n_graphs=8)
+    with pytest.raises(ValueError, match="^epochs must be >= 1, got 0$"):
+        crossvalidate(ds, allpass_kernelsets(ds), GRAPH_SPEC, TrainConfig(epochs=0), folds=2)
+    data = separable_dataset()
+    spec = ModelSpec((MultiSupportConv(out=2, use_bias=True, activation="linear"),))
+    with pytest.raises(ValueError, match="^epochs must be >= 1, got 0$"):
+        train(spec, two_support_kernels(data.graph), data, replace(TrainConfig(), epochs=0))
 
 
 def test_crossvalidate_scores_only_validation_graphs(monkeypatch, tmp_path):
@@ -550,6 +569,14 @@ def test_checkpoint_roundtrip(tmp_path):
     ("seed", False, "seed must be an integer, got False"),
     ("learning_rate", True, "learning_rate must be a number, got True"),
     ("input_dropout", False, "input_dropout must be a number, got False"),
+    ("epochs", 0, "^epochs must be >= 1, got 0$"),
+    ("batch_size", 0, "^batch_size must be >= 1, got 0$"),
+    ("learning_rate", float("nan"), "^learning_rate must be finite and >= 0, got nan$"),
+    ("learning_rate", float("inf"), "^learning_rate must be finite and >= 0, got inf$"),
+    ("learning_rate", -0.1, "^learning_rate must be finite and >= 0, got -0.1$"),
+    ("weight_decay", -1.0, "^weight_decay must be finite and >= 0, got -1.0$"),
+    ("depthwise_decay", float("nan"), "^depthwise_decay must be finite and >= 0, got nan$"),
+    ("weight_decay", float("inf"), "^weight_decay must be finite and >= 0, got inf$"),
 ])
 def test_train_config_refuses_wrong_types(field, value, message):
     with pytest.raises(ValueError, match=message):
