@@ -3,7 +3,7 @@
 Three subcommands: ``analyze`` back-calculates frequency profiles of a kernel
 on a graph and writes plot-ready CSVs; ``train`` runs a full experiment from
 a JSON config (transductive or cross-validated multi-graph); ``gradcheck``
-verifies every layer/loss gradient against central finite differences.
+verifies every layer's gradient against central finite differences.
 
 Every ``train`` run sets up through ``_set_up``: it decomposes each graph
 once, forms the kernel sets, and builds the record of lambda_max, average
@@ -431,7 +431,7 @@ def cmd_train(args) -> int:
     if kind not in ("single", "tu"):
         raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
     # settings a dataset kind cannot run are refused before the dataset is loaded
-    _check_problem(spec, tconfig.loss, graph_level=kind == "tu")
+    _check_problem(spec, graph_level=kind == "tu")
     if kind == "single":
         dataset, run = load_single_graph(path), _run_transductive
         graphs = [dataset.graph]
@@ -454,7 +454,7 @@ def cmd_train(args) -> int:
     for d in designs:
         d.check_graph(n_max)
     f0 = graphs[0].features.shape[1]
-    # node labels, and the graph targets of either loss, are n_classes wide
+    # node and graph labels alike are classes 0..n_classes-1
     final_width = spec.widths(f0)[-1]
     if final_width != dataset.n_classes:
         raise ConfigError(f"architecture {arch!r} ends with width {final_width}, "
@@ -533,7 +533,9 @@ def _run(args) -> int:
     except (TrainingDiverged, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; numpy's MemoryError says in one line
+    # what an architecture too wide to allocate would need
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

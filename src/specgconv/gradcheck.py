@@ -1,6 +1,6 @@
-"""Finite-difference check of the hand-derived gradients of every layer,
-activation and loss, the mean+max readout, both dropout kinds and a batch
-of stacked graphs (``specgconv gradcheck``)."""
+"""Finite-difference check of the hand-derived gradients of every layer and
+activation under the softmax cross-entropy loss, the mean+max readout, both
+dropout kinds and a batch of stacked graphs (``specgconv gradcheck``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,9 +10,9 @@ import numpy as np
 
 from .graphs import Graph
 from .nn import (
-    ACTIVATIONS, LOSSES, Dense, DepthwiseSeparableConv, ModelSpec, MultiSupportConv,
+    ACTIVATIONS, Dense, DepthwiseSeparableConv, ModelSpec, MultiSupportConv,
     ReadoutMeanMax, TrainConfig, _batch_gradients, add_decay_grads, decay_value,
-    flatten_params, init_parameters,
+    flatten_params, init_parameters, softmax_cross_entropy,
 )
 
 # step of the central differences
@@ -23,7 +23,7 @@ FD_STEP = 1e-6
 class GradCase:
     """One training step to check: a mini-batch of all the case's graphs
     (edgeless: the step reads their features and node counts only) with
-    their supports, the targets of config.loss, the node mask a single
+    their supports, the class labels the loss scores, the node mask a single
     graph's loss reads, and the seed of the dropout masks, drawn afresh on
     each evaluation so the objective stays deterministic."""
     name: str
@@ -42,7 +42,7 @@ class GradCase:
         cfg = self.config
         loss, grads = _batch_gradients(
             self.spec, self.params, self.graphs, self.supports, range(len(self.graphs)),
-            lambda out, chunk: LOSSES[cfg.loss](out, self.target), cfg,
+            lambda out, chunk: softmax_cross_entropy(out, self.target), cfg,
             np.random.default_rng(self.dropout_seed), 0, self.loss_rows)
         add_decay_grads(grads, self.params, cfg.weight_decay, cfg.depthwise_decay)
         return loss + decay_value(self.params, cfg.weight_decay, cfg.depthwise_decay), grads
@@ -85,7 +85,6 @@ def _gradcheck_cases(seed: int) -> list:
     asym = rng.standard_normal((n, n)) / np.sqrt(n)
     supports = [sym, asym]
     labels = rng.integers(0, n_classes, size=n)
-    binary = rng.integers(0, 2, size=(n, n_classes)).astype(np.float64)
     mask = np.zeros(n, dtype=bool)
     mask[rng.choice(n, size=4, replace=False)] = True
 
@@ -100,35 +99,31 @@ def _gradcheck_cases(seed: int) -> list:
     drop = dict(input_dropout=0.4, kernel_dropout=0.3, **cfg)
     for kind in ("multisupport", "dsg", "dense"):
         for act in ACTIVATIONS:
-            for loss in ("softmax_ce", "binary_ce"):
-                spec = ModelSpec(tuple(body(kind, act)))
-                params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 1))
-                if kind == "dsg":
-                    # move depthwise rows off their 1/0 initialization so
-                    # every support contributes to the objective
-                    for lp in params:
-                        if lp.depthwise is not None:
-                            lp.depthwise += 0.3 * np.random.default_rng(seed + 2).standard_normal(lp.depthwise.shape)
-                y = labels if loss == "softmax_ce" else binary
-                cases.append(GradCase(f"{kind}/{act}/{loss}", spec, params, [graph], [supports],
-                                      y[mask], TrainConfig(loss=loss, **cfg), mask))
+            spec = ModelSpec(tuple(body(kind, act)))
+            params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 1))
+            if kind == "dsg":
+                # move depthwise rows off their 1/0 initialization so
+                # every support contributes to the objective
+                for lp in params:
+                    if lp.depthwise is not None:
+                        lp.depthwise += 0.3 * np.random.default_rng(seed + 2).standard_normal(lp.depthwise.shape)
+            cases.append(GradCase(f"{kind}/{act}/softmax_ce", spec, params, [graph], [supports],
+                                  labels[mask], TrainConfig(**cfg), mask))
     # graph-level pipeline through the mean+max readout
-    for loss in ("softmax_ce", "binary_ce"):
-        spec = ModelSpec((
-            MultiSupportConv(out=4, use_bias=True, activation="relu"),
-            ReadoutMeanMax(),
-            Dense(out=n_classes, use_bias=True, activation="linear"),
-        ))
-        params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 3))
-        y = np.array([1]) if loss == "softmax_ce" else np.array([[1.0, 0.0, 1.0]])
-        cases.append(GradCase(f"readout/relu/{loss}", spec, params, [graph], [supports], y,
-                              TrainConfig(loss=loss, **cfg)))
+    spec = ModelSpec((
+        MultiSupportConv(out=4, use_bias=True, activation="relu"),
+        ReadoutMeanMax(),
+        Dense(out=n_classes, use_bias=True, activation="linear"),
+    ))
+    params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 3))
+    cases.append(GradCase("readout/relu/softmax_ce", spec, params, [graph], [supports],
+                          np.array([1]), TrainConfig(**cfg)))
     # dropout path with a frozen mask sequence (fresh generator per evaluation)
     for kind in ("multisupport", "dsg"):
         spec = ModelSpec(tuple(body(kind, "relu")))
         params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 4))
         cases.append(GradCase(f"{kind}/relu/softmax_ce+dropout", spec, params, [graph],
-                              [supports], labels[mask], TrainConfig(loss="softmax_ce", **drop),
+                              [supports], labels[mask], TrainConfig(**drop),
                               mask, dropout_seed=seed + 5))
     # a dense layer after the last conv layer: both run on the masked rows,
     # with row-selected kernel and input dropout
@@ -137,9 +132,8 @@ def _gradcheck_cases(seed: int) -> list:
     params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 9))
     params[0].depthwise += 0.3 * np.random.default_rng(seed + 10).standard_normal(
         params[0].depthwise.shape)
-    cases.append(GradCase("dsg-dense/relu/binary_ce+dropout", spec, params, [graph], [supports],
-                          binary[mask], TrainConfig(loss="binary_ce", **drop), mask,
-                          dropout_seed=seed + 11))
+    cases.append(GradCase("dsg-dense/relu/softmax_ce+dropout", spec, params, [graph], [supports],
+                          labels[mask], TrainConfig(**drop), mask, dropout_seed=seed + 11))
     # a batch of two graphs (the one above and a 5-node one), stacked as one
     # chunk, through an equal-width DSG layer and the segment readout, with
     # dropout
@@ -154,14 +148,14 @@ def _gradcheck_cases(seed: int) -> list:
     ))
     params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 7))
     params[1].depthwise += 0.3 * extra.standard_normal(params[1].depthwise.shape)
-    config = TrainConfig(loss="softmax_ce", input_dropout=0.2, kernel_dropout=0.2, **cfg)
+    config = TrainConfig(input_dropout=0.2, kernel_dropout=0.2, **cfg)
     cases.append(GradCase("batch2/readout/softmax_ce+dropout", spec, params, graphs,
                           batch_supports, np.array([1, 2]), config, dropout_seed=seed + 8))
     return cases
 
 
 def gradcheck_suite(seed: int = 0) -> list:
-    """Finite-difference check over every layer/activation/loss combination.
+    """Finite-difference check over every layer/activation combination.
 
     Returns (case name, max relative error) pairs.
     """

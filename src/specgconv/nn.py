@@ -706,29 +706,8 @@ def softmax_cross_entropy(outputs, labels):
     return loss, softmax / n
 
 
-def _softplus(x):
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
-def binary_cross_entropy_tansig(outputs, targets):
-    """Per-output binary cross-entropy of tansig-squashed outputs.
-
-    Probabilities are p = (1 + tanh(z))/2 = sigmoid(2z); the loss is the mean
-    over every (row, output) entry given. Returns (loss, grad).
-    """
-    z = np.asarray(outputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != z.shape:
-        raise ValueError(f"targets shape {y.shape} != outputs {z.shape}")
-    if z.shape[0] == 0:
-        raise ValueError("no rows to score")
-    # -log p = softplus(-2z), -log(1-p) = softplus(2z)
-    loss = float(np.mean(y * _softplus(-2.0 * z) + (1.0 - y) * _softplus(2.0 * z)))
-    p = 0.5 * (1.0 + np.tanh(z))
-    return loss, 2.0 * (p - y) / z.size
-
-
-LOSSES = {"softmax_ce": softmax_cross_entropy, "binary_ce": binary_cross_entropy_tansig}
+# the one loss, by name: no library code reads it; perfbench's tracer test does
+LOSSES = {"softmax_ce": softmax_cross_entropy}
 
 
 def accuracy_multiclass(outputs, labels) -> float:
@@ -737,17 +716,6 @@ def accuracy_multiclass(outputs, labels) -> float:
         raise ValueError("no rows to score")
     _check_labels(labels, outputs.shape[1], np.arange(labels.size))
     return float(np.mean(np.argmax(outputs, axis=1) == labels))
-
-
-def micro_f1(outputs, targets) -> float:
-    """Micro-averaged F1 with the tansig decision rule (output > 0)."""
-    pred = outputs > 0
-    true = np.asarray(targets) > 0.5
-    tp = np.sum(pred & true)
-    fp = np.sum(pred & ~true)
-    fn = np.sum(~pred & true)
-    denom = 2 * tp + fp + fn
-    return 1.0 if denom == 0 else float(2 * tp / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +776,6 @@ class TrainConfig:
     input_dropout: float = 0.0
     kernel_dropout: float = 0.0
     seed: int = 0
-    loss: str = "softmax_ce"
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed"):
@@ -827,8 +794,6 @@ class TrainConfig:
             rate = getattr(self, name)
             if not 0 <= rate < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -892,10 +857,10 @@ def train(
     the same layers; dropout masks are drawn graph by graph, as separate
     per-graph passes would draw them.
 
-    A single graph trains with the softmax_ce loss on its node labels;
-    binary_ce (one-hot graph labels, scored by micro-F1) is for graph sets.
+    Both dataset kinds train softmax cross-entropy: a single graph on its
+    node labels, a graph set on its graph labels.
     """
-    _check_problem(spec, config.loss, graph_level=isinstance(data, MultiGraphDataset))
+    _check_problem(spec, graph_level=isinstance(data, MultiGraphDataset))
     if isinstance(data, SingleGraphDataset):
         _check_split(data)
         graphs, kernelsets, train_idx = (data.graph,), (kernelsets,), [0]
@@ -928,12 +893,12 @@ def train(
                                      f"0..{len(data) - 1}")
         if len(train_idx) == 0:
             raise ValueError("the split has no train graphs")
-        graphs, chunk_loss = data.graphs, _graph_chunk_loss(data, config.loss)
+        graphs, chunk_loss = data.graphs, _graph_chunk_loss(data)
         loss_rows = None
         empty = () if len(val_idx) else ("val",)   # scored nan, which is no divergence
 
         def epoch_scores(params):
-            return {name: evaluate_graphs(spec, params, kernelsets, data, idx, config.loss)
+            return {name: evaluate_graphs(spec, params, kernelsets, data, idx)
                     for name, idx in (("train", train_idx), ("val", val_idx))}
     else:
         raise TypeError(f"unsupported dataset type {type(data).__name__}")
@@ -1009,19 +974,15 @@ def _check_kernelsets(graphs, kernelsets) -> None:
                 raise ValueError(f"graph {g} has {n} nodes, but a support of shape {C.shape}")
 
 
-def _check_problem(spec: ModelSpec, loss: str, graph_level: bool) -> None:
+def _check_problem(spec: ModelSpec, graph_level: bool) -> None:
     """A graph-level model pools each graph to one row with a meanmax readout
-    that no graph convolution follows; a node-level model has no readout, and
-    trains with softmax_ce on node labels (binary_ce scores one-hot graph
-    labels)."""
+    that no graph convolution follows; a node-level model has no readout."""
     readout = [isinstance(layer, ReadoutMeanMax) for layer in spec.layers]
     if graph_level != any(readout):
         raise ValueError("a graph-level model needs a meanmax readout" if graph_level else
                          "a single-graph (node-level) model cannot contain a meanmax readout")
     if graph_level and any(isinstance(layer, _CONV) for layer in spec.layers[readout.index(True):]):
         raise ValueError("a graph convolution cannot follow the meanmax readout")
-    if not graph_level and loss != "softmax_ce":
-        raise ValueError(f"a single-graph run trains with softmax_ce, not {loss}")
 
 
 def _check_split(data: SingleGraphDataset) -> None:
@@ -1052,28 +1013,22 @@ def _chunks(ids, graphs):
         yield chunk
 
 
-def _graph_loss(out, data: MultiGraphDataset, ids, loss_kind: str):
+def _graph_loss(out, data: MultiGraphDataset, ids):
     """Mean loss over graph-level outputs (row j for graph ids[j]), its
-    gradient, and the targets; labels outside the output classes are refused
+    gradient, and the labels; labels outside the output classes are refused
     with the graph named."""
     labels = np.asarray(data.labels)[ids]
-    if loss_kind == "softmax_ce":
-        _check_labels(labels, out.shape[1], ids, kind="graph")
-        target = labels
-    else:
-        _check_labels(labels, data.n_classes, ids, kind="graph")
-        target = np.zeros((len(ids), data.n_classes))
-        target[np.arange(len(ids)), labels] = 1.0
-    loss, grad = LOSSES[loss_kind](out, target)
-    return loss, grad, target
+    _check_labels(labels, out.shape[1], ids, kind="graph")
+    loss, grad = softmax_cross_entropy(out, labels)
+    return loss, grad, labels
 
 
-def _graph_chunk_loss(data: MultiGraphDataset, loss_kind: str):
+def _graph_chunk_loss(data: MultiGraphDataset):
     """The chunk loss of graph-level training: (mean loss, its gradient)."""
-    return lambda out, chunk: _graph_loss(out, data, chunk, loss_kind)[:2]
+    return lambda out, chunk: _graph_loss(out, data, chunk)[:2]
 
 
-def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
+def evaluate_graphs(spec, params, kernelsets, data, idx):
     """Mean loss and accuracy of graph-level predictions over a graph set,
     evaluated as consecutive chunks of stacked graphs."""
     idx = np.asarray(idx, dtype=int)
@@ -1084,12 +1039,9 @@ def evaluate_graphs(spec, params, kernelsets, data, idx, loss_kind):
         H0, batch = stack_graphs([data.graphs[i].features for i in chunk],
                                  [kernelsets[i] for i in chunk])
         out, _ = model_forward(spec, params, H0, batch)
-        loss, _, target = _graph_loss(out, data, chunk, loss_kind)
+        loss, _, labels = _graph_loss(out, data, chunk)
         loss_sum += loss * len(chunk)
-        if loss_kind == "softmax_ce":
-            score_sum += float(np.sum(np.argmax(out, axis=1) == target))
-        else:
-            score_sum += sum(micro_f1(out[j:j + 1], target[j:j + 1]) for j in range(len(chunk)))
+        score_sum += float(np.sum(np.argmax(out, axis=1) == labels))
     return loss_sum / idx.size, score_sum / idx.size
 
 
@@ -1188,9 +1140,9 @@ def crossvalidate(
     folds run here one after another.
     """
     _check_cv(folds, repeats, len(dataset))
-    _check_problem(spec, config.loss, graph_level=True)
+    _check_problem(spec, graph_level=True)
     _check_kernelsets(dataset.graphs, kernelsets)
-    chunk_loss = _graph_chunk_loss(dataset, config.loss)
+    chunk_loss = _graph_chunk_loss(dataset)
 
     def fold_curve(rep, fold_ids, f):
         tr = np.flatnonzero(fold_ids != f)
@@ -1198,7 +1150,7 @@ def crossvalidate(
         cfg = replace(config, seed=config.seed + 1000 * rep + f + 1)
         fit = _fit(spec, dataset.graphs, kernelsets, tr, chunk_loss, cfg, Adam(cfg.learning_rate))
         next(fit)   # the initial parameters are not scored
-        return [_scored(evaluate_graphs(spec, params, kernelsets, dataset, va, cfg.loss), epoch)[1]
+        return [_scored(evaluate_graphs(spec, params, kernelsets, dataset, va), epoch)[1]
                 for epoch, params in enumerate(fit)]
 
     processes = _fold_processes(folds)

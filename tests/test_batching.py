@@ -80,7 +80,7 @@ def per_graph_gradients(ds, kernelsets, params, ids, rng):
 def batch_gradients(ds, kernelsets, params, ids, rng):
     """(mean loss, gradient) of nn._batch_gradients over the graphs ids."""
     def chunk_loss(out, chunk):
-        return nn._graph_loss(out, ds, chunk, CONFIG.loss)[:2]
+        return nn._graph_loss(out, ds, chunk)[:2]
 
     return nn._batch_gradients(SPEC, params, ds.graphs, kernelsets, np.asarray(ids),
                                chunk_loss, CONFIG, rng, 0)
@@ -220,7 +220,7 @@ def test_evaluate_graphs_matches_per_graph_means():
         out, _ = model_forward(SPEC, params, g.features, kernelsets[i])
         losses.append(softmax_cross_entropy(out, ds.labels[i : i + 1])[0])
         hits.append(float(np.argmax(out[0]) == ds.labels[i]))
-    loss, acc = nn.evaluate_graphs(SPEC, params, kernelsets, ds, [0, 1, 2, 3], "softmax_ce")
+    loss, acc = nn.evaluate_graphs(SPEC, params, kernelsets, ds, [0, 1, 2, 3])
     assert abs(loss - np.mean(losses)) < 1e-12 * max(1.0, abs(loss))
     assert acc == np.mean(hits)
 
@@ -229,7 +229,7 @@ def test_graph_label_outside_output_classes_is_named():
     ds, kernelsets = dataset_and_kernels()
     ds = MultiGraphDataset(graphs=ds.graphs, labels=np.array([0, 2, 5, 2]), n_classes=3)
     with pytest.raises(ValueError, match="graph 2 has label 5"):
-        nn.evaluate_graphs(SPEC, parameters(), kernelsets, ds, [0, 1, 2, 3], "softmax_ce")
+        nn.evaluate_graphs(SPEC, parameters(), kernelsets, ds, [0, 1, 2, 3])
 
 
 def swapped_kernelsets(kernelsets):

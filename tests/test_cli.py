@@ -427,16 +427,18 @@ def test_train_eta_sweep_without_a_lowpass_design_is_refused_before_any_decompos
 @pytest.mark.parametrize("kind", ["single", "tu"])
 def test_train_refuses_what_only_the_other_dataset_kind_runs_before_loading(
         tmp_path, capsys, monkeypatch, kind):
-    """binary_ce scores one-hot graph labels and sweep_eta re-trains one
-    graph, so a single dataset refuses the one and a tu dataset the other,
-    on one line and before the dataset is loaded or any graph decomposed."""
+    """Both dataset kinds train the one softmax cross-entropy loss, so a
+    config naming loss is refused as an unknown train setting; sweep_eta
+    re-trains one graph, so a tu dataset refuses it. Each is refused on one
+    line and before the dataset is loaded or any graph decomposed."""
     decomposed = []
     monkeypatch.setattr(cli, "decompose", lambda *a, **k: decomposed.append(1))
     for loader in ("load_single_graph", "load_tu_dataset"):
         monkeypatch.setattr(cli, loader, lambda *a, **k: pytest.fail("dataset loaded"))
     if kind == "single":
-        path = write_toy_config(tmp_path, train={"epochs": 2, "loss": "binary_ce"})
-        message = "config error: a single-graph run trains with softmax_ce, not binary_ce\n"
+        path = write_toy_config(tmp_path, train={"epochs": 2, "loss": "softmax_ce"})
+        message = ("config error: bad train config: TrainConfig.__init__() got an "
+                   "unexpected keyword argument 'loss'\n")
     else:
         path = write_tu_config(tmp_path, sweep_eta=[1, 3])
         message = ("config error: sweep_eta applies to single datasets only; "
@@ -496,11 +498,17 @@ def test_train_refuses_cross_validation_it_cannot_run_before_any_decomposition(
     assert decomposed == [] and len(loads) == loaded
 
 
-def test_tu_run_trains_with_binary_ce(tmp_path):
-    path = write_tu_config(tmp_path, train={"epochs": 2, "batch_size": 4, "loss": "binary_ce"})
-    assert main(["train", "--config", str(path)]) == 0
-    result = json.loads((tmp_path / "cvrun" / "result.json").read_text())
-    assert 0.0 <= result["cv_mean_accuracy"] <= 1.0
+def test_train_refuses_an_architecture_too_wide_to_allocate_in_one_line(tmp_path, capsys):
+    """The first weight matrix of a DSG layer 10^17 wide would take about
+    2.1 EiB, more than any 57-bit address space holds, so the allocation
+    fails at once: numpy's MemoryError ends the run with exit 2 and its
+    one-line message, before any output is written."""
+    path = write_toy_config(tmp_path, architecture="DSG100000000000000000-DSG2")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_analyze_exits_3_on_eigenpairs_out_of_order(tmp_path, capsys, monkeypatch):

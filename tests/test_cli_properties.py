@@ -52,7 +52,7 @@ MALFORMED = (
     ("train", "learning_rate", (0.0, -0.1, "fast")),
     ("train", "batch_size", (0, -3, 1.5)),
     ("train", "seed", (-1, "a")),
-    ("train", "loss", ("binary_ce", "hinge", 5)),
+    ("train", "loss", ("softmax_ce", "binary_ce", "hinge", 5)),
     ("train", "input_dropout", (1.0, -0.1, "x")),
     ("train", "kernel_dropout", (2, None)),
     ("train", "weight_decay", ("x", 1e-3)),

@@ -18,9 +18,7 @@ from specgconv.nn import (
     ModelSpec,
     MultiSupportConv,
     ReadoutMeanMax,
-    binary_cross_entropy_tansig,
     init_parameters,
-    micro_f1,
     model_backward,
     model_forward,
     param_count,
@@ -534,7 +532,7 @@ def test_scaled_input_and_kernel_masks_are_never_alive_together(monkeypatch):
         assert (len(scaled), len(kernel_masks), any(overlaps)) == (2, S, False), arch
 
 
-def _step_case(arch, loss, n=500, f0=12, S=3, seed=21):
+def _step_case(arch, n=500, f0=12, S=3, seed=21):
     rng = np.random.default_rng(seed)
     spec = parse_architecture(arch)
     params = init_parameters(spec, f0, S, rng)
@@ -545,44 +543,41 @@ def _step_case(arch, loss, n=500, f0=12, S=3, seed=21):
             lp.bias += 0.1 * rng.standard_normal(lp.bias.shape)
     supports = [rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(S)]
     c = spec.widths(f0)[-1]
-    y = rng.integers(0, c, size=n) if loss == "softmax_ce" else \
-        rng.integers(0, 2, size=(n, c)).astype(float)
+    y = rng.integers(0, c, size=n)
     return spec, params, rng.standard_normal((n, f0)), supports, y
 
 
-def _step(spec, params, H0, supports, y, loss, rows, seed, loss_rows):
+def _step(spec, params, H0, supports, y, rows, seed, loss_rows):
     """One dual-dropout training step: (output rows, loss, gradients, Generator)."""
     rng = np.random.default_rng(seed)
     out, caches = model_forward(spec, params, H0, supports, train=True, rng=rng,
                                 input_dropout=0.4, kernel_dropout=0.6,
                                 rows=rows if loss_rows else None)
     if loss_rows:
-        value, dout = nn.LOSSES[loss](out, y[rows])
+        value, dout = softmax_cross_entropy(out, y[rows])
     else:
-        value, g = nn.LOSSES[loss](out[rows], y[rows])
+        value, g = softmax_cross_entropy(out[rows], y[rows])
         dout = np.zeros_like(out)
         dout[rows] = g
         out = out[rows]
     return out, value, model_backward(spec, params, caches, dout), rng
 
 
-@pytest.mark.parametrize("loss", ["softmax_ce", "binary_ce"])
 @pytest.mark.parametrize("arch", ["DSG8-DSG3", "G3-G8", "DSG16-D7", "D6-D4"],
                          ids=["narrowing", "widening", "dense-after-conv", "no-conv"])
 @pytest.mark.parametrize("k", [37, 260], ids=["few-rows", "rows-above-split"])
-def test_loss_rows_training_step_matches_the_masked_full_step(arch, loss, k, monkeypatch):
+def test_loss_rows_training_step_matches_the_masked_full_step(arch, k, monkeypatch):
     """A training step whose forward forms only the loss rows from the last
     conv layer on gives the loss and gradients of the step over all rows
     with the loss masked, within 1e-12 relative, and leaves the Generator
     where that step leaves it. 100-row blocks make the products of both
     paths span several blocks."""
     monkeypatch.setattr(nn, "_APPLY_BYTES", 8 * 500 * 100)
-    spec, params, H0, supports, y = _step_case(arch, loss)
+    spec, params, H0, supports, y = _step_case(arch)
     rows = np.zeros(H0.shape[0], dtype=bool)
     rows[_scattered(H0.shape[0], k)] = True
-    out, value, grads, rng = _step(spec, params, H0, supports, y, loss, rows, 3, True)
-    want_out, want_value, want_grads, twin = _step(spec, params, H0, supports, y, loss, rows,
-                                                   3, False)
+    out, value, grads, rng = _step(spec, params, H0, supports, y, rows, 3, True)
+    want_out, want_value, want_grads, twin = _step(spec, params, H0, supports, y, rows, 3, False)
 
     def rel(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -696,36 +691,14 @@ def test_softmax_cross_entropy_values():
 
 
 def test_softmax_cross_entropy_empty_mask():
-    """Both losses and the accuracy refuse the rows an empty mask selects:
-    there is no mean."""
+    """The loss and the accuracy refuse the rows an empty mask selects: there
+    is no mean."""
     none = np.zeros(3, bool)
     outputs = np.zeros((3, 2))
     with pytest.raises(ValueError, match="^no rows to score$"):
         softmax_cross_entropy(outputs[none], np.zeros(3, dtype=int)[none])
     with pytest.raises(ValueError, match="^no rows to score$"):
-        binary_cross_entropy_tansig(outputs[none], np.zeros((3, 2))[none])
-    with pytest.raises(ValueError, match="^no rows to score$"):
         accuracy_multiclass(outputs[none], np.zeros(3, dtype=int)[none])
-
-
-def test_binary_cross_entropy_values():
-    # outputs 0 mean p = 1/2 for every criterion
-    loss, grad = binary_cross_entropy_tansig(np.zeros((2, 3)), np.ones((2, 3)))
-    assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-    assert grad.shape == (2, 3)
-    # strongly correct outputs drive the loss to zero
-    z = 20.0 * (np.array([[1.0, 0.0], [0.0, 1.0]]) * 2 - 1)
-    y = (z > 0).astype(float)
-    loss2, _ = binary_cross_entropy_tansig(z, y)
-    assert loss2 < 1e-12
-
-
-def test_micro_f1():
-    out = np.array([[1.0, -1.0], [1.0, 1.0]])
-    y = np.array([[1.0, 0.0], [0.0, 1.0]])
-    # tp=2, fp=1, fn=0
-    assert micro_f1(out, y) == pytest.approx(4 / 5)
-    assert micro_f1(-np.ones((2, 2)), np.zeros((2, 2))) == 1.0
 
 
 def test_parse_architecture_tokens():

@@ -290,10 +290,6 @@ def test_model_must_fit_the_problem_before_first_forward(monkeypatch):
         MultiSupportConv(out=4), ReadoutMeanMax(), MultiSupportConv(out=2)))
     with pytest.raises(ValueError, match="graph convolution cannot follow the meanmax readout"):
         train(conv_after_readout, allpass_kernelsets(ds), ds, cfg, **ids)
-    # binary_ce scores one-hot graph labels; a single graph trains with softmax_ce
-    with pytest.raises(ValueError, match="single-graph run trains with softmax_ce, not binary_ce"):
-        train(ModelSpec((MultiSupportConv(out=2),)), two_support_kernels(data.graph), data,
-              replace(cfg, loss="binary_ce"))
     assert calls == []
 
 
@@ -590,8 +586,6 @@ def test_train_config_validation():
         TrainConfig(input_dropout=1.0)
     with pytest.raises(ValueError):
         TrainConfig(kernel_dropout=-0.2)
-    with pytest.raises(ValueError):
-        TrainConfig(loss="hinge")
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
 
