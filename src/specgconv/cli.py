@@ -245,6 +245,36 @@ def _field(section: dict, key: str, kind, default=_REQUIRED):
     return value
 
 
+# the fields of the top level, dataset and cv (train's are TrainConfig's)
+_FIELDS = {
+    "config": ("dataset", "laplacian", "designs", "architecture", "output_activation",
+               "hidden_bias", "output_bias", "train", "cv", "sweep_eta", "output_dir"),
+    "dataset": ("path", "kind", "use_attributes"),
+    "cv": ("folds", "repeats"),
+}
+
+
+def _check_fields(cfg: dict) -> None:
+    """Refuse, before the dataset is loaded, an unknown dataset kind, a field
+    that its section does not hold (a misspelt one, say) and a field that
+    only the other dataset kind runs. A null field counts as missing."""
+    ds = _field(cfg, "dataset", dict)
+    for name, section in (("config", cfg), ("dataset", ds), ("cv", _field(cfg, "cv", dict, {}))):
+        for key in section:
+            if key not in _FIELDS[name]:
+                raise ConfigError(f"{name} has unknown field {key!r}")
+    kind = _field(ds, "kind", str, "single")
+    if kind not in ("single", "tu"):
+        raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
+    if kind == "tu" and _field(cfg, "sweep_eta", list, []):
+        raise ConfigError("sweep_eta applies to single datasets only; "
+                          "a tu dataset runs cross-validation")
+    for key, section, why in (("cv", cfg, "trains once on its split"),
+                              ("use_attributes", ds, "reads its features from features.csv")):
+        if kind == "single" and section.get(key) is not None:
+            raise ConfigError(f"{key} applies to tu datasets only; a single dataset {why}")
+
+
 def _train_config(cfg: dict, args) -> TrainConfig:
     t = dict(_field(cfg, "train", dict, {}))
     for key, val in (("epochs", args.epochs), ("learning_rate", args.lr), ("seed", args.seed)):
@@ -350,14 +380,23 @@ def _set_up(dataset, lap, designs, points=None):
     yield record, [design_kernelset(bases.pop(0), points[-1]) for _ in graphs]
 
 
-def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir):
-    """Train on the graph; with sweep_eta, re-train once per low-pass
-    exponent instead and select by minimum validation loss."""
+def _sweep_etas(cfg, designs) -> list:
+    """The exponents of a single dataset's sweep_eta, [] without a sweep: a
+    list of numbers, each the eta of the one lowpass design that designs
+    must then hold."""
     sweep = _field(cfg, "sweep_eta", list, [])
     if not all(isinstance(eta, (int, float)) and not isinstance(eta, bool) for eta in sweep):
         raise ConfigError(f"sweep_eta must be a list of numbers, got {json.dumps(sweep)}")
-    if sweep and not any(isinstance(d, LowPass) for d in designs):
-        raise ConfigError("sweep_eta varies the eta of a lowpass design, but designs has none")
+    lowpass = sum(isinstance(d, LowPass) for d in designs)
+    if sweep and lowpass != 1:
+        raise ConfigError("sweep_eta varies the eta of a lowpass design, but designs has "
+                          f"{lowpass or 'none'}")
+    return sweep
+
+
+def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir, sweep):
+    """Train on the graph; with a sweep (see _sweep_etas), re-train once per
+    low-pass exponent instead and select by minimum validation loss."""
     _check_split(dataset)
     if sweep and not dataset.masks["val"].any():
         raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")
@@ -422,23 +461,20 @@ def cmd_train(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError(f"a config must be a JSON object, got {json.dumps(cfg)}")
     base_dir = os.path.dirname(os.path.abspath(args.config))
+    _check_fields(cfg)
     path, kind, ds, designs, arch, spec, lap = _experiment_parts(cfg, base_dir)
     tconfig = _train_config(cfg, args)
     out_dir = args.out or _field(cfg, "output_dir", str, "") or "run"
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
     _check_out_dir(out_dir, "output_dir")
-    if kind not in ("single", "tu"):
-        raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
     # settings a dataset kind cannot run are refused before the dataset is loaded
     _check_problem(spec, graph_level=kind == "tu")
     if kind == "single":
-        dataset, run = load_single_graph(path), _run_transductive
+        run = functools.partial(_run_transductive, sweep=_sweep_etas(cfg, designs))
+        dataset = load_single_graph(path)
         graphs = [dataset.graph]
     else:
-        if _field(cfg, "sweep_eta", list, []):
-            raise ConfigError("sweep_eta applies to single datasets only; "
-                              "a tu dataset runs cross-validation")
         if any(isinstance(d, Tabulated) for d in designs):
             raise ConfigError("a tabulated design applies to single datasets only; "
                               "its values belong to one graph's eigenvalues")

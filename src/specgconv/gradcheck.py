@@ -12,7 +12,7 @@ from .graphs import Graph
 from .nn import (
     ACTIVATIONS, Dense, DepthwiseSeparableConv, ModelSpec, MultiSupportConv,
     ReadoutMeanMax, TrainConfig, _batch_gradients, add_decay_grads, decay_value,
-    flatten_params, init_parameters, softmax_cross_entropy,
+    flatten_params, init_parameters,
 )
 
 # step of the central differences
@@ -23,15 +23,16 @@ FD_STEP = 1e-6
 class GradCase:
     """One training step to check: a mini-batch of all the case's graphs
     (edgeless: the step reads their features and node counts only) with
-    their supports, the class labels the loss scores, the node mask a single
-    graph's loss reads, and the seed of the dropout masks, drawn afresh on
-    each evaluation so the objective stays deterministic."""
+    their supports, the per-graph targets of the step (row g: the labels
+    graph g's loss reads), the node mask a single graph's loss reads, and
+    the seed of the dropout masks, drawn afresh on each evaluation so the
+    objective stays deterministic."""
     name: str
     spec: ModelSpec
     params: list
     graphs: list
     supports: list
-    target: np.ndarray
+    targets: np.ndarray
     config: TrainConfig
     loss_rows: Optional[np.ndarray] = None
     dropout_seed: int = 0
@@ -42,8 +43,7 @@ class GradCase:
         cfg = self.config
         loss, grads = _batch_gradients(
             self.spec, self.params, self.graphs, self.supports, range(len(self.graphs)),
-            lambda out, chunk: softmax_cross_entropy(out, self.target), cfg,
-            np.random.default_rng(self.dropout_seed), 0, self.loss_rows)
+            self.targets, cfg, np.random.default_rng(self.dropout_seed), 0, self.loss_rows)
         add_decay_grads(grads, self.params, cfg.weight_decay, cfg.depthwise_decay)
         return loss + decay_value(self.params, cfg.weight_decay, cfg.depthwise_decay), grads
 
@@ -108,7 +108,7 @@ def _gradcheck_cases(seed: int) -> list:
                     if lp.depthwise is not None:
                         lp.depthwise += 0.3 * np.random.default_rng(seed + 2).standard_normal(lp.depthwise.shape)
             cases.append(GradCase(f"{kind}/{act}/softmax_ce", spec, params, [graph], [supports],
-                                  labels[mask], TrainConfig(**cfg), mask))
+                                  labels[mask][None, :], TrainConfig(**cfg), mask))
     # graph-level pipeline through the mean+max readout
     spec = ModelSpec((
         MultiSupportConv(out=4, use_bias=True, activation="relu"),
@@ -117,13 +117,13 @@ def _gradcheck_cases(seed: int) -> list:
     ))
     params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 3))
     cases.append(GradCase("readout/relu/softmax_ce", spec, params, [graph], [supports],
-                          np.array([1]), TrainConfig(**cfg)))
+                          np.array([[1]]), TrainConfig(**cfg)))
     # dropout path with a frozen mask sequence (fresh generator per evaluation)
     for kind in ("multisupport", "dsg"):
         spec = ModelSpec(tuple(body(kind, "relu")))
         params = init_parameters(spec, f0, len(supports), np.random.default_rng(seed + 4))
         cases.append(GradCase(f"{kind}/relu/softmax_ce+dropout", spec, params, [graph],
-                              [supports], labels[mask], TrainConfig(**drop),
+                              [supports], labels[mask][None, :], TrainConfig(**drop),
                               mask, dropout_seed=seed + 5))
     # a dense layer after the last conv layer: both run on the masked rows,
     # with row-selected kernel and input dropout
@@ -133,7 +133,7 @@ def _gradcheck_cases(seed: int) -> list:
     params[0].depthwise += 0.3 * np.random.default_rng(seed + 10).standard_normal(
         params[0].depthwise.shape)
     cases.append(GradCase("dsg-dense/relu/softmax_ce+dropout", spec, params, [graph], [supports],
-                          labels[mask], TrainConfig(**drop), mask, dropout_seed=seed + 11))
+                          labels[mask][None, :], TrainConfig(**drop), mask, dropout_seed=seed + 11))
     # a batch of two graphs (the one above and a 5-node one), stacked as one
     # chunk, through an equal-width DSG layer and the segment readout, with
     # dropout
@@ -150,7 +150,7 @@ def _gradcheck_cases(seed: int) -> list:
     params[1].depthwise += 0.3 * extra.standard_normal(params[1].depthwise.shape)
     config = TrainConfig(input_dropout=0.2, kernel_dropout=0.2, **cfg)
     cases.append(GradCase("batch2/readout/softmax_ce+dropout", spec, params, graphs,
-                          batch_supports, np.array([1, 2]), config, dropout_seed=seed + 8))
+                          batch_supports, np.array([[1], [2]]), config, dropout_seed=seed + 8))
     return cases
 
 

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,24 +45,30 @@ ACTIVATIONS = ("relu", "linear", "tanh")
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MultiSupportConv:
+class _Trainable:
+    """Base of the trainable layer specs: frozen dataclasses whose class line
+    gives the architecture token (see parse_architecture)."""
+
+    token: ClassVar[str]
     out: int
     use_bias: bool = False
     activation: str = "relu"
 
-
-@dataclass(frozen=True)
-class DepthwiseSeparableConv:
-    out: int
-    use_bias: bool = False
-    activation: str = "relu"
+    def __init_subclass__(cls, token: str):
+        cls.token = token
 
 
-@dataclass(frozen=True)
-class Dense:
-    out: int
-    use_bias: bool = False
-    activation: str = "relu"
+class MultiSupportConv(_Trainable, token="G"):
+    """Multi-support graph conv: one weight matrix per support, sum_s C_s H W_s."""
+
+
+class DepthwiseSeparableConv(_Trainable, token="DSG"):
+    """Depthwise separable graph conv: a scalar weight per support and input
+    feature, then one shared 1x1 matrix, sum_s C_s H diag(w_s) W."""
+
+
+class Dense(_Trainable, token="D"):
+    """Dense layer, H W, node by node (graph by graph after a readout)."""
 
 
 @dataclass(frozen=True)
@@ -71,14 +77,13 @@ class ReadoutMeanMax:
 
 
 LayerSpec = Union[MultiSupportConv, DepthwiseSeparableConv, Dense, ReadoutMeanMax]
-_TRAINABLE = (MultiSupportConv, DepthwiseSeparableConv, Dense)
 _CONV = (MultiSupportConv, DepthwiseSeparableConv)
 
 
 def _check_layer(layer: LayerSpec) -> None:
-    if not isinstance(layer, (*_TRAINABLE, ReadoutMeanMax)):
+    if not isinstance(layer, (_Trainable, ReadoutMeanMax)):
         raise TypeError(f"not a LayerSpec: {layer!r}")
-    if isinstance(layer, _TRAINABLE):
+    if isinstance(layer, _Trainable):
         if layer.out < 1:
             raise ValueError(f"layer width must be >= 1, got {layer.out}")
         if layer.activation not in ACTIVATIONS:
@@ -100,11 +105,11 @@ class ModelSpec:
         """Feature widths through the pipeline, starting at the input width."""
         ws = [f0]
         for layer in self.layers:
-            ws.append(layer.out if isinstance(layer, _TRAINABLE) else 2 * ws[-1])
+            ws.append(layer.out if isinstance(layer, _Trainable) else 2 * ws[-1])
         return ws
 
 
-_ARCH_TOKEN = re.compile(r"^(DSG|G|D)(\d+)$")
+_ARCH_TOKEN = re.compile(r"^([A-Z]+)(\d+)$")
 
 
 def parse_architecture(
@@ -116,36 +121,26 @@ def parse_architecture(
     """Parse a dash-separated architecture string into a ModelSpec.
 
     Tokens: ``DSG<k>`` depthwise separable graph conv, ``G<k>`` multi-support
-    graph conv, ``D<k>`` dense, ``meanmax`` readout. The last trainable layer
-    gets the output activation and bias flag; all earlier ones are ReLU
-    layers with the hidden bias flag.
+    graph conv, ``D<k>`` dense (each class's token), ``meanmax`` readout. The
+    last trainable layer gets the output activation and bias flag; all
+    earlier ones are ReLU layers with the hidden bias flag.
     """
     tokens = [t for t in arch.strip().split("-") if t]
     if not tokens:
         raise ValueError("empty architecture string")
-    kinds = []
+    classes = {cls.token: cls for cls in _Trainable.__subclasses__()}
+    layers, last = [], None
     for tok in tokens:
         if tok == "meanmax":
-            kinds.append(("meanmax", None))
-            continue
-        m = _ARCH_TOKEN.match(tok)
-        if not m:
-            raise ValueError(f"bad architecture token {tok!r}")
-        kinds.append((m.group(1), int(m.group(2))))
-    last_trainable = max(
-        (i for i, (k, _) in enumerate(kinds) if k != "meanmax"), default=None
-    )
-    if last_trainable is None:
-        raise ValueError("architecture has no trainable layer")
-    layers = []
-    for i, (kind, width) in enumerate(kinds):
-        if kind == "meanmax":
             layers.append(ReadoutMeanMax())
-            continue
-        act = output_activation if i == last_trainable else "relu"
-        bias = output_bias if i == last_trainable else hidden_bias
-        cls = {"DSG": DepthwiseSeparableConv, "G": MultiSupportConv, "D": Dense}[kind]
-        layers.append(cls(out=width, use_bias=bias, activation=act))
+        elif (m := _ARCH_TOKEN.match(tok)) and m.group(1) in classes:
+            last = len(layers)
+            layers.append(classes[m.group(1)](out=int(m.group(2)), use_bias=hidden_bias))
+        else:
+            raise ValueError(f"bad architecture token {tok!r}")
+    if last is None:
+        raise ValueError("architecture has no trainable layer")
+    layers[last] = replace(layers[last], use_bias=output_bias, activation=output_activation)
     return ModelSpec(tuple(layers))
 
 
@@ -851,32 +846,31 @@ def train(
     Both run one loop: each epoch shuffles the training graphs (one graph
     draws nothing from the Generator), updates the model once per mini-batch
     with the gradient of the batch's mean loss, then scores train and val
-    (transductive: one forward scored on each split, test too when asked).
+    (transductive: one forward scored on each split, test too when asked);
+    a set with no members is not scored, and its columns are left out.
     Mini-batches and evaluation sets run as consecutive chunks of stacked
     graphs (at most _CHUNK_ROWS node rows each, a larger graph alone) through
     the same layers; dropout masks are drawn graph by graph, as separate
     per-graph passes would draw them.
 
     Both dataset kinds train softmax cross-entropy: a single graph on its
-    node labels, a graph set on its graph labels.
+    node labels, a graph set on its graph labels. Every label a run scores
+    is checked to be an output class before the first step.
     """
     _check_problem(spec, graph_level=isinstance(data, MultiGraphDataset))
     if isinstance(data, SingleGraphDataset):
         _check_split(data)
         graphs, kernelsets, train_idx = (data.graph,), (kernelsets,), [0]
         y = data.labels
+        # an empty set is not scored, as an empty val_idx of a graph set is not
         masks = {name: data.masks[name]
                  for name in ("train", "val", "test")[:3 if track_test else 2]
                  if name == "train" or data.masks[name].any()}
         # refuse a scored label outside the output classes before any epoch runs
         rows = np.flatnonzero(np.logical_or.reduce(list(masks.values())))
         _check_labels(y[rows], spec.widths(data.graph.features.shape[1])[-1], rows)
-
-        loss_rows, empty = data.masks["train"], ()   # an empty val or test set is not scored
-        y_train = y[loss_rows]
-
-        def chunk_loss(out, chunk):
-            return softmax_cross_entropy(out, y_train)
+        loss_rows = data.masks["train"]
+        targets = y[loss_rows][None, :]
 
         def epoch_scores(params):
             out, _ = model_forward(spec, params, data.graph.features, kernelsets[0])
@@ -893,19 +887,18 @@ def train(
                                      f"0..{len(data) - 1}")
         if len(train_idx) == 0:
             raise ValueError("the split has no train graphs")
-        graphs, chunk_loss = data.graphs, _graph_chunk_loss(data)
-        loss_rows = None
-        empty = () if len(val_idx) else ("val",)   # scored nan, which is no divergence
+        graphs, loss_rows = data.graphs, None
+        targets = _graph_targets(spec, data, [*train_idx, *val_idx])
 
         def epoch_scores(params):
             return {name: evaluate_graphs(spec, params, kernelsets, data, idx)
-                    for name, idx in (("train", train_idx), ("val", val_idx))}
+                    for name, idx in (("train", train_idx), ("val", val_idx)) if len(idx)}
     else:
         raise TypeError(f"unsupported dataset type {type(data).__name__}")
 
     _check_kernelsets(graphs, kernelsets)
     adam = Adam(config.learning_rate)
-    fit = _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_rows)
+    fit = _fit(spec, graphs, kernelsets, train_idx, targets, config, adam, loss_rows)
     params = next(fit)
     metrics = []
     # a non-finite loss is reported once, as TrainingDiverged: numpy's overflow
@@ -914,8 +907,7 @@ def train(
         for epoch, _ in enumerate(fit):
             row = {"epoch": epoch}
             for name, scores in epoch_scores(params).items():
-                row[f"{name}_loss"], row[f"{name}_acc"] = \
-                    scores if name in empty else _scored(scores, epoch)
+                row[f"{name}_loss"], row[f"{name}_acc"] = _scored(scores, epoch)
             metrics.append(row)
     return TrainResult(params=params, metrics=metrics, config=config, optimizer=adam.metadata())
 
@@ -932,13 +924,14 @@ def _scored(scores: tuple, epoch: int) -> tuple:
     return scores
 
 
-def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_rows=None):
+def _fit(spec, graphs, kernelsets, train_idx, targets, config, adam, loss_rows=None):
     """The epoch loop of train and crossvalidate. Yields the parameters as
     initialised from config.seed, then again after each epoch's updates: the
     same list each time, updated in place by adam. Each epoch shuffles the
     training graphs and takes one step per mini-batch of config.batch_size
-    of them (see _batch_gradients); loss_rows, the node mask that a single
-    graph's loss reads, goes to its training forward (see model_forward)."""
+    of them against their rows of targets (see _batch_gradients); loss_rows,
+    the node mask that a single graph's loss reads, goes to its training
+    forward (see model_forward)."""
     train_idx = np.asarray(train_idx, dtype=int)
     rng = np.random.default_rng(config.seed)
     params = init_parameters(spec, graphs[0].features.shape[1], len(kernelsets[0]), rng)
@@ -948,7 +941,7 @@ def _fit(spec, graphs, kernelsets, train_idx, chunk_loss, config, adam, loss_row
         for start in range(0, order.size, config.batch_size):
             _, grads = _batch_gradients(spec, params, graphs, kernelsets,
                                         order[start : start + config.batch_size],
-                                        chunk_loss, config, rng, epoch, loss_rows)
+                                        targets, config, rng, epoch, loss_rows)
             add_decay_grads(grads, params, config.weight_decay, config.depthwise_decay)
             adam.step(flatten_params(params), flatten_params(grads))
             del grads   # else it stays alive beside the next batch's gradients
@@ -1013,46 +1006,43 @@ def _chunks(ids, graphs):
         yield chunk
 
 
-def _graph_loss(out, data: MultiGraphDataset, ids):
-    """Mean loss over graph-level outputs (row j for graph ids[j]), its
-    gradient, and the labels; labels outside the output classes are refused
-    with the graph named."""
-    labels = np.asarray(data.labels)[ids]
-    _check_labels(labels, out.shape[1], ids, kind="graph")
-    loss, grad = softmax_cross_entropy(out, labels)
-    return loss, grad, labels
-
-
-def _graph_chunk_loss(data: MultiGraphDataset):
-    """The chunk loss of graph-level training: (mean loss, its gradient)."""
-    return lambda out, chunk: _graph_loss(out, data, chunk)[:2]
+def _graph_targets(spec, data: MultiGraphDataset, ids) -> np.ndarray:
+    """The per-graph targets of graph-level training (see _batch_gradients),
+    one row [label] per graph, once the labels of the graphs ids are checked
+    to be output classes, with the lowest bad graph named."""
+    targets = np.asarray(data.labels)[:, None]
+    ids = np.unique(np.asarray(ids, dtype=int))
+    _check_labels(targets[ids, 0], spec.widths(data.graphs[0].features.shape[1])[-1], ids,
+                  kind="graph")
+    return targets
 
 
 def evaluate_graphs(spec, params, kernelsets, data, idx):
-    """Mean loss and accuracy of graph-level predictions over a graph set,
-    evaluated as consecutive chunks of stacked graphs."""
-    idx = np.asarray(idx, dtype=int)
-    if idx.size == 0:
-        return float("nan"), float("nan")
-    loss_sum = score_sum = 0.0
+    """Mean loss and accuracy of graph-level predictions over a non-empty
+    graph set, evaluated as consecutive chunks of stacked graphs. The
+    accuracy is taken over every chunk's outputs at once, so that it is the
+    hit count over the set's size, rounded once."""
+    idx, labels = np.asarray(idx, dtype=int), np.asarray(data.labels)
+    loss_sum, outs = 0.0, []
     for chunk in _chunks(idx, data.graphs):
         H0, batch = stack_graphs([data.graphs[i].features for i in chunk],
                                  [kernelsets[i] for i in chunk])
         out, _ = model_forward(spec, params, H0, batch)
-        loss, _, labels = _graph_loss(out, data, chunk)
-        loss_sum += loss * len(chunk)
-        score_sum += float(np.sum(np.argmax(out, axis=1) == labels))
-    return loss_sum / idx.size, score_sum / idx.size
+        loss_sum += softmax_cross_entropy(out, labels[chunk])[0] * len(chunk)
+        outs.append(out)
+    return loss_sum / idx.size, accuracy_multiclass(np.concatenate(outs), labels[idx])
 
 
-def _batch_gradients(spec, params, graphs, kernelsets, batch_ids, chunk_loss,
+def _batch_gradients(spec, params, graphs, kernelsets, batch_ids, targets,
                      config, rng, epoch, loss_rows=None):
     """(mean loss, its gradient) over one mini-batch of graphs, without
     decay: the training step, which the gradient check runs too. The batch
     runs as consecutive chunks of stacked graphs whose shares of the loss and
-    gradient add up; chunk_loss(out, chunk) gives a chunk's mean loss and its
-    gradient; dropout masks come from rng graph by graph, in batch order.
-    loss_rows goes to model_forward."""
+    gradient add up; a chunk's loss is the softmax cross-entropy of its
+    outputs against targets[chunk].ravel(), where row g of targets holds the
+    labels that graph g's loss reads (the labels of the loss_rows nodes of a
+    single graph, a graph set's one label per graph). Dropout masks come from
+    rng graph by graph, in batch order. loss_rows goes to model_forward."""
     loss_sum, grads = 0.0, None
     for chunk in _chunks(batch_ids, graphs):
         H0, batch = stack_graphs([graphs[i].features for i in chunk],
@@ -1062,7 +1052,7 @@ def _batch_gradients(spec, params, graphs, kernelsets, batch_ids, chunk_loss,
             input_dropout=config.input_dropout, kernel_dropout=config.kernel_dropout,
             rows=loss_rows,
         )
-        loss, dout = chunk_loss(out, chunk)
+        loss, dout = softmax_cross_entropy(out, targets[chunk].ravel())
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch, loss)
         share = len(chunk) / len(batch_ids)
@@ -1137,18 +1127,19 @@ def crossvalidate(
     gathered in fold order, so the result is the in-process one. With one
     CPU, without fork, or where no OpenBLAS thread setter is loaded (nothing
     could pin BLAS, and the processes would oversubscribe the cores), the
-    folds run here one after another.
+    folds run here one after another. Every graph label is checked to be an
+    output class before any fold trains or worker forks.
     """
     _check_cv(folds, repeats, len(dataset))
     _check_problem(spec, graph_level=True)
     _check_kernelsets(dataset.graphs, kernelsets)
-    chunk_loss = _graph_chunk_loss(dataset)
+    targets = _graph_targets(spec, dataset, range(len(dataset)))
 
     def fold_curve(rep, fold_ids, f):
         tr = np.flatnonzero(fold_ids != f)
         va = np.flatnonzero(fold_ids == f)
         cfg = replace(config, seed=config.seed + 1000 * rep + f + 1)
-        fit = _fit(spec, dataset.graphs, kernelsets, tr, chunk_loss, cfg, Adam(cfg.learning_rate))
+        fit = _fit(spec, dataset.graphs, kernelsets, tr, targets, cfg, Adam(cfg.learning_rate))
         next(fit)   # the initial parameters are not scored
         return [_scored(evaluate_graphs(spec, params, kernelsets, dataset, va), epoch)[1]
                 for epoch, params in enumerate(fit)]

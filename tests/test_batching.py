@@ -78,12 +78,10 @@ def per_graph_gradients(ds, kernelsets, params, ids, rng):
 
 
 def batch_gradients(ds, kernelsets, params, ids, rng):
-    """(mean loss, gradient) of nn._batch_gradients over the graphs ids."""
-    def chunk_loss(out, chunk):
-        return nn._graph_loss(out, ds, chunk)[:2]
-
+    """(mean loss, gradient) of nn._batch_gradients over the graphs ids, each
+    graph's target row its one label."""
     return nn._batch_gradients(SPEC, params, ds.graphs, kernelsets, np.asarray(ids),
-                               chunk_loss, CONFIG, rng, 0)
+                               ds.labels[:, None], CONFIG, rng, 0)
 
 
 def max_relative_difference(a, b):
@@ -226,10 +224,13 @@ def test_evaluate_graphs_matches_per_graph_means():
 
 
 def test_graph_label_outside_output_classes_is_named():
+    """train and crossvalidate name the graph whose label is no output class."""
     ds, kernelsets = dataset_and_kernels()
     ds = MultiGraphDataset(graphs=ds.graphs, labels=np.array([0, 2, 5, 2]), n_classes=3)
     with pytest.raises(ValueError, match="graph 2 has label 5"):
-        nn.evaluate_graphs(SPEC, parameters(), kernelsets, ds, [0, 1, 2, 3])
+        nn.train(SPEC, kernelsets, ds, TrainConfig(epochs=1), train_idx=[0, 1], val_idx=[2, 3])
+    with pytest.raises(ValueError, match="graph 2 has label 5"):
+        nn.crossvalidate(ds, kernelsets, SPEC, TrainConfig(epochs=1), folds=2)
 
 
 def swapped_kernelsets(kernelsets):

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -424,6 +425,33 @@ def test_train_eta_sweep_without_a_lowpass_design_is_refused_before_any_decompos
     assert not (tmp_path / "sweep").exists()
 
 
+class DatasetLoaded(Exception):
+    pass
+
+
+def test_readme_config_document_passes_every_check_made_before_loading(tmp_path, monkeypatch):
+    """The config document in README.md passes every check that the CLI
+    makes before it loads the dataset, the field checks of its dataset kind
+    included, so the example cannot drift from what the CLI accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    (tmp_path / json.loads(block)["dataset"]["path"]).mkdir(parents=True)
+    (tmp_path / "config.json").write_text(block)
+
+    def loaded(*args, **kwargs):
+        raise DatasetLoaded
+
+    for loader in ("load_single_graph", "load_tu_dataset"):
+        monkeypatch.setattr(cli, loader, loaded)
+    with pytest.raises(DatasetLoaded):
+        main(["train", "--config", str(tmp_path / "config.json")])
+
+
+def test_a_null_field_counts_as_missing(tmp_path):
+    cfg = write_toy_config(tmp_path, cv=None, dataset={"path": "toyds", "use_attributes": None})
+    assert main(["train", "--config", str(cfg), "--epochs", "1"]) == 0
+
+
 @pytest.mark.parametrize("kind", ["single", "tu"])
 def test_train_refuses_what_only_the_other_dataset_kind_runs_before_loading(
         tmp_path, capsys, monkeypatch, kind):
@@ -807,8 +835,23 @@ def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, monkeypatch
     ("single", {"train": {"epochs": 2, "weight_decay": -1.0}},
      "weight_decay must be finite and >= 0, got -1.0"),
     ("single", {"designs": ["lowpass(eta=5,eta=3)"]}, "design 'lowpass' repeats argument 'eta'"),
+    ("single", {"hiden_bias": True}, "config has unknown field 'hiden_bias'"),
+    ("single", {"dataset": {"path": "toyds", "use_attribute": True}},
+     "dataset has unknown field 'use_attribute'"),
+    ("tu", {"cv": {"fold": 3}}, "cv has unknown field 'fold'"),
+    ("single", {"dataset": {"path": "toyds", "use_attributes": True}},
+     "use_attributes applies to tu datasets only; a single dataset reads its features from "
+     "features.csv"),
+    ("single", {"cv": {"folds": 3}},
+     "cv applies to tu datasets only; a single dataset trains once on its split"),
+    ("single", {"sweep_eta": [1, 2], "designs": ["lowpass(eta=3)", "lowpass(eta=7)", "highpass"]},
+     "sweep_eta varies the eta of a lowpass design, but designs has 2"),
 ])
-def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overrides, message):
+def test_train_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, kind, overrides,
+                                                  message):
+    """Each is refused before the dataset is loaded."""
+    for loader in ("load_single_graph", "load_tu_dataset"):
+        monkeypatch.setattr(cli, loader, lambda *a, **k: pytest.fail("dataset loaded"))
     write = write_toy_config if kind == "single" else write_tu_config
     cfg = write(tmp_path, **(overrides or {}))
     if overrides is None:
@@ -821,7 +864,7 @@ def test_train_malformed_config_is_one_line_error(tmp_path, capsys, kind, overri
 
 @pytest.mark.parametrize("kind,overrides", [
     ("single", {"architecture": "DSG4-DSG5"}),            # found after loading
-    ("single", {"sweep_eta": [1, None]}),                 # found by the run itself
+    ("single", {"sweep_eta": [1, None]}),                 # found before loading
     ("single", {"architecture": "DSG8-meanmax-D2"}),      # found by train
     ("tu", {"cv": {"folds": 100}}),                       # found after loading
 ])

@@ -62,6 +62,11 @@ MALFORMED = (
     ("cv", "repeats", (0, -1, "2")),
     (None, "sweep_eta", ([1, 3], [], [-1], [None], "3", 4)),
     (None, "output_dir", ("sub/run", "", 5, [])),
+    # misspelt fields
+    (None, "hiden_bias", (True,)),
+    ("dataset", "use_attribute", (True,)),
+    ("cv", "fold", (3,)),
+    ("train", "epoch", (2,)),
 )
 
 

@@ -185,15 +185,39 @@ def test_graph_indices_outside_the_set_are_refused_before_any_step(monkeypatch, 
               train_idx=train_idx, val_idx=val_idx)
 
 
-def test_graph_set_without_val_graphs_scores_nan_val():
-    """An empty val set is allowed; its nan scores are no divergence."""
+def test_graph_set_without_val_graphs_has_no_val_columns():
+    """An empty val set is allowed and, as a single graph's empty val split,
+    not scored: its metric rows have no val columns."""
     ds = graph_classification_dataset(n_graphs=6)
     result = train(GRAPH_SPEC, allpass_kernelsets(ds), ds, TrainConfig(epochs=2, batch_size=3),
                    train_idx=np.arange(6), val_idx=[])
     assert len(result.metrics) == 2
     for row in result.metrics:
         assert np.isfinite(row["train_loss"])
-        assert np.isnan(row["val_loss"]) and np.isnan(row["val_acc"])
+        assert set(row) == {"epoch", "train_loss", "train_acc"}
+
+
+@pytest.mark.parametrize("run", ["train", "crossvalidate"])
+def test_graph_label_outside_classes_refused_before_first_forward(monkeypatch, run):
+    """A graph label the run scores outside the output classes is refused,
+    with the graph named, before any forward: train checks its train and val
+    graphs, crossvalidate every graph before a fold worker forks. A graph
+    that train does not score is not checked."""
+    base = graph_classification_dataset(n_graphs=6)
+    ds = MultiGraphDataset(graphs=base.graphs, labels=np.array([0, 1, 0, 1, 0, 7]), n_classes=2)
+    sets, cfg = allpass_kernelsets(ds), TrainConfig(epochs=2, batch_size=2)
+    calls = []
+    forward = nn.model_forward
+    monkeypatch.setattr(nn, "model_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    with pytest.raises(ValueError, match="^graph 5 has label 7, outside the classes 0..1$"):
+        if run == "train":
+            train(GRAPH_SPEC, sets, ds, cfg, train_idx=[0, 1, 2, 3], val_idx=[5, 4])
+        else:
+            crossvalidate(ds, sets, GRAPH_SPEC, cfg, folds=3)
+    assert calls == []
+    if run == "train":
+        result = train(GRAPH_SPEC, sets, ds, cfg, train_idx=[0, 1, 2, 3], val_idx=[4])
+        assert len(result.metrics) == 2
 
 
 def test_train_records_metrics_per_epoch():
