@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -231,86 +232,53 @@ _REQUIRED = object()
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
                int: "an integer"}
 
-
-def _field(section: dict, key: str, kind, default=_REQUIRED):
-    """section[key], refused unless it is of the JSON kind given (a Python
-    type); true and false are no integers."""
-    value = section.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"config is missing field {key!r}")
-        return default
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
-    return value
-
-
-# the fields of the top level, dataset and cv (train's are TrainConfig's)
-_FIELDS = {
-    "config": ("dataset", "laplacian", "designs", "architecture", "output_activation",
-               "hidden_bias", "output_bias", "train", "cv", "sweep_eta", "output_dir"),
-    "dataset": ("path", "kind", "use_attributes"),
-    "cv": ("folds", "repeats"),
+# {section: {field: (JSON kind, default)}}, every field of a train config.
+# cv and use_attributes default to None, so a single dataset can refuse them
+# when given; train's fields are TrainConfig's, whose values it checks itself.
+_SCHEMA = {
+    "config": {"dataset": (dict, _REQUIRED), "laplacian": (str, "sym"),
+               "designs": (list, _REQUIRED), "architecture": (str, _REQUIRED),
+               "output_activation": (str, "linear"), "hidden_bias": (bool, False),
+               "output_bias": (bool, True), "train": (dict, {}), "cv": (dict, None),
+               "sweep_eta": (list, []), "output_dir": (str, "")},
+    "dataset": {"path": (str, _REQUIRED), "kind": (str, "single"),
+                "use_attributes": (bool, None)},
+    "cv": {"folds": (int, 10), "repeats": (int, 1)},
+    "train": {f.name: (object, f.default) for f in dataclasses.fields(TrainConfig)},
 }
 
 
-def _check_fields(cfg: dict) -> None:
-    """Refuse, before the dataset is loaded, an unknown dataset kind, a field
-    that its section does not hold (a misspelt one, say) and a field that
-    only the other dataset kind runs. A null field counts as missing."""
-    ds = _field(cfg, "dataset", dict)
-    for name, section in (("config", cfg), ("dataset", ds), ("cv", _field(cfg, "cv", dict, {}))):
-        for key in section:
-            if key not in _FIELDS[name]:
-                raise ConfigError(f"{name} has unknown field {key!r}")
-    kind = _field(ds, "kind", str, "single")
-    if kind not in ("single", "tu"):
-        raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
-    if kind == "tu" and _field(cfg, "sweep_eta", list, []):
-        raise ConfigError("sweep_eta applies to single datasets only; "
-                          "a tu dataset runs cross-validation")
-    for key, section, why in (("cv", cfg, "trains once on its split"),
-                              ("use_attributes", ds, "reads its features from features.csv")):
-        if kind == "single" and section.get(key) is not None:
-            raise ConfigError(f"{key} applies to tu datasets only; a single dataset {why}")
+def _section(name: str, doc: dict) -> dict:
+    """Every field of the config section name, read from doc, missing and
+    null ones at their defaults. Refused, in this order: a field the section
+    does not hold, a value not of its JSON kind (true and false are no
+    integers), a missing required field."""
+    schema = _SCHEMA[name]
+    for key in doc:
+        if key not in schema:
+            raise ConfigError(f"{name} has unknown field {key!r}")
+    for key, value in doc.items():
+        kind = schema[key][0]
+        if value is not None and (not isinstance(value, kind)
+                                  or (kind is int and isinstance(value, bool))):
+            raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
+    section = {}
+    for key, (_, default) in schema.items():
+        value = doc.get(key)
+        if value is None and default is _REQUIRED:
+            raise ConfigError(f"config is missing field {key!r}")
+        section[key] = default if value is None else value
+    return section
 
 
-def _train_config(cfg: dict, args) -> TrainConfig:
-    t = dict(_field(cfg, "train", dict, {}))
-    for key, val in (("epochs", args.epochs), ("learning_rate", args.lr), ("seed", args.seed)):
-        if val is not None:
-            t[key] = val
+def _train_config(t: dict, args) -> TrainConfig:
+    """The TrainConfig of the train section t, with the command line's
+    overrides."""
+    flags = {"epochs": args.epochs, "learning_rate": args.lr, "seed": args.seed}
     try:
-        return TrainConfig(**t)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train config: {exc}") from None
-
-
-def _experiment_parts(cfg: dict, base_dir: str):
-    ds = _field(cfg, "dataset", dict)
-    path, kind = _field(ds, "path", str), _field(ds, "kind", str, "single")
-    texts = _field(cfg, "designs", list)
-    if not all(isinstance(t, str) for t in texts):
-        raise ConfigError(f"designs must be a list of strings, got {json.dumps(texts)}")
-    designs = [parse_design(t, base_dir=base_dir) for t in texts]
-    arch = _field(cfg, "architecture", str)
-    if not designs:
-        raise ConfigError("designs must be non-empty")
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    if not os.path.isdir(path):
-        raise ConfigError(f"dataset path {path!r} is not a directory")
-    try:
-        spec = parse_architecture(
-            arch,
-            output_activation=_field(cfg, "output_activation", str, "linear"),
-            hidden_bias=_field(cfg, "hidden_bias", bool, False),
-            output_bias=_field(cfg, "output_bias", bool, True),
-        )
+        return TrainConfig(**{**t, **{k: v for k, v in flags.items() if v is not None}})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    lap = _laplacian_kind(_field(cfg, "laplacian", str, "sym"))
-    return path, kind, ds, designs, arch, spec, lap
+        raise ConfigError(f"bad train config: {exc}") from None
 
 
 def _out_file(out_dir, name):
@@ -380,29 +348,28 @@ def _set_up(dataset, lap, designs, points=None):
     yield record, [design_kernelset(bases.pop(0), points[-1]) for _ in graphs]
 
 
-def _sweep_etas(cfg, designs) -> list:
-    """The exponents of a single dataset's sweep_eta, [] without a sweep: a
-    list of numbers, each the eta of the one lowpass design that designs
-    must then hold."""
-    sweep = _field(cfg, "sweep_eta", list, [])
+def _sweep_points(sweep: list, designs) -> list:
+    """The design list of each exponent of a single dataset's sweep_eta, []
+    without a sweep: designs with its one lowpass design at that eta. So a
+    sweep that designs cannot run, or a bad eta, is refused before loading."""
     if not all(isinstance(eta, (int, float)) and not isinstance(eta, bool) for eta in sweep):
         raise ConfigError(f"sweep_eta must be a list of numbers, got {json.dumps(sweep)}")
     lowpass = sum(isinstance(d, LowPass) for d in designs)
     if sweep and lowpass != 1:
         raise ConfigError("sweep_eta varies the eta of a lowpass design, but designs has "
                           f"{lowpass or 'none'}")
-    return sweep
+    return [[LowPass(eta=float(eta)) if isinstance(d, LowPass) else d for d in designs]
+            for eta in sweep]
 
 
-def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir, sweep):
-    """Train on the graph; with a sweep (see _sweep_etas), re-train once per
-    low-pass exponent instead and select by minimum validation loss."""
+def _run_transductive(cfg, spec, designs, lap, dataset, tconfig, out_dir, sweep, points):
+    """Train on the graph; with a sweep, re-train once per low-pass exponent
+    in sweep instead, on that exponent's design list in points (see
+    _sweep_points), and select by minimum validation loss."""
     _check_split(dataset)
     if sweep and not dataset.masks["val"].any():
         raise ConfigError("sweep_eta selects by validation loss, but the split has no val nodes")
-    points = _set_up(dataset, lap, designs, [
-        [LowPass(eta=float(eta)) if isinstance(d, LowPass) else d for d in designs]
-        for eta in sweep])
+    points = _set_up(dataset, lap, designs, points)
     rows = []
     for eta in sweep or [None]:
         record, (kernels,) = next(points)
@@ -461,31 +428,58 @@ def cmd_train(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError(f"a config must be a JSON object, got {json.dumps(cfg)}")
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    _check_fields(cfg)
-    path, kind, ds, designs, arch, spec, lap = _experiment_parts(cfg, base_dir)
-    tconfig = _train_config(cfg, args)
-    out_dir = args.out or _field(cfg, "output_dir", str, "") or "run"
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base_dir, out_dir)
+    top = _section("config", cfg)
+    ds = _section("dataset", top["dataset"])
+    cv = _section("cv", top["cv"] or {})
+    train_section = _section("train", top["train"])
+    kind = ds["kind"]
+    if kind not in ("single", "tu"):
+        raise ConfigError(f"unknown dataset kind {kind!r} (use single or tu)")
+    if kind == "tu" and top["sweep_eta"]:
+        raise ConfigError("sweep_eta applies to single datasets only; "
+                          "a tu dataset runs cross-validation")
+    for key, value, why in (("cv", top["cv"], "trains once on its split"),
+                            ("use_attributes", ds["use_attributes"],
+                             "reads its features from features.csv")):
+        if kind == "single" and value is not None:
+            raise ConfigError(f"{key} applies to tu datasets only; a single dataset {why}")
+    texts = top["designs"]
+    if not all(isinstance(t, str) for t in texts):
+        raise ConfigError(f"designs must be a list of strings, got {json.dumps(texts)}")
+    designs = [parse_design(t, base_dir=base_dir) for t in texts]
+    if not designs:
+        raise ConfigError("designs must be non-empty")
+    # os.path.join keeps an absolute path as it is
+    path = os.path.join(base_dir, ds["path"])
+    if not os.path.isdir(path):
+        raise ConfigError(f"dataset path {path!r} is not a directory")
+    arch = top["architecture"]
+    try:
+        spec = parse_architecture(arch, output_activation=top["output_activation"],
+                                  hidden_bias=top["hidden_bias"], output_bias=top["output_bias"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    lap = _laplacian_kind(top["laplacian"])
+    tconfig = _train_config(train_section, args)
+    out_dir = os.path.join(base_dir, args.out or top["output_dir"] or "run")
     _check_out_dir(out_dir, "output_dir")
     # settings a dataset kind cannot run are refused before the dataset is loaded
     _check_problem(spec, graph_level=kind == "tu")
     if kind == "single":
-        run = functools.partial(_run_transductive, sweep=_sweep_etas(cfg, designs))
+        sweep = top["sweep_eta"]
+        run = functools.partial(_run_transductive, sweep=sweep,
+                                points=_sweep_points(sweep, designs))
         dataset = load_single_graph(path)
         graphs = [dataset.graph]
     else:
         if any(isinstance(d, Tabulated) for d in designs):
             raise ConfigError("a tabulated design applies to single datasets only; "
                               "its values belong to one graph's eigenvalues")
-        cv_cfg = _field(cfg, "cv", dict, {})
-        folds, repeats = _field(cv_cfg, "folds", int, 10), _field(cv_cfg, "repeats", int, 1)
-        _check_cv(folds, repeats)
-        use_attributes = _field(ds, "use_attributes", bool, False)
-        dataset = load_tu_dataset(path, use_attributes=use_attributes)
+        _check_cv(cv["folds"], cv["repeats"])
+        dataset = load_tu_dataset(path, use_attributes=bool(ds["use_attributes"]))
         graphs = dataset.graphs
-        _check_cv(folds, repeats, len(graphs))
-        run = functools.partial(_run_inductive, folds=folds, repeats=repeats)
+        _check_cv(cv["folds"], cv["repeats"], len(graphs))
+        run = functools.partial(_run_inductive, folds=cv["folds"], repeats=cv["repeats"])
     n_max = max(g.n for g in graphs)
     for d in designs:
         d.check_graph(n_max)

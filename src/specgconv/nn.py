@@ -691,13 +691,14 @@ def softmax_cross_entropy(outputs, labels):
     n = outputs.shape[0]
     if n == 0:
         raise ValueError("no rows to score")
-    _check_labels(labels, outputs.shape[1], np.arange(n))
+    rows = np.arange(n)
+    _check_labels(labels, outputs.shape[1], rows)
     z = outputs - outputs.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(n), labels]
-    loss = float(np.mean(logsum - picked))
-    softmax = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    softmax[np.arange(n), labels] -= 1.0
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - z[rows, labels]))
+    softmax = e / total
+    softmax[rows, labels] -= 1.0
     return loss, softmax / n
 
 

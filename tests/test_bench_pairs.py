@@ -114,7 +114,8 @@ def test_no_regression_is_unresolved_when_the_parent_spread_exceeds_the_bound():
 def test_extending_a_file_with_runs_of_another_commit_is_refused(tmp_path, monkeypatch):
     """A BENCH file records the parent and change revisions of its runs; a
     checkout at another revision is refused before any run, with one line,
-    and the file is left as it was. An unknown revision is not compared."""
+    and the file is left as it was. So is a checkout that is no git
+    repository, whose revision is unknown."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
     change.mkdir()
@@ -131,10 +132,19 @@ def test_extending_a_file_with_runs_of_another_commit_is_refused(tmp_path, monke
     assert str(info.value) == f"{out} holds change runs of bbb2222, but {change} is at ccc3333"
     assert out.read_text() == before
     revisions[str(change)] = None                  # not a git checkout
-    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: {"failed": 0, "attempted": 1,
-                                                             "step_s": 1.0, "calibration": {}})
-    bench_pairs.main(argv)
-    assert json.loads(out.read_text())["change"] == "bbb2222"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv)
+    assert str(info.value) == (f"{change} is not a git checkout, so its runs would name no "
+                               "revision; make it with git clone, not git archive")
+    assert out.read_text() == before
+    out.unlink()                                   # nor does a new file name it
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv)
+    assert not out.exists()
+
+
+def test_a_directory_outside_git_has_no_revision(tmp_path):
+    assert bench_pairs._revision(tmp_path) is None
 
 
 def test_run_record_keeps_the_host_calibration():

@@ -447,8 +447,18 @@ def test_readme_config_document_passes_every_check_made_before_loading(tmp_path,
         main(["train", "--config", str(tmp_path / "config.json")])
 
 
+def test_readme_lists_every_config_field_in_schema_order():
+    """The train section of README.md has one table row per config field,
+    section and field, in the order of the CLI's schema."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### train"):readme.index("### gradcheck")]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.M)
+    assert rows == [(name, key) for name, fields in cli._SCHEMA.items() for key in fields]
+
+
 def test_a_null_field_counts_as_missing(tmp_path):
-    cfg = write_toy_config(tmp_path, cv=None, dataset={"path": "toyds", "use_attributes": None})
+    cfg = write_toy_config(tmp_path, cv=None, dataset={"path": "toyds", "use_attributes": None},
+                           train={"epochs": 1, "seed": None, "batch_size": None})
     assert main(["train", "--config", str(cfg), "--epochs", "1"]) == 0
 
 
@@ -465,8 +475,7 @@ def test_train_refuses_what_only_the_other_dataset_kind_runs_before_loading(
         monkeypatch.setattr(cli, loader, lambda *a, **k: pytest.fail("dataset loaded"))
     if kind == "single":
         path = write_toy_config(tmp_path, train={"epochs": 2, "loss": "softmax_ce"})
-        message = ("config error: bad train config: TrainConfig.__init__() got an "
-                   "unexpected keyword argument 'loss'\n")
+        message = "config error: train has unknown field 'loss'\n"
     else:
         path = write_tu_config(tmp_path, sweep_eta=[1, 3])
         message = ("config error: sweep_eta applies to single datasets only; "
@@ -846,6 +855,8 @@ def test_train_model_that_does_not_fit_the_problem(tmp_path, capsys, monkeypatch
      "cv applies to tu datasets only; a single dataset trains once on its split"),
     ("single", {"sweep_eta": [1, 2], "designs": ["lowpass(eta=3)", "lowpass(eta=7)", "highpass"]},
      "sweep_eta varies the eta of a lowpass design, but designs has 2"),
+    ("single", {"sweep_eta": [3, 0]}, "lowpass exponent must be positive, got 0.0"),
+    ("single", {"train": {"epochs": 2, "epoch": 3}}, "train has unknown field 'epoch'"),
 ])
 def test_train_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, kind, overrides,
                                                   message):

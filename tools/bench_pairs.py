@@ -12,7 +12,9 @@ and the relative change of the medians, plus the failed operations per side.
 An existing file is extended: its runs are kept, its other fields left as
 they are, and the summary is recomputed over all runs. A checkout at
 another revision than the one the file records for its side is refused,
-so that one summary never pools the runs of two commits.
+so that one summary never pools the runs of two commits; so is a checkout
+that is no git repository (a git archive copy, say), whose revision is
+unknown.
 
 Usage:
     python3 tools/bench_pairs.py <parent-dir> <change-dir> --workload cora-dsg \\
@@ -205,8 +207,11 @@ def main(argv=None):
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     for side, checkout in checkouts.items():
         revision = _revision(checkout)
+        if revision is None:
+            raise SystemExit(f"{checkout} is not a git checkout, so its runs would name no "
+                             "revision; make it with git clone, not git archive")
         recorded = doc.setdefault(side, revision)
-        if None not in (revision, recorded) and revision != recorded:
+        if revision != recorded:
             raise SystemExit(f"{args.out} holds {side} runs of {recorded}, "
                              f"but {checkout} is at {revision}")
     doc.setdefault("command", "python3 perfbench/run.py --workload <w> --seed <s> "
